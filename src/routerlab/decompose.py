@@ -152,9 +152,9 @@ class _WitnessedCluster:
         for key in list(self.bundles):
             if not self.s.in_w.get(key) or self.s.rem.get(key, 0) <= 0:
                 del self.bundles[key]
-            else:
-                assert len(self.bundles[key]) == self.s.rem[key], \
-                    "bundle path count out of sync with the router"
+            elif len(self.bundles[key]) != self.s.rem[key]:
+                raise AssertionError(
+                    "bundle path count out of sync with the router")
 
     def paths_iter(self):
         for key in sorted(self.bundles):

@@ -300,49 +300,3 @@ def verify_routing(g, d, r, max_len, max_cong):
             violations.append(("congestion", k, cong))
     return VerifyReport(not violations, worst_congestion, worst_length, violations)
 
-
-def vertex_split(g, delta):
-    """Split high-degree vertices until every degree is near 2*delta.
-
-    Repeatedly peels ceil(delta)-edge chunks off any vertex of degree
-    above 2*delta into fresh copies.  Returns the split graph, a map
-    from its superedges to originals, and a map from copies to their
-    original vertex.
-    """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    chunk = -(-delta.numerator // delta.denominator)   # ceil(delta)
-    g2 = g.copy()
-    edge_map = {k: k for k in g.superedges}
-    copy_map = {v: v for v in g.vertices}
-    next_id = max(g.vertices, default=-1) + 1
-    for v in sorted(g.vertices):
-        while g2.degree(v) > 2 * delta:
-            nv = next_id
-            next_id += 1
-            g2.add_vertex(nv)
-            copy_map[nv] = v
-            moved = 0
-            for u in sorted(g2.neighbors(v)):
-                if moved >= chunk:
-                    break
-                take = min(chunk - moved, g2.multiplicity(v, u))
-                g2.remove_copies(v, u, take)
-                g2.add_edge(nv, u, take)
-                moved += take
-    # split never merges distinct superedges, so the map follows copy_map
-    edge_map = {k: _key(copy_map[k[0]], copy_map[k[1]]) for k in g2.superedges}
-    return g2, edge_map, copy_map
-
-
-def lift_routing(r2, edge_map, copy_map):
-    """Map a routing in a split graph back to the original graph."""
-    r = Routing()
-    for path, (a, b), value in r2.flow_paths:
-        for x, y in zip(path, path[1:]):
-            if _key(x, y) not in edge_map:
-                raise KeyError("edge %r not in split map" % (_key(x, y),))
-        lifted = tuple(copy_map[x] for x in path)
-        r.flow_paths.append((lifted, (copy_map[a], copy_map[b]), value))
-    return r

@@ -93,11 +93,6 @@ class DeletionReport:
         self.bundles_removed = []        # (level, leaf, copies dropped from W)
         self.removed = {}                # level -> list of (vertex, tag)
 
-    def removed_count(self, level=None):
-        if level is None:
-            return sum(len(v) for v in self.removed.values())
-        return len(self.removed.get(level, ()))
-
     def removed_levels_vertices(self):
         out = set()
         for entries in self.removed.values():
@@ -144,7 +139,6 @@ class PrunedRouter:
         self._reset_phase_counters()
         self.phase_log = [self._fresh_stats()]
         self._seq = 0
-        self._sweep_fired = False        # isolated-vertex safety net ever used
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -362,7 +356,6 @@ class PrunedRouter:
         """Safety net keeping V(W) = U_1: in-budget traces never need it."""
         for v in sorted(touched):
             if self.in_u(v, 1) and not self._has_w_edge(v):
-                self._sweep_fired = True
                 for j in range(1, self.t.k + 1):
                     if self.in_u(v, j):
                         self.mask[v] &= ~(1 << j)

@@ -75,18 +75,18 @@ def extract_spanner(rd):
     h = MultiGraph()
     for v in rd.host.vertices:
         h.add_vertex(v)
-    expected = 0
     for (a, b) in sorted(rd.e_del):
         h.add_edge(a, b, 1, rd.host.lengths.get((a, b)))
-        expected += 1
     for c in rd.clusters:
         for (a, b) in sorted(c.sparse.cprime.superedges):
             if not h.has_edge(a, b):
                 h.add_edge(a, b, 1, c.sparse.cprime.lengths.get((a, b)))
-                expected += 1
-    # clusters are edge-disjoint and C' subsets their clusters, so the
-    # union dedups only against E^del collisions, which cannot happen
-    assert h.num_edges() == expected, "spanner size accounting broken"
+    # clusters are edge-disjoint, C' subsets its cluster and E^del holds
+    # no cluster edge, so the union must not merge any two edges
+    expected = len(rd.e_del) + sum(len(c.sparse.cprime.superedges)
+                                   for c in rd.clusters)
+    if h.num_edges() != expected:
+        raise AssertionError("spanner size accounting broken")
     return h
 
 
@@ -129,32 +129,41 @@ def _weighted_dist_from(g, src, targets=None):
     return dist
 
 
+def _partners(edges):
+    """Sorted edges grouped by their first endpoint, in sorted order."""
+    out = {}
+    for (u, v) in sorted(edges):
+        out.setdefault(u, []).append(v)
+    return out
+
+
 def stretch_check(g, h, weighted=False):
     """Max stretch of H over the edges of g, with a witness pair.
 
     Checking edges suffices for subgraph spanners: any g-path expands
     edge by edge into H-paths, so pair stretch never exceeds the worst
     edge stretch.  Disconnected edge pairs report stretch infinity.
+    Each source u is searched only until the distances to its partners
+    {v : (u, v) in g, u < v} are final, not over the whole of H.
     """
     worst = 0 if not weighted else Fraction(0)
     pair = None
-    by_src = {}
-    for (u, v) in sorted(g.superedges):
-        if u not in by_src:
-            by_src[u] = (_weighted_dist_from(h, u) if weighted
-                         else _bfs_dist_from(h, u))
-        dh = by_src[u].get(v)
-        if dh is None:
-            return math.inf, (u, v)
-        if weighted:
-            lg = g.lengths.get((u, v))
-            lg = Fraction(1) if lg is None else Fraction(lg)
-            ratio = Fraction(dh) / lg
-        else:
-            ratio = dh
-        if ratio > worst:
-            worst = ratio
-            pair = (u, v)
+    for u, vs in _partners(g.superedges).items():
+        dist = (_weighted_dist_from(h, u, vs) if weighted
+                else _bfs_dist_from(h, u, vs))
+        for v in vs:
+            dh = dist.get(v)
+            if dh is None:
+                return math.inf, (u, v)
+            if weighted:
+                lg = g.lengths.get((u, v))
+                lg = Fraction(1) if lg is None else Fraction(lg)
+                ratio = Fraction(dh) / lg
+            else:
+                ratio = dh
+            if ratio > worst:
+                worst = ratio
+                pair = (u, v)
     return worst, pair
 
 
@@ -207,8 +216,10 @@ def lc_embed(rd, seed=0):
             loads[key] = loads.get(key, 0) + 1
     eta_obs = max(loads.values(), default=1)
     bound = max(Fraction(16 * rd.eta_t * dmax_g, rd.delta_star), 16 * logn)
-    assert d_obs <= rd.d_t, "lc embedding length bound broken"
-    assert eta_obs <= bound, "lc embedding congestion bound broken"
+    if d_obs > rd.d_t:
+        raise AssertionError("lc embedding length bound broken")
+    if eta_obs > bound:
+        raise AssertionError("lc embedding congestion bound broken")
     return LcEmbedding(paths, d_obs, eta_obs)
 
 
@@ -223,7 +234,9 @@ def _fault_edges(faults):
 def fd_spanner_check(rd, faults, k, cfg=None, exhaustive_cap=10 ** 4,
                      seed=0):
     """For host edges surviving the faults: their detour length in H'
-    minus the faults, against the resilient-routing length constant."""
+    minus the faults, against the resilient-routing length constant.
+    Each source is searched only until the distances to its partners
+    among the checked edges are final."""
     from .resilience import FdConfig
     if cfg is None:
         cfg = FdConfig()
@@ -238,16 +251,15 @@ def fd_spanner_check(rd, faults, k, cfg=None, exhaustive_cap=10 ** 4,
     worst = 0
     worst_pair = None
     violations = []
-    by_src = {}
-    for (u, v) in check:
-        if u not in by_src:
-            by_src[u] = _bfs_dist_from(hf, u)
-        dh = by_src[u].get(v)
-        if dh is None or dh > bound:
-            violations.append(((u, v), dh))
-        if dh is not None and dh > worst:
-            worst = dh
-            worst_pair = (u, v)
+    for u, vs in _partners(check).items():
+        dist = _bfs_dist_from(hf, u, vs)
+        for v in vs:
+            dh = dist.get(v)
+            if dh is None or dh > bound:
+                violations.append(((u, v), dh))
+            if dh is not None and dh > worst:
+                worst = dh
+                worst_pair = (u, v)
     return {"checked": len(check), "bound": bound, "max_detour": worst,
             "worst_pair": worst_pair, "violations": violations,
             "ok": not violations}

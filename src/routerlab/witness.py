@@ -16,6 +16,7 @@ selection it relies on, and the scattered-or-large-ball search.
 """
 
 import heapq
+import math
 from fractions import Fraction
 
 from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
@@ -179,50 +180,60 @@ def validate_witness(w):
     return WitnessReport(checks)
 
 
-def _dijkstra(host, src, dst, weight, usable):
-    dist = {src: Fraction(0)}
+def _trace_back(prev, src, dst):
+    """Vertex path and edge indices from src to dst along prev links."""
+    path = [dst]
+    edges = []
+    while path[-1] != src:
+        v, e = prev[path[-1]]
+        path.append(v)
+        edges.append(e)
+    path.reverse()
+    return tuple(path), edges
+
+
+def _dijkstra(adj, src, dst, load, base, slope, cap):
+    """Least-weight path from src to dst over usable edges, as (vertices,
+    edge indices), or None.  Edge e weighs base + slope[e]*load[e] and is
+    usable while load[e] < cap[e]."""
+    dist = {src: 0}
     prev = {}
-    heap = [(Fraction(0), src)]
+    heap = [(0, src)]
     while heap:
         dv, v = heapq.heappop(heap)
         if dv > dist[v]:
             continue
         if v == dst:
             break
-        for u in host.neighbors(v):
-            e = _key(v, u)
-            if not usable(e):
+        for u, e in adj[v]:
+            le = load[e]
+            if le >= cap[e]:
                 continue
-            nd = dv + weight(e)
-            if u not in dist or nd < dist[u]:
+            nd = dv + base + slope[e] * le
+            du = dist.get(u)
+            if du is None or nd < du:
                 dist[u] = nd
-                prev[u] = v
+                prev[u] = (v, e)
                 heapq.heappush(heap, (nd, u))
     if dst not in dist:
         return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return _trace_back(prev, src, dst)
 
 
-def _hop_path(host, src, dst, usable, d_max):
-    seen = {src: None}
+def _hop_path(adj, src, dst, load, cap, d_max):
+    """Breadth-first path of at most d_max hops over usable edges,
+    scanning neighbours in id order, or None."""
+    prev = {src: None}
     frontier = [src]
     for _ in range(d_max):
         nxt = []
         for v in frontier:
-            for u in sorted(host.neighbors(v)):
-                if u not in seen and usable(_key(v, u)):
-                    seen[u] = v
+            for u, e in sorted(adj[v]):
+                if u not in prev and load[e] < cap[e]:
+                    prev[u] = (v, e)
                     nxt.append(u)
                     if u == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(seen[path[-1]])
-                        path.reverse()
-                        return tuple(path)
+                        return _trace_back(prev, src, dst)
         if not nxt:
             break
         frontier = nxt
@@ -233,7 +244,15 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     """Map the template into host c and embed each edge copy along a
     congestion-penalized shortest path of hop length at most d_max.
     Copies that cannot be placed go to the fake set F; returns
-    (Embedding, F) when |F| <= fake_budget, else None."""
+    (Embedding, F) when |F| <= fake_budget, else None.
+
+    An edge e carrying load(e) paths weighs 1 + 4*load(e)/(mult(e)*eta_max)
+    and is usable while load(e) < eta_max*mult(e).  The search compares
+    these weights exactly as integers, scaled by S = p*M for eta_max = p/q
+    and M the lcm of the host's multiplicities; a uniform positive scale
+    keeps every comparison and tie, so the chosen paths are those of the
+    rational weights.  The search gives up, returning None, as soon as
+    |F| exceeds fake_budget."""
     if t.num_vertices() > len(c.vertices):
         raise ValueError("template larger than host")
     eta_max = Fraction(eta_max)
@@ -268,15 +287,23 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
 
 
 def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
-    load = {}
-
-    def usable(e):
-        return load.get(e, 0) < eta_max * c.multiplicity(*e)
-
-    def weight(e):
-        return 1 + Fraction(4 * load.get(e, 0),
-                            c.multiplicity(*e)) / eta_max
-
+    # eta_max = p/q; M = lcm of the multiplicities.  Scaling the weight
+    # 1 + 4*load/(mult*eta_max) by S = p*M gives the integer
+    # S + 4*q*load*(M // mult), and load < eta_max*mult becomes
+    # load < ceil(p*mult/q).
+    p, q = eta_max.numerator, eta_max.denominator
+    m_lcm = math.lcm(*c.superedges.values()) if c.superedges else 1
+    index = {}
+    slope = []
+    cap = []
+    for e, mult in c.superedges.items():
+        index[e] = len(slope)
+        slope.append(4 * q * (m_lcm // mult))
+        cap.append(-(-p * mult // q))
+    adj = {v: [(u, index[_key(v, u)]) for u in c.neighbors(v)]
+           for v in c.vertices}
+    base = p * m_lcm
+    load = [0] * len(slope)
     paths = {}
     fakes = set()
     for i in range(1, t.k + 1):
@@ -284,18 +311,17 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
             src, dst = vm[leaf], vm[center]
             for copy in range(t.delta):
                 key = (i, leaf, copy)
-                p = _dijkstra(c, src, dst, weight, usable)
-                if p is not None and len(p) - 1 > d_max:
-                    p = _hop_path(c, src, dst, usable, d_max)
-                if p is None or len(p) - 1 > d_max:
+                found = _dijkstra(adj, src, dst, load, base, slope, cap)
+                if found is not None and len(found[0]) - 1 > d_max:
+                    found = _hop_path(adj, src, dst, load, cap, d_max)
+                if found is None:
                     fakes.add(key)
+                    if len(fakes) > fake_budget:
+                        return None
                     continue
-                paths[key] = p
-                for a, b in zip(p, p[1:]):
-                    e = _key(a, b)
-                    load[e] = load.get(e, 0) + 1
-    if len(fakes) > fake_budget:
-        return None
+                paths[key] = found[0]
+                for e in found[1]:
+                    load[e] += 1
     emb = Embedding(vm, paths)
     emb.stats(c)
     return emb, fakes

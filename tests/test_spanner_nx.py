@@ -1,0 +1,132 @@
+"""Cross-check the spanner distance checks against networkx shortest-path
+lengths on random graphs and subgraphs."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from routerlab.graph import MultiGraph
+from routerlab.resilience import FdConfig
+from routerlab.spanner import (RouterDecomposition, fd_spanner_check,
+                               stretch_check)
+
+nx = pytest.importorskip("networkx")
+
+
+def _random_graph(rng, n, m):
+    g = MultiGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    while g.num_edges() < m:
+        a, b = rng.sample(range(n), 2)
+        if not g.has_edge(a, b):
+            g.add_edge(a, b, rng.randint(1, 3), rng.randint(1, 5))
+    return g
+
+
+def _subgraph(rng, g, keep):
+    h = MultiGraph()
+    for v in g.vertices:
+        h.add_vertex(v)
+    for (a, b), m in g.superedges.items():
+        if rng.random() < keep:
+            h.add_edge(a, b, m, g.lengths.get((a, b)))
+    return h
+
+
+def _to_nx(h):
+    x = nx.Graph()
+    x.add_nodes_from(h.vertices)
+    for (a, b) in h.superedges:
+        x.add_edge(a, b, length=h.length(a, b))
+    return x
+
+
+def _nx_stretch(g, h, weighted):
+    """Worst edge stretch and the first edge (in sorted order) that
+    attains it; (inf, first disconnected edge) if any is cut off."""
+    x = _to_nx(h)
+    worst, pair = 0, None
+    for (u, v) in sorted(g.superedges):
+        if weighted:
+            dist = nx.single_source_dijkstra_path_length(x, u,
+                                                         weight="length")
+        else:
+            dist = nx.single_source_shortest_path_length(x, u)
+        if v not in dist:
+            return math.inf, (u, v)
+        ratio = Fraction(dist[v], g.length(u, v)) if weighted else dist[v]
+        if ratio > worst:
+            worst, pair = ratio, (u, v)
+    return worst, pair
+
+
+def _cases():
+    rng = random.Random(4242)
+    for trial in range(60):
+        n = rng.randint(4, 24)
+        g = _random_graph(rng, n, rng.randint(n, min(3 * n, n * (n - 1) // 2)))
+        keep = rng.choice([0.5, 0.7, 0.9, 1.0])
+        yield trial, g, _subgraph(rng, g, keep)
+
+
+def test_stretch_check_matches_networkx():
+    seen_inf = seen_finite = 0
+    for trial, g, h in _cases():
+        for weighted in (False, True):
+            want = _nx_stretch(g, h, weighted)
+            assert stretch_check(g, h, weighted=weighted) == want, \
+                (trial, weighted)
+            if want[0] == math.inf:
+                seen_inf += 1
+            elif want[0] > 1:
+                seen_finite += 1
+    assert seen_inf >= 10 and seen_finite >= 10, (seen_inf, seen_finite)
+
+
+def test_stretch_check_disconnected_subgraph():
+    g = MultiGraph()
+    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (2, 5)]:
+        g.add_edge(a, b)
+    h = g.without_edges([(2, 5)])        # H splits into {0..4} and {5, 6}
+    assert not nx.has_path(_to_nx(h), 2, 5)
+    assert stretch_check(g, h) == (math.inf, (2, 5))
+    assert stretch_check(g, h, weighted=True) == (math.inf, (2, 5))
+    assert _nx_stretch(g, h, False) == (math.inf, (2, 5))
+
+
+def test_fd_spanner_check_matches_networkx():
+    cfg = FdConfig(len_const=1)
+    seen_violations = seen_cut = 0
+    rng = random.Random(99)
+    for trial, g, h in _cases():
+        edges = sorted(g.superedges)
+        faults = rng.sample(edges, rng.randint(0, min(3, len(edges))))
+        d_t = rng.randint(1, 3)
+        rd = RouterDecomposition(g, [], set(h.superedges), 16, d_t, 1, 2)
+        cap = rng.choice([10 ** 4, max(1, len(edges) // 2)])
+        got = fd_spanner_check(rd, faults, 1, cfg=cfg, exhaustive_cap=cap,
+                               seed=trial)
+        bound = d_t
+        check = [e for e in edges if e not in set(faults)]
+        if len(check) > cap:
+            check = sorted(random.Random(trial).sample(check, cap))
+        x = _to_nx(h)
+        x.remove_edges_from(faults)
+        worst, worst_pair, violations = 0, None, []
+        for (u, v) in check:
+            dist = nx.single_source_shortest_path_length(x, u)
+            dh = dist.get(v)
+            if dh is None or dh > bound:
+                violations.append(((u, v), dh))
+            if dh is not None and dh > worst:
+                worst, worst_pair = dh, (u, v)
+        assert got == {"checked": len(check), "bound": bound,
+                       "max_detour": worst, "worst_pair": worst_pair,
+                       "violations": violations, "ok": not violations}, trial
+        seen_violations += bool(violations)
+        seen_cut += any(dh is None for _e, dh in violations)
+    assert seen_violations >= 10 and seen_cut >= 5, (seen_violations,
+                                                      seen_cut)
