@@ -516,8 +516,8 @@ def process_batch(rd, deletions, insertions=()):
         n = len(rd.host.vertices)
         exp = cfg.recourse_exp
         bound = pi_c * math.ceil(max(n, 2) ** float(exp))
-        assert added <= max(bound, added if wc.id in report.dissolved else 0),\
-            "per-batch E^del accounting bound broken"
+        if added > bound:
+            raise AssertionError("per-batch E^del accounting bound broken")
         wc.snapshot()
     rd.e_del = {e for e in rd.e_del if rd.host.has_edge(*e)}
     for (u, v, *rest) in insertions:

@@ -330,9 +330,9 @@ class PrunedRouter:
                         self._push1(heap, pending, i, x, INDIRECT)
                 self.cluster_destroyed.add(cl)
         self._sweep_isolated(touched, rpt)
-        if __debug__:
-            for v in rpt.removed_levels_vertices():
-                assert self._is_prefix(self.mask[v]), "non-prefix mask after drain"
+        for v in rpt.removed_levels_vertices():
+            if not self._is_prefix(self.mask[v]):
+                raise AssertionError("non-prefix mask after drain")
 
     def _is_prefix(self, m):
         l = 0

@@ -241,9 +241,11 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, cfg=None,
             raise AssertionError("fault-tree rounds exhausted")
         # matched-leaf demand, lambda units per matched pair
         agg = {}
+        leaves = lam ** (i - 1)
         for ei in unresolved:
             e = entries[ei]
-            assert len(e["x_leaves"]) == len(e["y_leaves"]) == lam ** (i - 1)
+            if len(e["x_leaves"]) != leaves or len(e["y_leaves"]) != leaves:
+                raise AssertionError("fault-tree leaf count broken")
             for (u, _wu), (w, _ww) in zip(e["x_leaves"], e["y_leaves"]):
                 if u != w:
                     key = _key(u, w)
@@ -253,7 +255,8 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, cfg=None,
         for (u, w), m in agg.items():
             tot[u] = tot.get(u, 0) + m
             tot[w] = tot.get(w, 0) + m
-        assert all(t <= delta_p for t in tot.values()), "D^i not restricted"
+        if any(t > delta_p for t in tot.values()):
+            raise AssertionError("D^i not restricted")
         if agg:
             di = Demand()
             for key, m in sorted(agg.items()):

@@ -201,7 +201,8 @@ def _u1_to_ui(s, i, cluster):
                 out[v] = tuple(sub_paths[v]) + tuple(mids[v][1:])
             else:
                 out[v] = tuple(sub_paths[v])
-            assert out[v][-1] == targets[v]
+            if out[v][-1] != targets[v]:
+                raise AssertionError("U_1 path ends off its U_i target")
     return out
 
 

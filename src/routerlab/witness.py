@@ -57,11 +57,19 @@ class Embedding:
         """Recompute d* and the per-copy congestion eta* against a host."""
         self.d_star = max(max((len(p) - 1 for p in self.paths.values()),
                               default=1), 1)
-        eta = Fraction(1)
-        for e, cnt in self.edge_loads().items():
-            eta = max(eta, Fraction(cnt, host.multiplicity(*e)))
-        self.eta_star = eta
+        self.eta_star = _congestion(self.edge_loads(), host)
         return self.d_star, self.eta_star
+
+
+def _congestion(loads, host):
+    """max(1, max load(e)/mult(e)) as a Fraction, comparing the ratios by
+    cross-multiplication."""
+    num, den = 1, 1
+    for e, cnt in loads.items():
+        mult = host.multiplicity(*e)
+        if cnt * den > num * mult:
+            num, den = cnt, mult
+    return Fraction(num, den)
 
 
 class RouterWitness:
@@ -169,9 +177,7 @@ def validate_witness(w):
     checks.append(("degree-at-most-alpha-delta", not high, high[:5]))
     checks.append(("beta-at-least-one", w.beta >= 1, w.beta))
     d_star = max(max((len(p) - 1 for p in emb.paths.values()), default=1), 1)
-    eta = Fraction(1)
-    for e, cnt in loads.items():
-        eta = max(eta, Fraction(cnt, host.multiplicity(*e)))
+    eta = _congestion(loads, host)
     checks.append(("stats-consistent",
                    emb.d_star == d_star and emb.eta_star == eta,
                    (emb.d_star, d_star, emb.eta_star, eta)))
@@ -192,10 +198,24 @@ def _trace_back(prev, src, dst):
     return tuple(path), edges
 
 
-def _dijkstra(adj, src, dst, load, base, slope, cap):
-    """Least-weight path from src to dst over usable edges, as (vertices,
-    edge indices), or None.  Edge e weighs base + slope[e]*load[e] and is
-    usable while load[e] < cap[e]."""
+# weight of an edge at capacity: above every bound a search compares with
+_UNUSABLE = math.inf
+
+
+def _dijkstra(adj, src, dst, weight, bound):
+    """Least-weight path from src to dst, as (vertices, edge indices).
+    Edge e weighs weight[e] > 0, or _UNUSABLE at capacity; heap ties go
+    to the smaller vertex, so the order of adj does not matter.
+
+    Relaxations to a weight above bound are dropped, which leaves the
+    path unchanged whenever bound >= W*, the least src->dst weight (the
+    caller passes W_h >= W*).  The search without the bound pops its
+    entries in increasing (weight, vertex) order and stops at (W*, dst),
+    so every entry it pops, and every dist and prev entry it reads on
+    the way, weighs at most W* <= bound and is kept.  A dropped
+    relaxation only sets a dist above bound, which any later kept
+    relaxation overwrites in both searches, so no kept comparison
+    differs.  Some usable src->dst path must exist."""
     dist = {src: 0}
     prev = {}
     heap = [(0, src)]
@@ -206,30 +226,57 @@ def _dijkstra(adj, src, dst, load, base, slope, cap):
         if v == dst:
             break
         for u, e in adj[v]:
-            le = load[e]
-            if le >= cap[e]:
+            nd = dv + weight[e]
+            if nd > bound:
                 continue
-            nd = dv + base + slope[e] * le
             du = dist.get(u)
             if du is None or nd < du:
                 dist[u] = nd
                 prev[u] = (v, e)
                 heapq.heappush(heap, (nd, u))
-    if dst not in dist:
-        return None
     return _trace_back(prev, src, dst)
 
 
-def _hop_path(adj, src, dst, load, cap, d_max):
+def _hop_bound(adj, src, dst, weight, d_max):
+    """W_h, the least weight of a usable src->dst walk of at most d_max
+    hops, or None when there is none.  Layered relaxation: after round h
+    the layer holds, for each vertex other than dst, the least weight of
+    an h-hop walk to it that avoids dst and beats the best walk to dst so
+    far; the last round only reads the edges into dst."""
+    if d_max < 1:
+        return None
+    best = _UNUSABLE
+    layer = {src: 0}
+    for _ in range(d_max - 1):
+        nxt = {}
+        for v, dv in layer.items():
+            for u, e in adj[v]:
+                nd = dv + weight[e]
+                if nd >= best:
+                    continue
+                if u == dst:
+                    best = nd
+                elif nd < nxt.get(u, best):
+                    nxt[u] = nd
+        layer = nxt
+    for u, e in adj[dst]:
+        du = layer.get(u)
+        if du is not None and du + weight[e] < best:
+            best = du + weight[e]
+    return None if best == _UNUSABLE else best
+
+
+def _hop_path(adj, src, dst, weight, d_max):
     """Breadth-first path of at most d_max hops over usable edges,
-    scanning neighbours in id order, or None."""
+    scanning each adjacency list (sorted by neighbour id) in order, or
+    None."""
     prev = {src: None}
     frontier = [src]
     for _ in range(d_max):
         nxt = []
         for v in frontier:
-            for u, e in sorted(adj[v]):
-                if u not in prev and load[e] < cap[e]:
+            for u, e in adj[v]:
+                if u not in prev and weight[e] < _UNUSABLE:
                     prev[u] = (v, e)
                     nxt.append(u)
                     if u == dst:
@@ -252,7 +299,20 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     and M the lcm of the host's multiplicities; a uniform positive scale
     keeps every comparison and tie, so the chosen paths are those of the
     rational weights.  The search gives up, returning None, as soon as
-    |F| exceeds fake_budget."""
+    |F| exceeds fake_budget.
+
+    Each copy is placed by the rule: take the least-weight usable path
+    (Dijkstra, ties to the smaller vertex); if it has more than d_max
+    hops, take the first breadth-first path of at most d_max hops
+    instead; if there is none, the copy is fake.  Before any search, a
+    d_max-round layered relaxation finds W_h, the least weight of a
+    usable walk of at most d_max hops.  No such walk means no path of at
+    most d_max hops, so the rule ends in a fake and no search runs.
+    Otherwise the least weight W* is at most W_h, and Dijkstra drops
+    every relaxation above W_h without changing its path (see
+    _dijkstra).  When W_h < 2*S every path of two or more hops weighs
+    more than W_h >= W*, so the direct edge is the least path and no
+    search runs either."""
     if t.num_vertices() > len(c.vertices):
         raise ValueError("template larger than host")
     eta_max = Fraction(eta_max)
@@ -293,6 +353,7 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
     # load < ceil(p*mult/q).
     p, q = eta_max.numerator, eta_max.denominator
     m_lcm = math.lcm(*c.superedges.values()) if c.superedges else 1
+    base = p * m_lcm
     index = {}
     slope = []
     cap = []
@@ -300,10 +361,10 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
         index[e] = len(slope)
         slope.append(4 * q * (m_lcm // mult))
         cap.append(-(-p * mult // q))
-    adj = {v: [(u, index[_key(v, u)]) for u in c.neighbors(v)]
+    adj = {v: sorted((u, index[_key(v, u)]) for u in c.neighbors(v))
            for v in c.vertices}
-    base = p * m_lcm
     load = [0] * len(slope)
+    weight = [base] * len(slope)        # every cap is at least 1
     paths = {}
     fakes = set()
     for i in range(1, t.k + 1):
@@ -311,17 +372,25 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
             src, dst = vm[leaf], vm[center]
             for copy in range(t.delta):
                 key = (i, leaf, copy)
-                found = _dijkstra(adj, src, dst, load, base, slope, cap)
-                if found is not None and len(found[0]) - 1 > d_max:
-                    found = _hop_path(adj, src, dst, load, cap, d_max)
-                if found is None:
+                bound = _hop_bound(adj, src, dst, weight, d_max)
+                if bound is None:
                     fakes.add(key)
                     if len(fakes) > fake_budget:
                         return None
                     continue
+                if bound < 2 * base:
+                    # every edge weighs at least base, so only the direct
+                    # edge weighs at most bound: it is the least path
+                    found = (src, dst), (index[_key(src, dst)],)
+                else:
+                    found = _dijkstra(adj, src, dst, weight, bound)
+                    if len(found[0]) - 1 > d_max:
+                        found = _hop_path(adj, src, dst, weight, d_max)
                 paths[key] = found[0]
                 for e in found[1]:
                     load[e] += 1
+                    weight[e] = (base + slope[e] * load[e]
+                                 if load[e] < cap[e] else _UNUSABLE)
     emb = Embedding(vm, paths)
     emb.stats(c)
     return emb, fakes
@@ -439,6 +508,9 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
         raise ValueError("r_hat too small: r_hat/ceil(log|X|) must exceed "
                          "4*gamma'")
     dh = ceil_frac(delta_hat)
+    # counts are integers: n >= (r-1)*dh iff n >= ceil((r-1)*dh), and
+    # len >= delta_hat iff len >= dh
+    limit = ceil_frac((r - 1) * dh)
     out = {}
     remaining = list(xs)
     guard = 0
@@ -447,14 +519,10 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
         if guard > rounds_cap + 2:
             raise AssertionError("round-halving guarantee failed")
         n_y = {}
-
-        def overloaded(y):
-            return n_y.get(y, 0) >= (r - 1) * dh
-
         settled = []
         for x in remaining:
-            usable = [y for y in h[x] if not overloaded(y)]
-            if len(usable) >= delta_hat:
+            usable = [y for y in h[x] if n_y.get(y, 0) < limit]
+            if len(usable) >= dh:
                 pick = usable[:dh]
                 out[x] = pick
                 for y in pick:
@@ -468,12 +536,11 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
     return out
 
 
-def _proxy_route(host, pruned, emb, path_sets, width, demand, factor, copy_count):
+def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
     back through the embedding."""
     t = pruned.t
-    k = t.k
     proxy = {}
     plan = []            # (a, b, j, unit, a_leaf, r_a, b_leaf, r_b)
     for (a, b), val in sorted(demand.values.items()):
@@ -498,21 +565,29 @@ def _proxy_route(host, pruned, emb, path_sets, width, demand, factor, copy_count
     else:
         mid_paths = {}
 
-    copy_load = {}       # (level, leaf) -> per-copy accumulated flow
+    # per-copy loads count flow in units of 1/L, L the lcm of the unit
+    # denominators, so they stay integers; a uniform scale keeps every
+    # comparison and the first-minimum tie-break
+    unit_lcm = math.lcm(*(entry[3].denominator for entry in plan))
+    copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
+    bundle_of = {}       # router edge (x, y) -> its (level, leaf)
 
     def translate(wpath, value):
         """Host path for a router path, one embedding path per edge,
         least-loaded copy first."""
         host_path = [emb.vertex_map[wpath[0]]]
         for x, y in zip(wpath, wpath[1:]):
-            i = t.superedge_level(x, y)
-            leaf = x if not t.is_center(x) else y
-            loads = copy_load.setdefault(
-                (i, leaf), [Fraction(0)] * copy_count(i, leaf))
-            c = min(range(len(loads)), key=lambda idx: loads[idx])
+            bundle = bundle_of.get((x, y))
+            if bundle is None:
+                leaf = x if not t.is_center(x) else y
+                bundle = bundle_of[(x, y)] = (t.superedge_level(x, y), leaf)
+            loads = copy_load.get(bundle)
+            if loads is None:
+                loads = copy_load[bundle] = [0] * copy_count(*bundle)
+            c = loads.index(min(loads))
             loads[c] += value
-            ep = emb.paths[(i, leaf, c)]
-            if x != leaf:
+            ep = emb.paths[bundle + (c,)]
+            if x != bundle[1]:
                 ep = tuple(reversed(ep))
             host_path.extend(ep[1:])
         return tuple(host_path)
@@ -527,7 +602,8 @@ def _proxy_route(host, pruned, emb, path_sets, width, demand, factor, copy_count
                 wpath = tuple(reversed(wpath))
             # r_a ends at vm[a_leaf] == mid_host[0]; mid_host ends at
             # vm[b_leaf] == r_b's last vertex
-            mid_host = translate(wpath, unit)
+            mid_host = translate(wpath, unit.numerator
+                                 * (unit_lcm // unit.denominator))
             full = tuple(r_a) + tuple(mid_host[1:]) + tuple(reversed(r_b))[1:]
         out.add(full, (a, b), unit)
     return out
@@ -557,7 +633,7 @@ def witness_route(w, demand, restriction=None):
         if len(trimmed[v]) < q:
             raise ValueError("vertex %r lies on fewer than q paths" % (v,))
     factor = w.alpha * w.beta * (k ** (4 * k + 1)) * w.emb.d_star
-    return _proxy_route(w.host, s, w.emb, trimmed, q, demand, factor,
+    return _proxy_route(s, w.emb, trimmed, q, demand, factor,
                         lambda i, leaf: s.rem[(i, leaf)])
 
 
@@ -715,7 +791,6 @@ def sparsified_route(sp, w, demand):
         for c in range(cnt):
             sel_paths[(i, leaf, c)] = w.emb.paths[(i, leaf, c)]
     emb_view = Embedding(w.emb.vertex_map, sel_paths)
-    emb_view.stats(w.host)
-    return _proxy_route(sp.cprime, sp.thinned, emb_view, path_sets,
+    return _proxy_route(sp.thinned, emb_view, path_sets,
                         sp.delta_prime, demand, factor,
                         lambda i, leaf: sp.bundles[(i, leaf)])

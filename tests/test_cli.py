@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -215,3 +216,31 @@ def test_reports_deterministic(host_file, tmp_path, capsys):
         assert rc == 0
         outs.append(strip_timings(out))
     assert outs[0] == outs[1]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def readme_command(cmd):
+    """The README's example line for one CLI command, as an argv."""
+    with open(README) as f:
+        for line in f:
+            words = line.split()
+            if words[:2] == ["routerlab", cmd]:
+                return words[1:]
+    raise AssertionError("README shows no %s example" % cmd)
+
+
+@pytest.mark.parametrize("cmd", ["decompose", "batch", "spanner", "lc-embed",
+                                 "fd-check"])
+def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
+    """The documented decompose-family lines exit 0 on the golden host."""
+    (tmp_path / "batch.txt").write_text("DEL 1 0\n")
+    files = {"g.txt": os.path.join(DATA, "golden_host.graph"),
+             "f.txt": os.path.join(DATA, "golden_faults.txt"),
+             "batch.txt": str(tmp_path / "batch.txt")}
+    argv = [files.get(w, w) for w in readme_command(cmd)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == cmd

@@ -1,18 +1,21 @@
-"""Each guarantee guard on the decomposition path fires when its
-guarantee is broken, also under `python -O`, which strips bare asserts."""
+"""Each guarantee guard fires when its guarantee is broken, also under
+`python -O`, which strips bare asserts."""
 
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from routerlab import spanner
-from routerlab.decompose import PipelineConfig, _WitnessedCluster
-from routerlab.graph import MultiGraph, Routing
+from routerlab import routing, spanner
+from routerlab.decompose import (PipelineConfig, _WitnessedCluster,
+                                 build_decomposition, process_batch)
+from routerlab.graph import Demand, MultiGraph, Routing
 from routerlab.pruning import PruningConfig, new_pruned
-from routerlab.router_template import build
+from routerlab.resilience import FaultSet, FdConfig, fd_route
+from routerlab.router_template import build, realize
 from routerlab.spanner import (ClusterEntry, RouterDecomposition,
                                extract_spanner, lc_embed)
 
@@ -77,18 +80,84 @@ def bundle_out_of_sync():
     wc._sync_pruning()
 
 
+def recourse_over_bound():
+    """With the recourse exponent at 0 the per-batch bound is pi_c = 1;
+    deleting host edge (1, 3) of the realized (3,4,4) router charges far
+    more than one edge to E^del without dissolving the cluster."""
+    rd = build_decomposition(
+        realize(build(3, 4, 4)),
+        PipelineConfig(k=2, delta=4, delta_star=16, d_cap=2, template_n=3,
+                       batch_bound=6, recourse_exp=0))
+    assert len(rd.clusters) == 1
+    process_batch(rd, [(1, 3)])
+
+
+def prefix_mask_after_drain():
+    """A prefix test that rejects every mask: the first drain that removes
+    a vertex from some U_i must notice."""
+    t = build(3, 2, 2)
+    s = new_pruned(t, PruningConfig.relaxed(2))
+    s._is_prefix = lambda m: False
+    for _ in range(t.delta):
+        s.delete_edge(1, t.level_center(1, 1))
+
+
+def u1_path_off_target():
+    """Child routing that leaves every path at its source, short of the
+    U_2 vertex it was sent to.  Deleting leaf 1's level-2 bundle takes
+    its level-1 star out of U_2, so its U_1 vertices need paths."""
+    t = build(4, 2, 8)
+    s = new_pruned(t, PruningConfig.relaxed(2))
+    for _ in range(t.delta):
+        s.delete_edge(1, t.level_center(2, 1))
+    saved = routing._route_entries
+    routing._route_entries = lambda s, i, entries, scale: {
+        key: (a,) for a, _b, _val, key in entries}
+    try:
+        routing.route_u1_to_uk(s)
+    finally:
+        routing._route_entries = saved
+
+
+def fd_leaf_demand_unrestricted():
+    """65 unit paths of one pair all cross the faulted edge (1, 2) of the
+    path 0-1-2-3, so the first round asks 65*lambda = 130 units of vertex
+    1, over delta' = 2*n*delta = 128."""
+    g = MultiGraph()
+    for a in range(3):
+        g.add_edge(a, a + 1)
+
+    def oracle(dm):
+        r = Routing()
+        for (a, b), m in sorted(dm.values.items()):
+            for _ in range(int(m)):
+                r.add(tuple(range(a, b + 1)), (a, b), 1)
+        return r
+
+    fd_route(oracle, g, FaultSet(g, [(1, 2, 1)]), Demand([(0, 3, 1)]), 1,
+             3, 1, 16, cfg=FdConfig(scale=65))
+
+
+# the fault-tree leaf count guard in fd_route (len(leaves) == lambda^(i-1))
+# cannot be forced from outside: every expansion adds exactly lambda
+# children per leaf, and an oracle returning a wrong path count is
+# rejected with a ValueError first
 GUARDS = [
     (spanner_size_collision, "spanner size accounting broken"),
     (lc_length_over_bound, "lc embedding length bound broken"),
     (lc_congestion_over_bound, "lc embedding congestion bound broken"),
     (bundle_out_of_sync, "bundle path count out of sync with the router"),
+    (recourse_over_bound, "per-batch E^del accounting bound broken"),
+    (prefix_mask_after_drain, "non-prefix mask after drain"),
+    (u1_path_off_target, "U_1 path ends off its U_i target"),
+    (fd_leaf_demand_unrestricted, "D^i not restricted"),
 ]
 
 
 @pytest.mark.parametrize("trigger,msg", GUARDS,
                          ids=[fn.__name__ for fn, _msg in GUARDS])
 def test_guard_fires(trigger, msg):
-    with pytest.raises(AssertionError, match=msg):
+    with pytest.raises(AssertionError, match=re.escape(msg)):
         trigger()
 
 

@@ -1,5 +1,6 @@
-"""Cross-check the spanner distance checks against networkx shortest-path
-lengths on random graphs and subgraphs."""
+"""Cross-check the spanner distance and connectivity checks against
+networkx shortest-path lengths and connected components on random graphs
+and subgraphs."""
 
 import math
 import random
@@ -9,8 +10,9 @@ import pytest
 
 from routerlab.graph import MultiGraph
 from routerlab.resilience import FdConfig
-from routerlab.spanner import (RouterDecomposition, fd_spanner_check,
-                               stretch_check)
+from routerlab.spanner import (RouterDecomposition,
+                               connectivity_certificate_check,
+                               fd_spanner_check, stretch_check)
 
 nx = pytest.importorskip("networkx")
 
@@ -130,3 +132,42 @@ def test_fd_spanner_check_matches_networkx():
         seen_cut += any(dh is None for _e, dh in violations)
     assert seen_violations >= 10 and seen_cut >= 5, (seen_violations,
                                                       seen_cut)
+
+
+def _nx_same_components(g, h, faults):
+    """V(g) lies in H, and G - F and H - F split V(g) alike."""
+    gv = set(g.vertices)
+    if not gv <= set(h.vertices):
+        return False
+
+    def parts(x):
+        y = _to_nx(x)
+        y.remove_edges_from(faults)
+        return {frozenset(c & gv) for c in nx.connected_components(y)} - {
+            frozenset()}
+
+    return parts(g) == parts(h)
+
+
+def test_connectivity_certificate_check_matches_networkx():
+    rng = random.Random(2718)
+    seen = {True: 0, False: 0, "extra": 0, "missing": 0}
+    for trial, g, h in _cases():
+        edges = sorted(g.superedges)
+        if trial % 5 == 1:
+            # H may reach outside V(g): a path through new vertices
+            a, b = rng.sample(sorted(g.vertices), 2)
+            h.add_edge(a, 1000)
+            h.add_edge(1000, b)
+            seen["extra"] += 1
+        elif trial % 5 == 3:
+            h.remove_vertex(rng.choice(sorted(h.vertices)))
+            seen["missing"] += 1
+        faults = rng.sample(edges, rng.randint(0, min(4, len(edges))))
+        # a fault may also name an edge of H outside G
+        faults += [e for e in sorted(h.superedges)
+                   if e not in g.superedges and rng.random() < 0.5]
+        want = _nx_same_components(g, h, faults)
+        assert connectivity_certificate_check(g, h, faults) == want, trial
+        seen[want] += 1
+    assert seen[True] >= 10 and seen[False] >= 10, seen
