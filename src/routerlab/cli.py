@@ -332,8 +332,8 @@ def _build_rd(args, rep):
     rep.extra["e_del"] = len(rd.e_del)
     rep.extra["e_del_causes"] = rd.report.cause_counts()
     rep.extra["degraded"] = rd.report.degraded
-    rep.check("decomposition-valid", 0, len(rd.check_valid()),
-              not rd.check_valid())
+    bad = rd.check_valid()
+    rep.check("decomposition-valid", 0, len(bad), not bad)
     return rd
 
 

@@ -1,16 +1,29 @@
 """Undirected multigraphs, demands, and exact flow verification.
 
 Parallel edges are stored as a single superedge (u,v) with an integer
-multiplicity, never materialized individually.  All flow arithmetic is
-done with Fraction so that congestion comparisons are exact; no float
-ever enters the accounting.
+multiplicity, never materialized individually.  Flow is exact and no
+float ever enters the accounting.  Demand and Routing values are
+Fractions; code that sums or compares many of them first rescales them
+with flow_units to integers in units of 1/L, L the lcm of their
+denominators, and turns a result back into a Fraction only where it
+builds a Demand or Routing.  verify_routing, the independent checker,
+stays on Fraction throughout.
 """
 
 from fractions import Fraction
+import math
 
 
 def _key(u, v):
     return (u, v) if u < v else (v, u)
+
+
+def flow_units(values):
+    """(L, [v*L for v in values]) for L the lcm of the denominators of
+    the given Fractions: the values as integers in units of 1/L."""
+    values = list(values)
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
 
 
 class MultiGraph:
@@ -191,7 +204,8 @@ class Routing:
         self.flow_paths = []
 
     def add(self, path, pair, value):
-        value = Fraction(value)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         if value <= 0:
             raise ValueError("flow value must be positive")
         self.flow_paths.append((tuple(path), pair, value))
@@ -241,12 +255,19 @@ def ball(g, v, d):
 
 
 def is_restricted(d, w):
-    """True iff every vertex's total incident demand is at most its weight."""
+    """True iff every vertex's total incident demand is at most its weight.
+    Totals are summed in units of 1/L and compared with each weight by
+    cross-multiplication."""
+    lcm, units = flow_units(d.values.values())
     totals = {}
-    for (a, b), val in d.values.items():
-        totals[a] = totals.get(a, Fraction(0)) + val
-        totals[b] = totals.get(b, Fraction(0)) + val
-    return all(t <= w.of(v) for v, t in totals.items())
+    for (a, b), u in zip(d.values, units):
+        totals[a] = totals.get(a, 0) + u
+        totals[b] = totals.get(b, 0) + u
+    for v, tot in totals.items():
+        wv = w.of(v)
+        if tot * wv.denominator > wv.numerator * lcm:
+            return False
+    return True
 
 
 def verify_routing(g, d, r, max_len, max_cong):

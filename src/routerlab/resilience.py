@@ -13,9 +13,10 @@ lambda large enough the process must finish within 10k rounds.
 """
 
 from fractions import Fraction
+import itertools
 import random
 
-from .graph import Demand, Routing, _key
+from .graph import Demand, Routing, _key, flow_units
 
 
 class FaultSet:
@@ -74,37 +75,71 @@ def faulty_degree(copies, g):
     return max(counts.values(), default=0)
 
 
+def _limit_denominator(n, d, max_den):
+    """Fraction(n, d).limit_denominator(max_den) as a (numerator,
+    denominator) pair, for n/d in lowest terms: the closest fraction
+    with denominator at most max_den, the one with the smaller
+    denominator on a tie.  Same continued-fraction walk as the standard
+    library, with the closeness test cross-multiplied."""
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n0, d0 = n, d
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n0/d0| <= |p2/q2 - n0/d0|, both sides times d0*q1*q2
+    if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def integral_round(g, d, base, alpha, eta, seed):
-    """Round a fractional routing to one unit path per demand unit.
+    """Round a fractional routing to one unit path per demand unit
+    (Raghavan & Thompson randomized rounding).
 
     base must route d fractionally (pair totals exact).  Per demand
     unit, a path is sampled from the pair's flow distribution; choices
-    are independent given the seed.
+    are independent given the seed.  A draw x = f*total, f the random
+    float limited to denominator 2^40, takes the first path whose
+    prefix sum of flow reaches x.  The flow values of a pair are summed
+    as integers in units of 1/L and x is compared with each prefix sum
+    by cross-multiplication.
     """
     by_pair = {}
     for path, pair, val in base.flow_paths:
         by_pair.setdefault(_key(*pair), []).append((path, val))
     rng = random.Random(seed)
     out = Routing()
+    one = Fraction(1)
     for (a, b), want in sorted(d.values.items()):
         if want.denominator != 1:
             raise ValueError("demand value %s is not integral" % (want,))
         opts = by_pair.get((a, b))
         if not opts:
             raise ValueError("base routing has no flow for pair %r" % ((a, b),))
-        total = sum(v for _p, v in opts)
+        _lcm, units = flow_units(v for _p, v in opts)
+        prefix = list(itertools.accumulate(units))
+        total = prefix[-1]
         if total <= 0:
             raise ValueError("base routing infeasible for pair %r" % ((a, b),))
         for _unit in range(int(want)):
-            x = Fraction(rng.random()).limit_denominator(1 << 40) * total
-            acc = Fraction(0)
+            fn, fd = _limit_denominator(*rng.random().as_integer_ratio(),
+                                        1 << 40)
+            # f*total/L <= prefix/L  <=>  fn*total <= prefix*fd
+            x = fn * total
             chosen = opts[-1][0]
-            for p, v in opts:
-                acc += v
-                if x <= acc:
+            for (p, _v), acc in zip(opts, prefix):
+                if x <= acc * fd:
                     chosen = p
                     break
-            out.add(chosen, (a, b), 1)
+            out.add(chosen, (a, b), one)
     return out
 
 

@@ -16,28 +16,23 @@ on exactly one flow-path, so integral demands produce integral flows.
 Restriction thresholds r_i = Delta/32^i may be scaled by a configurable
 multiplier; proxy demands are scaled down by the exact realized
 restriction ratio rather than the worst-case constant.
+
+Flow values stay exact but are not Fractions inside the stack: each
+entry point rescales its demand values to integers in units of 1/L (L
+the lcm of their denominators, see graph.flow_units), and proxy loads,
+vertex totals and admissibility tests are integer sums and comparisons.
+Instead of scaling every value down by the restriction ratio, the
+thresholds are scaled up by it, which keeps every comparison.  Values
+become Fractions again only in the Routing each function returns.
 """
 
 from fractions import Fraction
 
-from .graph import Demand, Routing, Weighting, is_restricted
+from .graph import Routing, Weighting, flow_units, is_restricted
 
 
 class RoutingError(ValueError):
     pass
-
-
-class LoadTable:
-    """Proxy load per vertex at one recursion level."""
-
-    def __init__(self):
-        self.load = {}
-
-    def get(self, v):
-        return self.load.get(v, Fraction(0))
-
-    def add(self, v, value):
-        self.load[v] = self.get(v) + value
 
 
 class SinkMap:
@@ -75,9 +70,14 @@ def _members_by_child(s, i, star):
     return {t.cluster_id(i - 1, m): m for m in t.star_members(i, star)}
 
 
-def _route_entries(s, i, entries, scale):
-    """Route keyed demand entries (a, b, value, key), all inside one
-    level-i cluster, on edges of level <= i.  One path per entry."""
+def _route_entries(s, i, entries, r0):
+    """Route keyed demand entries (a, b, units, key), all inside one
+    level-i cluster, on edges of level <= i.  One path per entry.
+
+    units is the entry's integer flow in units of 1/L, and r0 is r_0 in
+    the same units, scaled up by the demand's scale-down factor, so the
+    admissibility threshold r_{i-1} is r0 / 32^(i-1).  An integer load
+    is at most that iff it is at most its floor."""
     t = s.t
     out = {}
     if i == 1:
@@ -88,8 +88,8 @@ def _route_entries(s, i, entries, scale):
             out[key] = _star_path(t, 1, a, b, center)
         return out
 
-    loads = LoadTable()
-    r_prev = _r(s, i - 1, scale)
+    loads = {}          # proxy vertex -> units routed through it
+    r_prev = r0.numerator // (r0.denominator * 32 ** (i - 1))
     sub = {}            # child cluster id -> entries
     partial = {}        # key -> (source side walk, target side walk)
     member_cache = {}
@@ -114,24 +114,37 @@ def _route_entries(s, i, entries, scale):
                 continue                       # proxies must be leaves of their stars
             if not (s.in_u(a_c, i) and s.in_u(b_c, i)):
                 continue
-            if loads.get(a_c) <= r_prev - val and loads.get(b_c) <= r_prev - val:
+            if (loads.get(a_c, 0) + val <= r_prev
+                    and loads.get(b_c, 0) + val <= r_prev):
                 chosen = (child, a_c, b_c)
                 break
         if chosen is None:
             raise RoutingError("admissibility violated for pair %r" % (key,))
         child, a_c, b_c = chosen
-        loads.add(a_c, val)
-        loads.add(b_c, val)
+        loads[a_c] = loads.get(a_c, 0) + val
+        loads[b_c] = loads.get(b_c, 0) + val
         partial[key] = (_star_path(t, i, a, a_c, ca), _star_path(t, i, b, b_c, cb))
         sub.setdefault(child, []).append((a_c, b_c, val, key))
 
     for child, child_entries in sub.items():
-        mids = _route_entries(s, i - 1, child_entries, scale)
+        mids = _route_entries(s, i - 1, child_entries, r0)
         for _a, _b, _val, key in child_entries:
             pa, pb = partial[key]
             mid = mids[key]
             out[key] = tuple(pa) + tuple(mid[1:]) + tuple(reversed(pb))[1:]
     return out
+
+
+def _scaled_r0(s, i, entries, lcm):
+    """r_0 in units of 1/L for routing entries (a, b, units, key) at level
+    i after scaling them down by factor = max(1, max vertex total / r_i):
+    Delta*factor*L, which is max(Delta*L, max total * 32^i) because
+    r_i = Delta/32^i."""
+    totals = {}
+    for a, b, val, _key in entries:
+        totals[a] = totals.get(a, 0) + val
+        totals[b] = totals.get(b, 0) + val
+    return max(s.t.delta * lcm, max(totals.values()) * 32 ** i)
 
 
 def route_level(s, i, d, scale=1):
@@ -148,11 +161,13 @@ def route_level(s, i, d, scale=1):
         for (a, b), _ in d.values.items():
             if t.cluster_id(i, a) != t.cluster_id(i, b):
                 raise RoutingError("pair spans distinct level-%d clusters" % i)
-    entries = [(a, b, val, (a, b)) for (a, b), val in sorted(d.values.items())]
-    paths = _route_entries(s, i, entries, scale)
+    items = sorted(d.values.items())
+    lcm, units = flow_units(val for _pair, val in items)
+    entries = [(a, b, u, (a, b)) for ((a, b), _val), u in zip(items, units)]
+    paths = _route_entries(s, i, entries, t.delta * Fraction(scale) * lcm)
     r = Routing()
-    for a, b, val, key in entries:
-        r.add(paths[key], (a, b), val)
+    for (a, b), val in items:
+        r.add(paths[(a, b)], (a, b), val)
     return r
 
 
@@ -181,19 +196,13 @@ def _u1_to_ui(s, i, cluster):
             targets[v] = sigma
             src = sub_paths[v][-1]
             if src != sigma:
-                entries.append((src, sigma, Fraction(t.delta), v))
+                entries.append((src, sigma, t.delta, v))
         if entries:
-            # scale the rebalancing demand down by its realized restriction
-            # ratio so it becomes r_{i-1}-restricted, route, and reuse the
-            # paths at full value
-            totals = {}
-            for a, b, val, _k in entries:
-                totals[a] = totals.get(a, Fraction(0)) + val
-                totals[b] = totals.get(b, Fraction(0)) + val
-            r_prev = _r(s, i - 1, 1)
-            factor = max(max(tot / r_prev for tot in totals.values()), Fraction(1))
-            scaled = [(a, b, val / factor, k) for a, b, val, k in entries]
-            mids = _route_entries(s, i - 1, scaled, 1)
+            # route the rebalancing demand as if scaled down by its
+            # realized restriction ratio, so it is r_{i-1}-restricted,
+            # and reuse the paths at full value
+            mids = _route_entries(s, i - 1, entries,
+                                  _scaled_r0(s, i - 1, entries, 1))
         else:
             mids = {}
         for v in sub_paths:
@@ -215,9 +224,10 @@ def route_u1_to_uk(s):
     paths = _u1_to_ui(s, s.t.k, 0)
     sm = SinkMap(paths)
     r = Routing()
+    delta = Fraction(s.t.delta)
     for v, p in sorted(paths.items()):
         if len(p) > 1:
-            r.add(p, (v, p[-1]), Fraction(s.t.delta))
+            r.add(p, (v, p[-1]), delta)
     return r, sm
 
 
@@ -235,27 +245,22 @@ def route_demand(s, d, scale=1):
     paths = _u1_to_ui(s, k, 0)
     sigma = {v: p[-1] for v, p in paths.items()}
 
+    items = sorted(d.values.items())
+    lcm, units = flow_units(val for _pair, val in items)
     entries = []
     direct = {}
-    for (a, b), val in sorted(d.values.items()):
+    for ((a, b), _val), u in zip(items, units):
         if sigma[a] == sigma[b]:
             direct[(a, b)] = tuple(paths[a]) + tuple(reversed(paths[b]))[1:]
         else:
-            entries.append((sigma[a], sigma[b], val, (a, b)))
+            entries.append((sigma[a], sigma[b], u, (a, b)))
     if entries:
-        totals = {}
-        for a, b, val, _key in entries:
-            totals[a] = totals.get(a, Fraction(0)) + val
-            totals[b] = totals.get(b, Fraction(0)) + val
-        r_k = _r(s, k, 1)
-        factor = max(max(tot / r_k for tot in totals.values()), Fraction(1))
-        scaled = [(a, b, val / factor, key) for a, b, val, key in entries]
-        mids = _route_entries(s, k, scaled, 1)
+        mids = _route_entries(s, k, entries, _scaled_r0(s, k, entries, lcm))
     else:
         mids = {}
 
     r = Routing()
-    for (a, b), val in sorted(d.values.items()):
+    for (a, b), val in items:
         if (a, b) in direct:
             r.add(direct[(a, b)], (a, b), val)
         else:

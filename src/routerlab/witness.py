@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
-                    is_restricted)
+                    flow_units, is_restricted)
 from .pruning import PrunedRouter
 from .router_template import build
 from .routing import route_demand
@@ -204,8 +204,9 @@ _UNUSABLE = math.inf
 
 def _dijkstra(adj, src, dst, weight, bound):
     """Least-weight path from src to dst, as (vertices, edge indices).
-    Edge e weighs weight[e] > 0, or _UNUSABLE at capacity; heap ties go
-    to the smaller vertex, so the order of adj does not matter.
+    Vertices are the indices of adj, so dist and prev are lists.  Edge
+    e weighs weight[e] > 0, or _UNUSABLE at capacity; heap ties go to
+    the smaller vertex, so the order of adj does not matter.
 
     Relaxations to a weight above bound are dropped, which leaves the
     path unchanged whenever bound >= W*, the least src->dst weight (the
@@ -216,8 +217,9 @@ def _dijkstra(adj, src, dst, weight, bound):
     relaxation only sets a dist above bound, which any later kept
     relaxation overwrites in both searches, so no kept comparison
     differs.  Some usable src->dst path must exist."""
-    dist = {src: 0}
-    prev = {}
+    dist = [_UNUSABLE] * len(adj)
+    dist[src] = 0
+    prev = [None] * len(adj)
     heap = [(0, src)]
     while heap:
         dv, v = heapq.heappop(heap)
@@ -229,8 +231,7 @@ def _dijkstra(adj, src, dst, weight, bound):
             nd = dv + weight[e]
             if nd > bound:
                 continue
-            du = dist.get(u)
-            if du is None or nd < du:
+            if nd < dist[u]:
                 dist[u] = nd
                 prev[u] = (v, e)
                 heapq.heappush(heap, (nd, u))
@@ -361,15 +362,20 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
         index[e] = len(slope)
         slope.append(4 * q * (m_lcm // mult))
         cap.append(-(-p * mult // q))
-    adj = {v: sorted((u, index[_key(v, u)]) for u in c.neighbors(v))
-           for v in c.vertices}
+    # searches run on vertex ranks in sorted(c.vertices), which order
+    # like the vertices, so every heap tie and sorted scan is unchanged
+    verts = sorted(c.vertices)
+    rank = {v: r for r, v in enumerate(verts)}
+    adj = [sorted((rank[u], index[_key(v, u)]) for u in c.neighbors(v))
+           for v in verts]
     load = [0] * len(slope)
     weight = [base] * len(slope)        # every cap is at least 1
     paths = {}
     fakes = set()
     for i in range(1, t.k + 1):
         for (leaf, center) in t.superedges(i):
-            src, dst = vm[leaf], vm[center]
+            direct = (vm[leaf], vm[center])
+            src, dst = rank[direct[0]], rank[direct[1]]
             for copy in range(t.delta):
                 key = (i, leaf, copy)
                 bound = _hop_bound(adj, src, dst, weight, d_max)
@@ -381,13 +387,15 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
                 if bound < 2 * base:
                     # every edge weighs at least base, so only the direct
                     # edge weighs at most bound: it is the least path
-                    found = (src, dst), (index[_key(src, dst)],)
+                    paths[key] = direct
+                    edges = (index[_key(*direct)],)
                 else:
                     found = _dijkstra(adj, src, dst, weight, bound)
                     if len(found[0]) - 1 > d_max:
                         found = _hop_path(adj, src, dst, weight, d_max)
-                paths[key] = found[0]
-                for e in found[1]:
+                    paths[key] = tuple(map(verts.__getitem__, found[0]))
+                    edges = found[1]
+                for e in edges:
                     load[e] += 1
                     weight[e] = (base + slope[e] * load[e]
                                  if load[e] < cap[e] else _UNUSABLE)
@@ -539,25 +547,35 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
 def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
-    back through the embedding."""
+    back through the embedding.
+
+    Each pair's value splits into width units of val/width.  Proxy
+    demand sums and per-copy loads count these in units of 1/L, L the
+    lcm of the unit denominators, so they stay integers; a uniform scale
+    keeps every comparison and the first-minimum tie-break.  Fractions
+    appear only in the proxy Demand handed to route_demand and in the
+    returned Routing."""
     t = pruned.t
-    proxy = {}
-    plan = []            # (a, b, j, unit, a_leaf, r_a, b_leaf, r_b)
-    for (a, b), val in sorted(demand.values.items()):
-        unit = val / width
+    items = sorted(demand.values.items())
+    units = [val / width for _pair, val in items]
+    unit_lcm, scaled = flow_units(units)
+    proxy = {}           # proxy pair -> summed units * L
+    plan = []            # (a, b, unit, unit * L, a_leaf, r_a, b_leaf, r_b)
+    for ((a, b), _val), unit, n in zip(items, units, scaled):
         for j in range(width):
             a_leaf, r_a = path_sets[a][j]
             b_leaf, r_b = path_sets[b][j]
-            plan.append((a, b, j, unit, a_leaf, r_a, b_leaf, r_b))
+            plan.append((a, b, unit, n, a_leaf, r_a, b_leaf, r_b))
             if a_leaf != b_leaf:
                 key = _key(a_leaf, b_leaf)
-                proxy[key] = proxy.get(key, Fraction(0)) + unit
+                proxy[key] = proxy.get(key, 0) + n
     # partial-flow congestion along the handoff subpaths stays within
     # d* * eta* * (per-path demand cap); checked by callers' verify
     if proxy:
         dprime = Demand()
-        for (x, y), val in proxy.items():
-            dprime.values[(x, y)] = val / factor
+        den = unit_lcm * Fraction(factor)
+        for (x, y), n in proxy.items():
+            dprime.values[(x, y)] = n / den
         mid = route_demand(pruned, dprime)
         mid_paths = {}
         for path, pair, _val in mid.flow_paths:
@@ -565,10 +583,6 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
     else:
         mid_paths = {}
 
-    # per-copy loads count flow in units of 1/L, L the lcm of the unit
-    # denominators, so they stay integers; a uniform scale keeps every
-    # comparison and the first-minimum tie-break
-    unit_lcm = math.lcm(*(entry[3].denominator for entry in plan))
     copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
     bundle_of = {}       # router edge (x, y) -> its (level, leaf)
 
@@ -593,7 +607,7 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
         return tuple(host_path)
 
     out = Routing()
-    for a, b, j, unit, a_leaf, r_a, b_leaf, r_b in plan:
+    for a, b, unit, n, a_leaf, r_a, b_leaf, r_b in plan:
         if a_leaf == b_leaf:
             full = tuple(r_a) + tuple(reversed(r_b))[1:]
         else:
@@ -602,8 +616,7 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
                 wpath = tuple(reversed(wpath))
             # r_a ends at vm[a_leaf] == mid_host[0]; mid_host ends at
             # vm[b_leaf] == r_b's last vertex
-            mid_host = translate(wpath, unit.numerator
-                                 * (unit_lcm // unit.denominator))
+            mid_host = translate(wpath, n)
             full = tuple(r_a) + tuple(mid_host[1:]) + tuple(reversed(r_b))[1:]
         out.add(full, (a, b), unit)
     return out

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from routerlab.graph import MultiGraph
 from routerlab.router_template import build, realize
 from routerlab.decompose import (PipelineConfig, build_decomposition,
@@ -99,3 +101,25 @@ def test_recourse_accounted():
     rd = build_decomposition(g, template_cfg())
     rep = process_batch(rd, [(1, 0)])
     assert rep.recourse >= 0
+
+
+def test_witness_validated_once_per_build(monkeypatch):
+    """build_decomposition validates each cluster's witness once, in
+    rebuild; the public check_valid still validates every witness."""
+    from routerlab import decompose, spanner
+    calls = []
+    real = decompose.validate_witness
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(decompose, "validate_witness", counting)
+    monkeypatch.setattr(spanner, "validate_witness", counting)
+    rd = build_decomposition(template_host(), template_cfg())
+    assert [id(w) for w in calls] == [id(c.witness) for c in rd.clusters]
+    assert not rd.check_valid()
+    assert len(calls) == 2 * len(rd.clusters)
+    rd.clusters[0].witness.beta = Fraction(1, 10 ** 6)
+    assert [e[0] for e in rd.check_valid()] == ["bad-witness"]
+    assert not rd.check_valid(witnesses=False)
