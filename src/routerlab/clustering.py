@@ -158,7 +158,7 @@ def process_cluster(c, k, next_id=0):
             g.remove_vertex(x)
         for (a, b) in sub.superedges:
             if g.has_edge(a, b):
-                g.remove_copies(a, b, g.multiplicity(a, b))
+                g.remove_edge(a, b)
     residual = Cluster(c.id, g)
     return residual, pieces, cores, next_id
 
@@ -237,9 +237,9 @@ class ClusteringState:
                 continue
             if not c.active:
                 raise ValueError("deletion targets inactive cluster %d" % c.id)
-            c.graph.remove_copies(u, v, c.graph.multiplicity(u, v))
+            c.graph.remove_edge(u, v)
             if self.host.has_edge(u, v):
-                self.host.remove_copies(u, v, self.host.multiplicity(u, v))
+                self.host.remove_edge(u, v)
             for x in (u, v):
                 if x in c.graph.vertices and not c.graph.neighbors(x):
                     c.graph.remove_vertex(x)

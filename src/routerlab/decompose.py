@@ -27,36 +27,36 @@ from .witness import (Embedding, RouterWitness, greedy_embed, sparsify,
 from .spanner import ClusterEntry, RouterDecomposition
 
 
+# Fixed pipeline constants.
+ETA_CAP = 4                         # congestion cap of greedy_embed
+FAKE_BUDGET_FRAC = Fraction(1, 4)   # share of template copies allowed fake
+ITER_CAP = 8                        # build iterations before degrading
+RHO = max(2, ITER_CAP)              # vertex and C' overlap budget
+SCATTER_D = 1                       # scattered_or_ball distance and slack
+SCATTER_EPS = Fraction(1, 2)
+
+
 class PipelineConfig:
-    def __init__(self, k, delta, delta_star, d_cap=None, eta_cap=4,
-                 fake_budget_frac=Fraction(1, 4), path_floor=None,
-                 drop_frac=None, degree_floor=None, large_threshold=None,
-                 template_n=None, iter_cap=8, batch_bound=None, rho=None,
-                 preset="relaxed", recourse_exp=None, scatter_d=1,
-                 scatter_eps=Fraction(1, 2)):
+    def __init__(self, k, delta, delta_star, d_cap=None, degree_floor=None,
+                 large_threshold=None, template_n=None, batch_bound=None,
+                 preset="relaxed", recourse_exp=None):
         self.k = k
         self.k_hat = k * k
         self.delta = delta
         self.delta_star = delta_star
         self.d_cap = d_cap if d_cap is not None else 2 * self.k_hat
-        self.eta_cap = eta_cap
-        self.fake_budget_frac = Fraction(fake_budget_frac)
-        self.path_floor = path_floor
-        self.drop_frac = (Fraction(drop_frac) if drop_frac is not None else
-                          Fraction(1, 4 * k ** (16 * k * k) * self.d_cap))
+        # cascade threshold: a vertex leaves once its path count falls
+        # under this fraction of its phase-start count
+        self.drop_frac = Fraction(1, 4 * k ** (16 * k * k) * self.d_cap)
         self.degree_floor = degree_floor if degree_floor is not None else delta
         self.large_threshold = (large_threshold if large_threshold is not None
                                 else delta)
         self.template_n = template_n
-        self.iter_cap = iter_cap
         self.batch_bound = (batch_bound if batch_bound is not None
                             else max(1, delta // (2 * (self.k_hat + 1))))
-        self.rho = rho if rho is not None else max(2, iter_cap)
         self.preset = preset
         self.recourse_exp = (Fraction(recourse_exp) if recourse_exp is not None
                              else Fraction(13, k * k))
-        self.scatter_d = scatter_d
-        self.scatter_eps = Fraction(scatter_eps)
         self.validate()
 
     def validate(self):
@@ -97,8 +97,6 @@ class PipelineConfig:
 
     def path_floor_at(self, n):
         """Smallest integer t with t * n^(4/k_hat) >= delta."""
-        if self.path_floor is not None:
-            return self.path_floor
         kh = self.k_hat
         t = 1
         while t ** kh * n ** 4 < self.delta ** kh:
@@ -131,6 +129,9 @@ class BatchReport:
     def charge(self, cause, count=1):
         self.to_e_del[cause] = self.to_e_del.get(cause, 0) + count
 
+    def charged(self):
+        return sum(self.to_e_del.values())
+
 
 class _WitnessedCluster:
     """A cluster with its embedded router, kept consistent under
@@ -144,8 +145,7 @@ class _WitnessedCluster:
         self.vm = dict(vertex_map)
         self.bundles = bundles
         self.entry = None           # ClusterEntry, set by rebuild
-        self.n_v = {}
-        self.lam = {}               # phase-start snapshot of n_v
+        self.lam = {}               # path counts at the last rebuild
 
     def _sync_pruning(self):
         """Drop bundles the router no longer carries."""
@@ -160,6 +160,14 @@ class _WitnessedCluster:
         for key in sorted(self.bundles):
             for p in self.bundles[key]:
                 yield key, p
+
+    def path_counts(self):
+        """Number of surviving embedding paths through each host vertex."""
+        counts = {}
+        for _key2, p in self.paths_iter():
+            for v in set(p):
+                counts[v] = counts.get(v, 0) + 1
+        return counts
 
     def delete_copies_through(self, pred):
         """Remove every embedding path matching pred, pruning the router
@@ -182,20 +190,15 @@ class _WitnessedCluster:
 
     def rebuild(self, source_graph):
         """Recompute host, witness and sparsifier from the surviving
-        paths.  source_graph supplies edge multiplicities; cluster edges
-        not covered by any path are returned as dropped."""
-        cfg = self.cfg
+        paths, and take lam from their path counts.  source_graph
+        supplies edge multiplicities; cluster edges not covered by any
+        path are returned as dropped.  validate_witness checks, among
+        the rest, that the router is still properly pruned."""
         t = self.s.t
-        pp = self.s.is_properly_pruned()
-        if not pp:
-            raise ValueError("router no longer properly pruned")
         covered = {}
-        self.n_v = {}
-        for key, p in self.paths_iter():
+        for _key2, p in self.paths_iter():
             for a, b in zip(p, p[1:]):
                 covered[_key(a, b)] = True
-            for v in set(p):
-                self.n_v[v] = self.n_v.get(v, 0) + 1
         if not covered:
             raise ValueError("no embedding paths survive")
         host = MultiGraph()
@@ -213,19 +216,18 @@ class _WitnessedCluster:
         emb.stats(host)
         degs = [host.degree(v) for v in host.vertices]
         alpha = max(Fraction(max(degs), t.delta), Fraction(1))
-        min_count = min(self.n_v[v] for v in host.vertices)
+        counts = self.path_counts()
+        min_count = min(counts[v] for v in host.vertices)
         beta = max(Fraction(1), Fraction(t.delta, min_count))
         w = RouterWitness(host, self.s, emb, alpha, beta)
         rep = validate_witness(w)
         if not rep:
             raise ValueError("witness invalid: %r" %
                              [c[0] for c in rep.checks if not c[1]])
-        sp = sparsify(w, cfg.delta_star)
+        sp = sparsify(w, self.cfg.delta_star)
         self.entry = ClusterEntry(self.id, host, w, sp)
+        self.lam = counts
         return dropped
-
-    def snapshot(self):
-        self.lam = dict(self.n_v)
 
 
 def _strip_low_degree(g, floor, causes, tag):
@@ -244,13 +246,28 @@ def _strip_low_degree(g, floor, causes, tag):
             g.remove_vertex(v)
 
 
-def _drop_cluster_edges(g0, sub, causes, tag):
-    for e in sorted(sub.superedges):
-        causes[e] = tag
+def _take_out(g0, edges, causes=None, tag=None):
+    """Remove edges from the working graph, charging each to E^del under
+    tag unless tag is None, and drop the vertices left isolated."""
+    for e in edges:
+        if tag is not None:
+            causes[e] = tag
         if g0.has_edge(*e):
-            g0.remove_copies(e[0], e[1], g0.multiplicity(*e))
+            g0.remove_edge(*e)
     for v in [v for v in g0.vertices if not g0.neighbors(v)]:
         g0.remove_vertex(v)
+
+
+def _scatter_shed(g0, sub, causes):
+    """Embedding failed: keep at most one dense ball, charge the rest to
+    E^del so re-clustering can make progress."""
+    shed = sorted(sub.superedges)
+    res = scattered_or_ball(sub, SCATTER_D, SCATTER_EPS)
+    if not isinstance(res, ScatteredCert):
+        keep = ball(sub, res, math.ceil(4 * SCATTER_D / SCATTER_EPS))
+        shed = [e for e in shed
+                if e[0] not in keep or e[1] not in keep] or shed
+    _take_out(g0, shed, causes, "scatter")
 
 
 def _try_witness(cid, cfg, sub):
@@ -265,8 +282,8 @@ def _try_witness(cid, cfg, sub):
         return None
     total = sum(1 for i in range(1, t.k + 1)
                 for _ in t.superedges(i)) * t.delta
-    budget = int(cfg.fake_budget_frac * total)
-    got = greedy_embed(sub, t, cfg.d_cap, cfg.eta_cap, budget)
+    budget = int(FAKE_BUDGET_FRAC * total)
+    got = greedy_embed(sub, t, cfg.d_cap, ETA_CAP, budget)
     if got is None:
         return None
     emb, fakes = got
@@ -294,11 +311,7 @@ def _try_witness(cid, cfg, sub):
     dprime = cfg.delta_star // (2 * cfg.k_hat * d_star)
     floor = max(cfg.path_floor_at(nv), 2 * dprime)
     while True:
-        counts = {}
-        for _key2, p in wc.paths_iter():
-            for v in set(p):
-                counts[v] = counts.get(v, 0) + 1
-        low = {v for v, c in counts.items() if c < floor}
+        low = {v for v, c in wc.path_counts().items() if c < floor}
         if not low:
             break
         if wc.delete_copies_through(lambda p: any(v in low for v in p)) == 0:
@@ -309,7 +322,12 @@ def _try_witness(cid, cfg, sub):
 
 
 def build_decomposition(g, cfg):
-    """Decompose g into witnessed router clusters plus E^del."""
+    """Decompose g into witnessed router clusters plus E^del.
+
+    The decomposition's host rd.host is g itself, not a copy:
+    process_batch deletes and inserts edges in it in place.  Pass
+    g.copy() to keep g, for instance to build again from the same
+    graph."""
     report = BuildReport()
     g0 = g.copy()
     _strip_low_degree(g0, cfg.degree_floor, report.causes, "low-degree")
@@ -317,7 +335,7 @@ def build_decomposition(g, cfg):
     entries = []
     next_id = 0
     it = 0
-    while g0.num_edges() and it < cfg.iter_cap:
+    while g0.num_edges() and it < ITER_CAP:
         it += 1
         cs = init_clustering(g0.copy(), cfg.k)
         for c in cs.active_clusters():
@@ -325,20 +343,20 @@ def build_decomposition(g, cfg):
             if not sub.superedges:
                 continue
             if len(sub.vertices) < cfg.large_threshold:
-                _drop_cluster_edges(g0, sub, report.causes, "small")
+                _take_out(g0, sorted(sub.superedges), report.causes, "small")
                 continue
             wc = _try_witness(next_id, cfg, sub)
             if wc is None:
-                _scatter_shed(g0, sub, cfg, report.causes)
+                _scatter_shed(g0, sub, report.causes)
                 continue
             try:
                 dropped = wc.rebuild(sub)
             except ValueError:
-                _scatter_shed(g0, sub, cfg, report.causes)
+                _scatter_shed(g0, sub, report.causes)
                 continue
             for e in dropped:
                 report.causes[e] = "fake-trim"
-            _consume_cluster(g0, sub, wc.entry.graph)
+            _take_out(g0, sorted(sub.superedges))
             machinery[next_id] = wc
             entries.append(wc.entry)
             report.cluster_ids.append(next_id)
@@ -361,7 +379,7 @@ def build_decomposition(g, cfg):
         eta_t = max(eta_t, 8 * wc.entry.sparse.gamma * d_s * d_s * eta_s
                     * kh ** (4 * kh + 1))
     rd = RouterDecomposition(g, entries, e_del, cfg.delta_star, d_t, eta_t,
-                             cfg.rho)
+                             RHO)
     rd.cfg = cfg
     rd.machinery = machinery
     rd.report = report
@@ -369,158 +387,129 @@ def build_decomposition(g, cfg):
     bad = rd.check_valid(witnesses=False)
     if bad:
         raise AssertionError("decomposition invalid: %r" % (bad[:3],))
-    for wc in machinery.values():
-        wc.snapshot()
     return rd
 
 
-def _scatter_shed(g0, sub, cfg, causes):
-    """Embedding failed: keep at most one dense ball, charge the rest to
-    E^del so re-clustering can make progress."""
-    res = scattered_or_ball(sub, cfg.scatter_d, cfg.scatter_eps)
-    if isinstance(res, ScatteredCert):
-        _drop_cluster_edges(g0, sub, causes, "scatter")
-        return
-    u = res
-    eps = cfg.scatter_eps
-    radius = math.ceil(4 * cfg.scatter_d / eps)
-    keep = ball(sub, u, radius)
-    outside = [e for e in sorted(sub.superedges)
-               if e[0] not in keep or e[1] not in keep]
-    if not outside:
-        _drop_cluster_edges(g0, sub, causes, "scatter")
-        return
-    for e in outside:
-        causes[e] = "scatter"
-        if g0.has_edge(*e):
-            g0.remove_copies(e[0], e[1], g0.multiplicity(*e))
-    for v in [v for v in g0.vertices if not g0.neighbors(v)]:
-        g0.remove_vertex(v)
+def _cluster_of(rd, e):
+    """The witnessed cluster holding host edge e, or None."""
+    for wc in rd.machinery.values():
+        if wc.entry.graph.has_edge(*e):
+            return wc
+    return None
 
 
-def _consume_cluster(g0, sub, kept):
-    """Remove a finished cluster's edges from the working graph."""
-    for e in sorted(sub.superedges):
-        if g0.has_edge(*e):
-            g0.remove_copies(e[0], e[1], g0.multiplicity(*e))
-    for v in [v for v in g0.vertices if not g0.neighbors(v)]:
-        g0.remove_vertex(v)
+def _dissolve(rd, wc, report):
+    """Charge a cluster's remaining edges to E^del and drop it."""
+    for e in sorted(wc.entry.graph.superedges):
+        rd.e_del.add(e)
+        report.charge("dissolve")
+    report.dissolved.append(wc.id)
+    report.recourse += wc.entry.sparse.cprime.num_edges()
+    rd.clusters.remove(wc.entry)
+    del rd.machinery[wc.id]
+
+
+def _repair(rd, wc, edges, report):
+    """Drain a cluster whose host edges `edges` were just deleted: drop
+    the embedding paths through them, cascade out the vertices whose
+    path count fell too far, and rebuild the witness.  Returns False
+    when the cluster must be dissolved instead."""
+    cfg = rd.cfg
+    if len(edges) > cfg.batch_bound:
+        return False
+    try:
+        wc.s.begin_phase()
+    except ValueError:
+        return False
+    before_sparse = set(wc.entry.sparse.cprime.superedges)
+    e_del_before = report.charged()
+    dead = set(edges)
+    wc.delete_copies_through(
+        lambda p: any(_key(a, b) in dead for a, b in zip(p, p[1:])))
+    # cascade: vertices whose surviving path count fell too far
+    while True:
+        counts = wc.path_counts()
+        low = {v for v, lam in wc.lam.items()
+               if counts.get(v, 0) < lam * cfg.drop_frac
+               and (v in counts or v in wc.entry.graph.vertices)}
+        if not low:
+            break
+        shed = [e for e in sorted(wc.entry.graph.superedges)
+                if e[0] in low or e[1] in low]
+        if not shed and not wc.delete_copies_through(
+                lambda p: any(v in low for v in p)):
+            break
+        for e in shed:
+            wc.entry.graph.remove_edge(*e)
+            rd.e_del.add(e)
+            report.charge("cascade")
+            dead.add(e)
+        for v in low:
+            wc.lam.pop(v, None)
+        wc.delete_copies_through(
+            lambda p: any(v in low for v in p)
+            or any(_key(a, b) in dead for a, b in zip(p, p[1:])))
+    at = rd.clusters.index(wc.entry)
+    try:
+        dropped = wc.rebuild(wc.entry.graph)
+    except ValueError:
+        return False
+    for e in dropped:
+        rd.e_del.add(e)
+        report.charge("cascade")
+    # the entry object was rebuilt; swap it into the decomposition
+    rd.clusters[at] = wc.entry
+    after_sparse = set(wc.entry.sparse.cprime.superedges)
+    report.recourse += len(before_sparse ^ after_sparse)
+    added = report.charged() - e_del_before
+    n = len(rd.host.vertices)
+    bound = len(edges) * math.ceil(max(n, 2) ** float(cfg.recourse_exp))
+    if added > bound:
+        raise AssertionError("per-batch E^del accounting bound broken")
+    return True
 
 
 def process_batch(rd, deletions, insertions=()):
     """Apply one batch of host edge deletions (and optional insertions,
-    which land in E^del) to a built decomposition."""
-    cfg = rd.cfg
+    which land in E^del) to a built decomposition.
+
+    The batch is checked before anything changes: every deleted edge
+    must be a host edge, listed once, every insertion a valid edge, and
+    no insertion may land on an edge a cluster holds unless the batch
+    also deletes it.  Each deleted
+    edge then leaves the host and its owning cluster, and each touched
+    cluster is repaired or dissolved.  Only the touched clusters'
+    witnesses are rebuilt, and rebuild validates them, so the closing
+    check leaves witnesses out."""
     report = BatchReport()
-    dels = [_key(u, v) for (u, v) in deletions]
-    for e in dels:
+    owner = {}
+    for (u, v) in deletions:
+        e = _key(u, v)
         if not rd.host.has_edge(*e):
             raise ValueError("deletion of unknown edge %r" % (e,))
-    owner = {}
-    for wc in rd.machinery.values():
-        for e in dels:
-            if wc.entry.graph.has_edge(*e):
-                owner[e] = wc.id
+        if e in owner:
+            raise ValueError("edge %r deleted twice in one batch" % (e,))
+        owner[e] = _cluster_of(rd, e)
+    for (u, v, *rest) in insertions:
+        MultiGraph().add_edge(u, v, *rest)  # rejects loops, bad mult/len
+        e = _key(u, v)
+        if e not in owner and _cluster_of(rd, e) is not None:
+            raise ValueError("insertion onto cluster edge %r" % (e,))
+
     per_cluster = {}
-    for e in dels:
-        per_cluster.setdefault(owner.get(e), []).append(e)
-
-    def dissolve(wc, cause):
-        for e in sorted(wc.entry.graph.superedges):
-            if rd.host.has_edge(*e):
-                rd.e_del.add(e)
-                report.charge(cause)
-        report.dissolved.append(wc.id)
-        report.recourse += wc.entry.sparse.cprime.num_edges()
-        rd.clusters.remove(wc.entry)
-        del rd.machinery[wc.id]
-
-    # untracked deletions: host edges in E^del (or stale bookkeeping)
-    for e in per_cluster.pop(None, []):
-        rd.host.remove_copies(e[0], e[1], rd.host.multiplicity(*e))
-        rd.e_del.discard(e)
+    for e, wc in owner.items():
+        rd.host.remove_edge(*e)
         report.deleted += 1
-
+        if wc is None:
+            rd.e_del.discard(e)
+        else:
+            wc.entry.graph.remove_edge(*e)
+            per_cluster.setdefault(wc.id, []).append(e)
     for cid, edges in sorted(per_cluster.items()):
         wc = rd.machinery[cid]
-        pi_c = len(edges)
-        report.deleted += pi_c
-        if pi_c > cfg.batch_bound:
-            for e in edges:
-                rd.host.remove_copies(e[0], e[1], rd.host.multiplicity(*e))
-                wc.entry.graph.remove_copies(e[0], e[1],
-                                             wc.entry.graph.multiplicity(*e))
-            dissolve(wc, "dissolve")
-            continue
-        before_sparse = set(wc.entry.sparse.cprime.superedges)
-        e_del_before = report_total(report)
-        try:
-            wc.s.begin_phase()
-        except ValueError:
-            for e in edges:
-                rd.host.remove_copies(e[0], e[1], rd.host.multiplicity(*e))
-                wc.entry.graph.remove_copies(e[0], e[1],
-                                             wc.entry.graph.multiplicity(*e))
-            dissolve(wc, "dissolve")
-            continue
-        dead = set()
-        for e in edges:
-            rd.host.remove_copies(e[0], e[1], rd.host.multiplicity(*e))
-            wc.entry.graph.remove_copies(e[0], e[1],
-                                         wc.entry.graph.multiplicity(*e))
-            dead.add(e)
-        wc.delete_copies_through(
-            lambda p: any(_key(a, b) in dead for a, b in zip(p, p[1:])))
-        # cascade: vertices whose surviving path count fell too far
-        while True:
-            low = {v for v, lam in wc.lam.items()
-                   if sum(1 for _k2, p in wc.paths_iter() if v in p)
-                   < lam * cfg.drop_frac}
-            low = {v for v in low
-                   if any(v in p for _k2, p in wc.paths_iter())
-                   or v in wc.entry.graph.vertices}
-            if not low:
-                break
-            shed = [e for e in sorted(wc.entry.graph.superedges)
-                    if e[0] in low or e[1] in low]
-            if not shed and not wc.delete_copies_through(
-                    lambda p: any(v in low for v in p)):
-                break
-            for e in shed:
-                wc.entry.graph.remove_copies(e[0], e[1],
-                                             wc.entry.graph.multiplicity(*e))
-                rd.e_del.add(e)
-                report.charge("cascade")
-                dead.add(e)
-            for v in low:
-                wc.lam.pop(v, None)
-            wc.delete_copies_through(
-                lambda p: any(v in low for v in p)
-                or any(_key(a, b) in dead for a, b in zip(p, p[1:])))
-        try:
-            dropped = wc.rebuild(wc.entry.graph)
-        except ValueError:
-            dissolve(wc, "dissolve")
-            continue
-        for e in dropped:
-            if wc.entry.graph.has_edge(*e):
-                wc.entry.graph.remove_copies(e[0], e[1],
-                                             wc.entry.graph.multiplicity(*e))
-            rd.e_del.add(e)
-            report.charge("cascade")
-        # the entry object was rebuilt; swap it into the decomposition
-        old = next(c for c in rd.clusters if c.id == cid)
-        rd.clusters[rd.clusters.index(old)] = wc.entry
-        after_sparse = set(wc.entry.sparse.cprime.superedges)
-        report.recourse += len(before_sparse ^ after_sparse)
-        added = report_total(report) - e_del_before
-        n = len(rd.host.vertices)
-        exp = cfg.recourse_exp
-        bound = pi_c * math.ceil(max(n, 2) ** float(exp))
-        if added > bound:
-            raise AssertionError("per-batch E^del accounting bound broken")
-        wc.snapshot()
-    rd.e_del = {e for e in rd.e_del if rd.host.has_edge(*e)}
+        if not _repair(rd, wc, edges, report):
+            _dissolve(rd, wc, report)
+
     for (u, v, *rest) in insertions:
         mult = rest[0] if rest else 1
         length = rest[1] if len(rest) > 1 else None
@@ -529,12 +518,8 @@ def process_batch(rd, deletions, insertions=()):
         rd.report.causes[_key(u, v)] = "insert"
         report.charge("insert")
         report.inserted += 1
-    bad = rd.check_valid()
+    bad = rd.check_valid(witnesses=False)
     if bad:
         raise AssertionError("decomposition invalid after batch: %r"
                              % (bad[:3],))
     return report
-
-
-def report_total(report):
-    return sum(report.to_e_del.values())

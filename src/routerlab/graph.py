@@ -66,12 +66,17 @@ class MultiGraph:
         if m < count:
             raise ValueError("removing %d copies of %r, only %d present" % (count, k, m))
         if m == count:
-            del self.superedges[k]
-            self.lengths.pop(k, None)
-            self.adj[k[0]].discard(k[1])
-            self.adj[k[1]].discard(k[0])
+            self.remove_edge(u, v)
         else:
             self.superedges[k] = m - count
+
+    def remove_edge(self, u, v):
+        """Remove the superedge (u,v) with all its copies."""
+        k = _key(u, v)
+        del self.superedges[k]
+        self.lengths.pop(k, None)
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
 
     def remove_vertex(self, v):
         for u in list(self.adj.get(v, ())):
@@ -114,7 +119,7 @@ class MultiGraph:
         g = self.copy()
         for (u, v) in edges:
             if g.has_edge(u, v):
-                g.remove_copies(u, v, g.multiplicity(u, v))
+                g.remove_edge(u, v)
         return g
 
 

@@ -35,20 +35,6 @@ class RoutingError(ValueError):
     pass
 
 
-class SinkMap:
-    """Assignment of every U_1 vertex to its sink in U_k, with paths."""
-
-    def __init__(self, paths):
-        self.paths = paths                       # v -> vertex tuple ending at sigma(v)
-        self.sigma = {v: p[-1] for v, p in paths.items()}
-
-    def fan_in(self):
-        counts = {}
-        for u in self.sigma.values():
-            counts[u] = counts.get(u, 0) + 1
-        return max(counts.values(), default=0)
-
-
 def _r(s, i, scale):
     return Fraction(s.t.delta, 32 ** i) * Fraction(scale)
 
@@ -218,17 +204,18 @@ def _u1_to_ui(s, i, cluster):
 def route_u1_to_uk(s):
     """Send Delta units from every U_1 vertex to a U_k sink.
 
-    Returns (Routing, SinkMap); the routing lists only vertices whose
-    sink differs from themselves (self-paths carry no edges).
+    Returns (Routing, paths): paths maps every U_1 vertex to its vertex
+    tuple, which ends at the vertex's sink.  The routing lists only
+    vertices whose sink differs from themselves (self-paths carry no
+    edges).
     """
     paths = _u1_to_ui(s, s.t.k, 0)
-    sm = SinkMap(paths)
     r = Routing()
     delta = Fraction(s.t.delta)
     for v, p in sorted(paths.items()):
         if len(p) > 1:
             r.add(p, (v, p[-1]), delta)
-    return r, sm
+    return r, paths
 
 
 def route_demand(s, d, scale=1):

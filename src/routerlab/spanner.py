@@ -182,8 +182,7 @@ class LcEmbedding:
 def lc_embed(rd, seed=0):
     """Embed E(G) into H': deleted edges map to themselves; cluster
     edges route in their C' at a down-scaled value and are rounded to
-    single paths."""
-    hprime = extract_spanner(rd)
+    single paths, each of which must stay inside that C'."""
     n = len(rd.host.vertices)
     logn = max(1, (max(n, 2) - 1).bit_length())
     paths = {}
@@ -205,7 +204,10 @@ def lc_embed(rd, seed=0):
         frac = sparsified_route(c.sparse, c.witness, d.scaled(scale))
         rounded = integral_round(c.sparse.cprime, d, frac, 1, rd.eta_t,
                                  seed=seed)
+        cprime = c.sparse.cprime.superedges
         for p, pr, _val in rounded.flow_paths:
+            if any(_key(a, b) not in cprime for a, b in zip(p, p[1:])):
+                raise AssertionError("embedded path leaves C'")
             paths[_key(*pr)] = tuple(p)
     loads = {}
     d_obs = 1
@@ -213,8 +215,6 @@ def lc_embed(rd, seed=0):
         d_obs = max(d_obs, len(p) - 1)
         for a, b in zip(p, p[1:]):
             key = _key(a, b)
-            if key not in hprime.superedges:
-                raise AssertionError("embedded path leaves H'")
             loads[key] = loads.get(key, 0) + 1
     eta_obs = max(loads.values(), default=1)
     bound = max(Fraction(16 * rd.eta_t * dmax_g, rd.delta_star), 16 * logn)

@@ -244,3 +244,51 @@ def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == cmd
+
+
+def test_batch_insert_onto_cluster_edge_is_usage_error(tmp_path, capsys):
+    """INS of an edge the single golden cluster holds is rejected before
+    the decomposition changes."""
+    tr = tmp_path / "t.txt"
+    tr.write_text("INS 0 1\n")
+    argv = ["batch", "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", "2", "--delta", "4", "--delta-star", "16", "--d-cap", "2",
+            "--template-n", "3", "--trace", str(tr)]
+    assert main(argv) == 2
+    assert "(0, 1)" in capsys.readouterr().err
+
+
+def test_batch_broken_decomposition_fails_assertion(host_file, tmp_path,
+                                                     monkeypatch, capsys):
+    """A batch that leaves the decomposition invalid is a failed
+    assertion: the report is written, later phases are not run, and the
+    command exits 1."""
+    from routerlab import cli
+    calls = []
+
+    def broken(rd, dels, ins):
+        calls.append(dels)
+        raise AssertionError("decomposition invalid after batch")
+
+    monkeypatch.setattr(cli, "process_batch", broken)
+    tr = tmp_path / "batch.txt"
+    tr.write_text("DEL 1 0\nPHASE 1\nDEL 2 0\n")
+    rc, doc = run_json(capsys, decomp_argv("batch", host_file,
+                                           "--trace", str(tr)))
+    assert rc == 1
+    assert len(calls) == 1
+    check = next(a for a in doc["assertions"]
+                 if a["name"] == "valid-after-every-batch")
+    assert not check["ok"]
+    assert check["observed"] == "decomposition invalid after batch"
+
+
+def test_route_check_flag_removed(tmp_path, capsys):
+    man = tmp_path / "router.json"
+    main(["build-router", "--N", "4", "--k", "2", "--delta", "3",
+          "--out", str(man)])
+    capsys.readouterr()
+    dm = tmp_path / "demand.txt"
+    dm.write_text("# nothing to route\n")
+    assert main(["route", "--template", str(man), "--demand", str(dm),
+                 "--check", "x"]) == 2

@@ -123,3 +123,72 @@ def test_witness_validated_once_per_build(monkeypatch):
     rd.clusters[0].witness.beta = Fraction(1, 10 ** 6)
     assert [e[0] for e in rd.check_valid()] == ["bad-witness"]
     assert not rd.check_valid(witnesses=False)
+
+
+def _decomposition_state(rd):
+    return (sorted(rd.host.superedges.items()), sorted(rd.e_del),
+            [(c.id, sorted(c.graph.superedges.items())) for c in rd.clusters],
+            {cid: (sorted(wc.bundles.items()), wc.s.tau)
+             for cid, wc in rd.machinery.items()})
+
+
+@pytest.mark.parametrize("ins,msg", [((1, 0, 1), r"\(0, 1\)"),
+                                     ((5, 5, 1), "self-loop"),
+                                     ((0, 100, 0), "multiplicity")],
+                         ids=["cluster-edge", "self-loop", "zero-mult"])
+def test_batch_bad_insertion_rejected(ins, msg):
+    """An insertion onto an edge a cluster holds, or one that is no
+    valid edge, raises before the batch changes anything, deletions
+    included."""
+    rd = build_decomposition(template_host(), template_cfg())
+    assert rd.clusters[0].graph.has_edge(0, 1)
+    before = _decomposition_state(rd)
+    with pytest.raises(ValueError, match=msg):
+        process_batch(rd, [(1, 3)], insertions=[ins])
+    assert _decomposition_state(rd) == before
+    assert not rd.check_valid()
+
+
+def test_batch_reinsertion_of_deleted_cluster_edge():
+    """A batch may delete a cluster edge and insert it again; it then
+    lives in E^del."""
+    rd = build_decomposition(template_host(), template_cfg())
+    rep = process_batch(rd, [(1, 3)], insertions=[(3, 1, 1)])
+    assert rep.inserted == 1
+    assert (1, 3) in rd.e_del and rd.host.has_edge(1, 3)
+    assert not rd.check_valid()
+
+
+def test_batch_duplicate_deletion_rejected():
+    rd = build_decomposition(template_host(), template_cfg())
+    before = _decomposition_state(rd)
+    with pytest.raises(ValueError, match="twice"):
+        process_batch(rd, [(1, 3), (3, 1)])
+    assert _decomposition_state(rd) == before
+
+
+def test_witness_validated_once_per_batch(monkeypatch):
+    """A batch validates each rebuilt cluster's witness once, in rebuild,
+    and none of the untouched ones; the public check_valid still finds a
+    broken witness afterwards."""
+    from routerlab import decompose, spanner
+    rd = build_decomposition(template_host(), template_cfg())
+    calls = []
+    real = decompose.validate_witness
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(decompose, "validate_witness", counting)
+    monkeypatch.setattr(spanner, "validate_witness", counting)
+    for dels in ([(1, 3)], [(0, 10)]):
+        del calls[:]
+        rep = process_batch(rd, dels)
+        assert not rep.dissolved and len(rd.clusters) == 1
+        assert [id(w) for w in calls] == [id(rd.clusters[0].witness)]
+    del calls[:]
+    process_batch(rd, [], insertions=[(0, 100, 1)])
+    assert calls == []
+    rd.clusters[0].witness.beta = Fraction(1, 10 ** 6)
+    assert [e[0] for e in rd.check_valid()] == ["bad-witness"]

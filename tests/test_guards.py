@@ -67,6 +67,31 @@ def lc_congestion_over_bound():
         spanner.sparsified_route, spanner.integral_round = saved
 
 
+def lc_path_leaves_cprime():
+    """The rounding sends every edge of a K_4 cluster over (0, 2), which
+    the cluster's C' (edges (0, 1) and (0, 3)) does not hold."""
+    g = _clique(4)
+    cprime = MultiGraph()
+    cprime.add_edge(0, 1)
+    cprime.add_edge(0, 3)
+    entry = ClusterEntry(0, g, None, SimpleNamespace(cprime=cprime))
+    rd = RouterDecomposition(g, [entry], set(), 16, 8, 1, 2)
+
+    def via_0_2(_g, d, _frac, _alpha, _eta, seed=0):
+        r = Routing()
+        for (a, b) in d.values:
+            r.add((0, 2), (a, b), 1)
+        return r
+
+    saved = spanner.sparsified_route, spanner.integral_round
+    spanner.sparsified_route = lambda sp, w, d: None
+    spanner.integral_round = via_0_2
+    try:
+        lc_embed(rd)
+    finally:
+        spanner.sparsified_route, spanner.integral_round = saved
+
+
 def bundle_out_of_sync():
     """A live bundle keeps one path while the router still has two."""
     t = build(3, 2, 2)
@@ -146,6 +171,7 @@ GUARDS = [
     (spanner_size_collision, "spanner size accounting broken"),
     (lc_length_over_bound, "lc embedding length bound broken"),
     (lc_congestion_over_bound, "lc embedding congestion bound broken"),
+    (lc_path_leaves_cprime, "embedded path leaves C'"),
     (bundle_out_of_sync, "bundle path count out of sync with the router"),
     (recourse_over_bound, "per-batch E^del accounting bound broken"),
     (prefix_mask_after_drain, "non-prefix mask after drain"),

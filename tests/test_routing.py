@@ -67,15 +67,15 @@ def test_route_level_two():
 def test_u1_to_uk_sink_map():
     for (N, k, delta) in [(4, 2, 4096), (3, 3, 512)]:
         t, s = pruned(N, k, delta, seed=N * k, deletions=20)
-        flow, sm = route_u1_to_uk(s)
-        assert set(sm.paths) == s.u_set(1)
-        for v, p in sm.paths.items():
-            assert p[0] == v and p[-1] == sm.sigma[v]
+        flow, paths = route_u1_to_uk(s)
+        assert set(paths) == s.u_set(1)
+        for v, p in paths.items():
+            assert p[0] == v
             assert s.in_u(p[-1], k)
         dem = Demand()
-        for v, sg in sorted(sm.sigma.items()):
-            if v != sg:
-                dem.add(v, sg, t.delta)
+        for v, p in sorted(paths.items()):
+            if v != p[-1]:
+                dem.add(v, p[-1], t.delta)
         rep = verify_routing(s.current_graph(), dem, flow, (4 * k) ** 2,
                              Fraction(32 ** k * 3 ** (3 * k)))
         assert rep.ok, rep.violations[:5]

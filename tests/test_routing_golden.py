@@ -103,8 +103,8 @@ def u1_to_uk():
     for args in [(4, 2, 4096, "relaxed", 8, 20), (3, 3, 512, "paper", 9, 6),
                  (4, 2, 48, "paper", 0, 2, 7)]:
         _t, s = _pruned(*args)
-        r, sm = route_u1_to_uk(s)
-        out.append((_flows(r), sorted(sm.paths.items())))
+        r, paths = route_u1_to_uk(s)
+        out.append((_flows(r), sorted(paths.items())))
     return out
 
 
