@@ -309,19 +309,11 @@ def cmd_cluster(args):
 
 
 def _pipeline_cfg(args):
-    kwargs = {"k": args.k, "delta": args.delta, "delta_star": args.delta_star,
-              "preset": args.preset}
-    if args.d_cap is not None:
-        kwargs["d_cap"] = args.d_cap
-    if args.template_n is not None:
-        kwargs["template_n"] = args.template_n
-    if args.large_threshold is not None:
-        kwargs["large_threshold"] = args.large_threshold
-    if args.degree_floor is not None:
-        kwargs["degree_floor"] = args.degree_floor
-    if args.batch_bound is not None:
-        kwargs["batch_bound"] = args.batch_bound
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(args.k, args.delta, args.delta_star,
+                          d_cap=args.d_cap, degree_floor=args.degree_floor,
+                          large_threshold=args.large_threshold,
+                          template_n=args.template_n,
+                          batch_bound=args.batch_bound, preset=args.preset)
 
 
 def _build_rd(args, rep):

@@ -9,6 +9,11 @@ subgraph.  Failures shed edges via the scattered-or-ball search and the
 residue is re-clustered.  Whatever never makes it into a cluster lands
 in E^del, tagged with the cause.
 
+Each cluster is one _WitnessedCluster record, and rd.clusters, in id
+order, is the only collection of them.  The record owns the cluster's
+host edges, its pruned router with the embedding paths of each bundle,
+and the witness and sparsifier built from them.
+
 Batch updates delete host edges: embedding paths through a deleted edge
 die, the router prunes the matching copies, vertices whose surviving
 path count drops below a fraction of their phase-start count are
@@ -24,7 +29,7 @@ from .pruning import PruningConfig, new_pruned
 from .clustering import init_clustering
 from .witness import (Embedding, RouterWitness, greedy_embed, sparsify,
                       scattered_or_ball, ScatteredCert, validate_witness)
-from .spanner import ClusterEntry, RouterDecomposition
+from .spanner import RouterDecomposition
 
 
 # Fixed pipeline constants.
@@ -44,10 +49,9 @@ class PipelineConfig:
         self.k_hat = k * k
         self.delta = delta
         self.delta_star = delta_star
-        self.d_cap = d_cap if d_cap is not None else 2 * self.k_hat
-        # cascade threshold: a vertex leaves once its path count falls
-        # under this fraction of its phase-start count
-        self.drop_frac = Fraction(1, 4 * k ** (16 * k * k) * self.d_cap)
+        # by default the largest d_cap that delta_star admits
+        self.d_cap = (d_cap if d_cap is not None
+                      else delta_star // (2 * self.k_hat))
         self.degree_floor = degree_floor if degree_floor is not None else delta
         self.large_threshold = (large_threshold if large_threshold is not None
                                 else delta)
@@ -58,10 +62,15 @@ class PipelineConfig:
         self.recourse_exp = (Fraction(recourse_exp) if recourse_exp is not None
                              else Fraction(13, k * k))
         self.validate()
+        # cascade threshold: a vertex leaves once its path count falls
+        # under this fraction of its phase-start count
+        self.drop_frac = Fraction(1, 4 * k ** (16 * k * k) * self.d_cap)
 
     def validate(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if self.d_cap < 1:
+            raise ValueError("d_cap must be at least 1")
         if self.delta_star < 2 * self.k_hat * self.d_cap:
             raise ValueError("delta_star must be at least 2*k_hat*d_cap")
         self.pruning_cfg()
@@ -107,9 +116,7 @@ class PipelineConfig:
 class BuildReport:
     def __init__(self):
         self.causes = {}            # host superedge -> cause tag
-        self.iterations = 0
         self.degraded = False
-        self.cluster_ids = []
 
     def cause_counts(self):
         out = {}
@@ -134,9 +141,12 @@ class BatchReport:
 
 
 class _WitnessedCluster:
-    """A cluster with its embedded router, kept consistent under
-    deletions.  bundles maps each live superedge of the router to the
-    ordered list of surviving embedding paths (index = copy)."""
+    """The one record of a decomposition cluster, kept consistent under
+    deletions.  It owns the cluster's host edges (graph), its embedded
+    pruned router (s), the witness and the sparsifier.  bundles maps
+    each live superedge of the router to the ordered list of surviving
+    embedding paths (index = copy).  graph, witness, sparse and lam are
+    set together by rebuild."""
 
     def __init__(self, cid, cfg, pruned, vertex_map, bundles):
         self.id = cid
@@ -144,15 +154,16 @@ class _WitnessedCluster:
         self.s = pruned
         self.vm = dict(vertex_map)
         self.bundles = bundles
-        self.entry = None           # ClusterEntry, set by rebuild
+        self.graph = self.witness = self.sparse = None
         self.lam = {}               # path counts at the last rebuild
 
     def _sync_pruning(self):
         """Drop bundles the router no longer carries."""
+        live = self.s.live_bundles()
         for key in list(self.bundles):
-            if not self.s.in_w.get(key) or self.s.rem.get(key, 0) <= 0:
+            if key not in live:
                 del self.bundles[key]
-            elif len(self.bundles[key]) != self.s.rem[key]:
+            elif len(self.bundles[key]) != live[key]:
                 raise AssertionError(
                     "bundle path count out of sync with the router")
 
@@ -189,11 +200,13 @@ class _WitnessedCluster:
         return removed
 
     def rebuild(self, source_graph):
-        """Recompute host, witness and sparsifier from the surviving
+        """Recompute graph, witness and sparsifier from the surviving
         paths, and take lam from their path counts.  source_graph
-        supplies edge multiplicities; cluster edges not covered by any
-        path are returned as dropped.  validate_witness checks, among
-        the rest, that the router is still properly pruned."""
+        supplies edge multiplicities; its edges not covered by any path
+        are returned as dropped.  validate_witness checks, among the
+        rest, that the router is still properly pruned.  Nothing is
+        assigned until sparsify returns, so a rebuild that raises
+        leaves the old graph for the caller to charge."""
         t = self.s.t
         covered = {}
         for _key2, p in self.paths_iter():
@@ -225,8 +238,7 @@ class _WitnessedCluster:
             raise ValueError("witness invalid: %r" %
                              [c[0] for c in rep.checks if not c[1]])
         sp = sparsify(w, self.cfg.delta_star)
-        self.entry = ClusterEntry(self.id, host, w, sp)
-        self.lam = counts
+        self.graph, self.witness, self.sparse, self.lam = host, w, sp, counts
         return dropped
 
 
@@ -272,7 +284,7 @@ def _scatter_shed(g0, sub, causes):
 
 def _try_witness(cid, cfg, sub):
     """Attempt the template embedding on one cluster.  Returns a
-    _WitnessedCluster (entry not yet built) or None."""
+    _WitnessedCluster (not yet rebuilt) or None."""
     nv = len(sub.vertices)
     n_c = cfg.template_size(nv)
     if n_c < 2:
@@ -296,14 +308,12 @@ def _try_witness(cid, cfg, sub):
     if not s.is_properly_pruned():
         return None
     bundles = {}
-    for (i, leaf) in sorted(s.in_w):
-        if not s.in_w[(i, leaf)] or s.rem[(i, leaf)] <= 0:
-            continue
+    for (i, leaf), copies in sorted(s.live_bundles().items()):
         alive = [emb.paths[(i, leaf, c)] for c in range(t.delta)
                  if (i, leaf, c) not in fakes]
-        bundles[(i, leaf)] = alive[:s.rem[(i, leaf)]]
-        if len(bundles[(i, leaf)]) != s.rem[(i, leaf)]:
+        if len(alive) < copies:
             return None
+        bundles[(i, leaf)] = alive[:copies]
     wc = _WitnessedCluster(cid, cfg, s, emb.vertex_map, bundles)
 
     # trim under-covered host vertices until stable
@@ -331,9 +341,7 @@ def build_decomposition(g, cfg):
     report = BuildReport()
     g0 = g.copy()
     _strip_low_degree(g0, cfg.degree_floor, report.causes, "low-degree")
-    machinery = {}
-    entries = []
-    next_id = 0
+    clusters = []
     it = 0
     while g0.num_edges() and it < ITER_CAP:
         it += 1
@@ -345,7 +353,7 @@ def build_decomposition(g, cfg):
             if len(sub.vertices) < cfg.large_threshold:
                 _take_out(g0, sorted(sub.superedges), report.causes, "small")
                 continue
-            wc = _try_witness(next_id, cfg, sub)
+            wc = _try_witness(len(clusters), cfg, sub)
             if wc is None:
                 _scatter_shed(g0, sub, report.causes)
                 continue
@@ -357,31 +365,25 @@ def build_decomposition(g, cfg):
             for e in dropped:
                 report.causes[e] = "fake-trim"
             _take_out(g0, sorted(sub.superedges))
-            machinery[next_id] = wc
-            entries.append(wc.entry)
-            report.cluster_ids.append(next_id)
-            next_id += 1
+            clusters.append(wc)
         _strip_low_degree(g0, cfg.degree_floor, report.causes, "low-degree")
     if g0.num_edges():
         report.degraded = True
         for e in sorted(g0.superedges):
             report.causes[e] = "cap"
-    report.iterations = it
     e_del = {e for e in g.superedges
-             if not any(e in wc.entry.graph.superedges
-                        for wc in machinery.values())}
+             if not any(e in wc.graph.superedges for wc in clusters)}
     kh = cfg.k_hat
     d_t = 22 * cfg.d_cap * kh * kh
     eta_t = 1
-    for wc in machinery.values():
-        d_s = wc.entry.witness.emb.d_star
-        eta_s = wc.entry.witness.emb.eta_star
-        eta_t = max(eta_t, 8 * wc.entry.sparse.gamma * d_s * d_s * eta_s
+    for wc in clusters:
+        d_s = wc.witness.emb.d_star
+        eta_s = wc.witness.emb.eta_star
+        eta_t = max(eta_t, 8 * wc.sparse.gamma * d_s * d_s * eta_s
                     * kh ** (4 * kh + 1))
-    rd = RouterDecomposition(g, entries, e_del, cfg.delta_star, d_t, eta_t,
+    rd = RouterDecomposition(g, clusters, e_del, cfg.delta_star, d_t, eta_t,
                              RHO)
     rd.cfg = cfg
-    rd.machinery = machinery
     rd.report = report
     # rebuild() has just validated every cluster's witness
     bad = rd.check_valid(witnesses=False)
@@ -392,21 +394,20 @@ def build_decomposition(g, cfg):
 
 def _cluster_of(rd, e):
     """The witnessed cluster holding host edge e, or None."""
-    for wc in rd.machinery.values():
-        if wc.entry.graph.has_edge(*e):
+    for wc in rd.clusters:
+        if wc.graph.has_edge(*e):
             return wc
     return None
 
 
 def _dissolve(rd, wc, report):
     """Charge a cluster's remaining edges to E^del and drop it."""
-    for e in sorted(wc.entry.graph.superedges):
+    for e in sorted(wc.graph.superedges):
         rd.e_del.add(e)
         report.charge("dissolve")
     report.dissolved.append(wc.id)
-    report.recourse += wc.entry.sparse.cprime.num_edges()
-    rd.clusters.remove(wc.entry)
-    del rd.machinery[wc.id]
+    report.recourse += wc.sparse.cprime.num_edges()
+    rd.clusters.remove(wc)
 
 
 def _repair(rd, wc, edges, report):
@@ -421,7 +422,7 @@ def _repair(rd, wc, edges, report):
         wc.s.begin_phase()
     except ValueError:
         return False
-    before_sparse = set(wc.entry.sparse.cprime.superedges)
+    before_sparse = set(wc.sparse.cprime.superedges)
     e_del_before = report.charged()
     dead = set(edges)
     wc.delete_copies_through(
@@ -431,16 +432,16 @@ def _repair(rd, wc, edges, report):
         counts = wc.path_counts()
         low = {v for v, lam in wc.lam.items()
                if counts.get(v, 0) < lam * cfg.drop_frac
-               and (v in counts or v in wc.entry.graph.vertices)}
+               and (v in counts or v in wc.graph.vertices)}
         if not low:
             break
-        shed = [e for e in sorted(wc.entry.graph.superedges)
+        shed = [e for e in sorted(wc.graph.superedges)
                 if e[0] in low or e[1] in low]
         if not shed and not wc.delete_copies_through(
                 lambda p: any(v in low for v in p)):
             break
         for e in shed:
-            wc.entry.graph.remove_edge(*e)
+            wc.graph.remove_edge(*e)
             rd.e_del.add(e)
             report.charge("cascade")
             dead.add(e)
@@ -449,17 +450,14 @@ def _repair(rd, wc, edges, report):
         wc.delete_copies_through(
             lambda p: any(v in low for v in p)
             or any(_key(a, b) in dead for a, b in zip(p, p[1:])))
-    at = rd.clusters.index(wc.entry)
     try:
-        dropped = wc.rebuild(wc.entry.graph)
+        dropped = wc.rebuild(wc.graph)
     except ValueError:
         return False
     for e in dropped:
         rd.e_del.add(e)
         report.charge("cascade")
-    # the entry object was rebuilt; swap it into the decomposition
-    rd.clusters[at] = wc.entry
-    after_sparse = set(wc.entry.sparse.cprime.superedges)
+    after_sparse = set(wc.sparse.cprime.superedges)
     report.recourse += len(before_sparse ^ after_sparse)
     added = report.charged() - e_del_before
     n = len(rd.host.vertices)
@@ -503,11 +501,11 @@ def process_batch(rd, deletions, insertions=()):
         if wc is None:
             rd.e_del.discard(e)
         else:
-            wc.entry.graph.remove_edge(*e)
+            wc.graph.remove_edge(*e)
             per_cluster.setdefault(wc.id, []).append(e)
-    for cid, edges in sorted(per_cluster.items()):
-        wc = rd.machinery[cid]
-        if not _repair(rd, wc, edges, report):
+    for wc in list(rd.clusters):
+        if (wc.id in per_cluster
+                and not _repair(rd, wc, per_cluster[wc.id], report)):
             _dissolve(rd, wc, report)
 
     for (u, v, *rest) in insertions:

@@ -142,9 +142,6 @@ class Demand:
             raise ValueError("pair %r listed twice" % (k,))
         self.values[k] = value
 
-    def pairs(self):
-        return [(a, b, v) for (a, b), v in sorted(self.values.items())]
-
     def value(self, a, b):
         return self.values.get(_key(a, b), Fraction(0))
 
@@ -217,13 +214,6 @@ class Routing:
 
     def is_integral(self):
         return all(v.denominator == 1 for _, _, v in self.flow_paths)
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        r = Routing()
-        for path, pair, value in self.flow_paths:
-            r.flow_paths.append((path, pair, value * factor))
-        return r
 
     def __len__(self):
         return len(self.flow_paths)

@@ -18,11 +18,18 @@ budget comparisons are exact rationals and strict ("exceeds").
 Mid-drain the membership of a vertex need not be a prefix of levels (a
 type-3 flush can clear low levels while an escalation entry for a high
 level is still queued), so membership is stored as a bitmask per vertex;
-between operations it is always a prefix and level(v) is derived from it.
+between operations it is always a prefix.
+
+PrunedRouter owns this state: other modules read the surviving bundles
+through live_bundles() and the router with thinner bundles through
+thinned(delta_prime), never through its internal fields.
 """
 
 import heapq
 from fractions import Fraction
+
+from .graph import MultiGraph
+from .router_template import build
 
 
 class PruningConfig:
@@ -89,8 +96,6 @@ class DeletionReport:
 
     def __init__(self):
         self.noop = False
-        self.edges_removed_from_w = 0
-        self.bundles_removed = []        # (level, leaf, copies dropped from W)
         self.removed = {}                # level -> list of (vertex, tag)
 
     def removed_levels_vertices(self):
@@ -160,14 +165,6 @@ class PrunedRouter:
             "J": {i: 0 for i in range(1, k + 1)},
         }
 
-    def level(self, v):
-        """Largest l with bits 1..l all set (0 when v left W)."""
-        m = self.mask[v]
-        l = 0
-        while m & (1 << (l + 1)):
-            l += 1
-        return l
-
     def in_u(self, v, i):
         return bool(self.mask[v] & (1 << i))
 
@@ -220,7 +217,6 @@ class PrunedRouter:
         st = self.phase_log[self.tau]
         st["deleted"] += 1
         st["edges_deleted_from_w"] += 1
-        rpt.edges_removed_from_w += 1
         self.n_edge[key] = self.n_edge.get(key, 0) + 1
         if self.n_edge[key] > self.cfg.edge_budget_frac * self.t.delta:
             st["J"][level] += 1
@@ -244,24 +240,22 @@ class PrunedRouter:
         self._seq += 1
         heapq.heappush(heap, (i, 3, self._seq, c, None))
 
-    def _remove_bundle(self, i, leaf, rpt, touched):
+    def _remove_bundle(self, i, leaf, touched):
         if self.in_w.get((i, leaf)):
             self.in_w[(i, leaf)] = False
             n = self.rem[(i, leaf)]
             self.phase_log[self.tau]["edges_deleted_from_w"] += n
-            rpt.edges_removed_from_w += n
-            rpt.bundles_removed.append((i, leaf, n))
             touched.add(leaf)
             touched.add(self.t.level_center(i, leaf))
 
-    def _remove_incident(self, i, v, rpt, touched):
+    def _remove_incident(self, i, v, touched):
         """Drop all level-i bundles of v from W."""
         if self.t.is_center(v):
             for m in self.t.star_members(i, self.t.star_id(i, v)):
                 if m != v:
-                    self._remove_bundle(i, m, rpt, touched)
+                    self._remove_bundle(i, m, touched)
         else:
-            self._remove_bundle(i, v, rpt, touched)
+            self._remove_bundle(i, v, touched)
 
     def _record_removal(self, i, v, tag, rpt):
         st = self.phase_log[self.tau]
@@ -285,7 +279,7 @@ class PrunedRouter:
                     continue
                 self.mask[v] &= ~(1 << i)
                 self._record_removal(i, v, tag, rpt)
-                self._remove_incident(i, v, rpt, touched)
+                self._remove_incident(i, v, touched)
                 if i < k:
                     self._push1(heap, pending, i + 1, v, DIRECT)
                 s = t.star_id(i, v)
@@ -325,7 +319,7 @@ class PrunedRouter:
                         if self.in_u(x, j):
                             self.mask[x] &= ~(1 << j)
                             self._record_removal(j, x, CASCADE, rpt)
-                            self._remove_incident(j, x, rpt, touched)
+                            self._remove_incident(j, x, touched)
                     if self.in_u(x, i):
                         self._push1(heap, pending, i, x, INDIRECT)
                 self.cluster_destroyed.add(cl)
@@ -361,17 +355,38 @@ class PrunedRouter:
                         self.mask[v] &= ~(1 << j)
                         self._record_removal(j, v, CASCADE, rpt)
 
+    def live_bundles(self):
+        """{(level, leaf): copies} for every bundle still in W with at
+        least one copy, in bundle order."""
+        return {key: self.rem[key] for key, live in self.in_w.items()
+                if live and self.rem[key] > 0}
+
     def current_graph(self):
         """Materialize the surviving subgraph W as a multigraph."""
-        from .graph import MultiGraph
         g = MultiGraph()
         for v in self.t.vertices():
             if self.in_u(v, 1):
                 g.add_vertex(v)
-        for (i, leaf), live in self.in_w.items():
-            if live and self.rem[(i, leaf)] > 0:
-                g.add_edge(leaf, self.t.level_center(i, leaf), self.rem[(i, leaf)])
+        for (i, leaf), copies in self.live_bundles().items():
+            g.add_edge(leaf, self.t.level_center(i, leaf), copies)
         return g
+
+    def thinned(self, delta_prime):
+        """A new router over the template with bundles of delta_prime
+        copies, carrying this router's membership sets and destroyed
+        marks, in which every live bundle holds delta_prime copies and
+        every other bundle is out of W.  This router is left unchanged."""
+        t = self.t
+        view = PrunedRouter(build(t.N, t.k, delta_prime), self.cfg)
+        view.mask = dict(self.mask)
+        view.star_destroyed = set(self.star_destroyed)
+        view.cluster_destroyed = set(self.cluster_destroyed)
+        view.n2 = dict(self.n2)
+        live = self.live_bundles()
+        for key in view.in_w:
+            view.in_w[key] = key in live
+            view.rem[key] = delta_prime if key in live else 0
+        return view
 
     # -- checkers ---------------------------------------------------------
 

@@ -18,6 +18,8 @@ import random
 
 from .graph import Demand, Routing, _key, flow_units
 
+ROUNDS_PER_K = 10       # fd_route gives up after ROUNDS_PER_K * k rounds
+
 
 class FaultSet:
     """Per-copy edge faults: for each superedge, how many of its
@@ -144,11 +146,8 @@ def integral_round(g, d, base, alpha, eta, seed):
 
 
 class FdConfig:
-    def __init__(self, len_const=32, cong_const=22, rounds_per_k=10,
-                 strict=False, scale=None):
+    def __init__(self, len_const=32, strict=False, scale=None):
         self.len_const = len_const
-        self.cong_const = cong_const
-        self.rounds_per_k = rounds_per_k
         self.strict = strict
         self.scale = scale               # integrality scale, default n
 
@@ -205,7 +204,7 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, cfg=None,
     eta_p = 16 * eta * n
     delta_p = 2 * n * Fraction(delta)
     f = faults.deg
-    z = cfg.rounds_per_k * k
+    z = ROUNDS_PER_K * k
     if cfg.strict:
         if Fraction(delta) ** k < (32 * f * eta) ** k * n:
             raise ValueError("delta below 32*f*n^(1/k)*eta")

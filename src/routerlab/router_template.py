@@ -21,10 +21,6 @@ center member, taken from block z // N^(i-2).
 
 from .graph import MultiGraph
 
-CENTER = "center"
-LEAF = "leaf"
-
-
 class RouterTemplate:
     def __init__(self, N, k, delta):
         self.N = N
@@ -36,9 +32,6 @@ class RouterTemplate:
 
     def vertices(self):
         return range(self.N ** self.k)
-
-    def kind(self, v):
-        return CENTER if v % self.N == 0 else LEAF
 
     def is_center(self, v):
         return v % self.N == 0

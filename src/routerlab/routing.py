@@ -218,12 +218,12 @@ def route_u1_to_uk(s):
     return r, paths
 
 
-def route_demand(s, d, scale=1):
+def route_demand(s, d):
     """Route a (Delta/k^4k)-restricted demand on V(W) = U_1 via paths of
     length <= 20k^2 with no edge-congestion."""
     t = s.t
     k = t.k
-    cap = Fraction(t.delta, k ** (4 * k)) * Fraction(scale)
+    cap = Fraction(t.delta, k ** (4 * k))
     if not is_restricted(d, Weighting.uniform(cap)):
         raise RoutingError("demand is not Delta/k^4k-restricted")
     for v in d.support():

@@ -18,20 +18,12 @@ from .resilience import integral_round
 from .witness import validate_witness, sparsified_route
 
 
-class ClusterEntry:
-    """One decomposition cluster: its edge set, witness and sparsifier."""
-
-    def __init__(self, cid, graph, witness, sparse):
-        self.id = cid
-        self.graph = graph          # MultiGraph with the cluster's edges
-        self.witness = witness
-        self.sparse = sparse
-
-
 class RouterDecomposition:
     def __init__(self, host, clusters, e_del, delta_star, d_t, eta_t, rho):
         self.host = host
-        self.clusters = clusters        # list of ClusterEntry
+        # clusters in id order; each has id, graph (its edges as a
+        # MultiGraph), witness and sparse
+        self.clusters = clusters
         self.e_del = set(e_del)         # host superedges in no cluster
         self.delta_star = delta_star
         self.d_t = d_t                  # length bound of sparsified_route

@@ -21,8 +21,6 @@ from fractions import Fraction
 
 from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
                     flow_units, is_restricted)
-from .pruning import PrunedRouter
-from .router_template import build
 from .routing import route_demand
 
 
@@ -107,15 +105,6 @@ class WitnessReport:
         return self.ok
 
 
-def _live_copy_keys(s):
-    keys = set()
-    for (i, leaf), live in s.in_w.items():
-        if live:
-            for c in range(s.rem[(i, leaf)]):
-                keys.add((i, leaf, c))
-    return keys
-
-
 def identity_witness(s):
     """Witness for the pruned router embedded into its own realization:
     every surviving copy maps to itself."""
@@ -123,11 +112,9 @@ def identity_witness(s):
     t = s.t
     vm = {v: v for v in host.vertices}
     paths = {}
-    for (i, leaf), live in sorted(s.in_w.items()):
-        if not live or s.rem[(i, leaf)] <= 0:
-            continue
+    for (i, leaf), copies in sorted(s.live_bundles().items()):
         center = t.level_center(i, leaf)
-        for c in range(s.rem[(i, leaf)]):
+        for c in range(copies):
             paths[(i, leaf, c)] = (leaf, center)
     emb = Embedding(vm, paths)
     emb.stats(host)
@@ -157,7 +144,8 @@ def validate_witness(w):
             if not host.has_edge(a, b):
                 bad.append(("missing-host-edge", key, (a, b)))
     checks.append(("paths-well-formed", not bad, bad[:5]))
-    want = _live_copy_keys(s)
+    want = {(i, leaf, c) for (i, leaf), copies in s.live_bundles().items()
+            for c in range(copies)}
     have = set(emb.paths)
     checks.append(("one-path-per-live-copy", want == have,
                    (len(want - have), len(have - want))))
@@ -481,7 +469,7 @@ def scattered_or_ball(g, d, eps):
         scattered |= s1
 
 
-def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
+def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     """Pick ceil(delta_hat) incident edges per left vertex of a bipartite
     graph so that no right vertex is overused.
 
@@ -536,18 +524,17 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat, trace=None):
                 for y in pick:
                     n_y[y] = n_y.get(y, 0) + 1
                 settled.append(x)
-        if trace is not None:
-            trace.append((len(remaining), len(settled)))
         if not settled:
             raise AssertionError("no left vertex settled in a round")
         remaining = [x for x in remaining if x not in out]
     return out
 
 
-def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
+def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
-    back through the embedding.
+    back through the embedding.  copies maps each live bundle (level,
+    leaf) to the number of its copies translation may use.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
@@ -597,7 +584,7 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copy_count):
                 bundle = bundle_of[(x, y)] = (t.superedge_level(x, y), leaf)
             loads = copy_load.get(bundle)
             if loads is None:
-                loads = copy_load[bundle] = [0] * copy_count(*bundle)
+                loads = copy_load[bundle] = [0] * copies[bundle]
             c = loads.index(min(loads))
             loads[c] += value
             ep = emb.paths[bundle + (c,)]
@@ -647,7 +634,7 @@ def witness_route(w, demand, restriction=None):
             raise ValueError("vertex %r lies on fewer than q paths" % (v,))
     factor = w.alpha * w.beta * (k ** (4 * k + 1)) * w.emb.d_star
     return _proxy_route(s, w.emb, trimmed, q, demand, factor,
-                        lambda i, leaf: s.rem[(i, leaf)])
+                        s.live_bundles())
 
 
 class SparsifiedRouter:
@@ -662,26 +649,6 @@ class SparsifiedRouter:
         self.thinned = thinned          # pruned router thinned to delta_prime
 
 
-def thinned_view(s, delta_prime):
-    """The pruned router re-read with bundles of size delta_prime: same
-    membership sets, each surviving bundle keeps its first delta_prime
-    copies."""
-    t = s.t
-    view = PrunedRouter(build(t.N, t.k, delta_prime), s.cfg)
-    view.mask = dict(s.mask)
-    view.star_destroyed = set(s.star_destroyed)
-    view.cluster_destroyed = set(s.cluster_destroyed)
-    view.n2 = dict(s.n2)
-    for key in list(view.in_w):
-        if s.in_w.get(key) and s.rem[key] > 0:
-            view.in_w[key] = True
-            view.rem[key] = delta_prime
-        else:
-            view.in_w[key] = False
-            view.rem[key] = 0
-    return view
-
-
 def _iroot_ceil(x, r):
     """Smallest integer g with g**r >= x."""
     if x <= 1:
@@ -694,7 +661,7 @@ def _iroot_ceil(x, r):
     return g
 
 
-def sparsify(w, delta_star, gamma=None, trace=None):
+def sparsify(w, delta_star):
     """Select delta_prime copies per bundle and delta_prime paths per
     host vertex, and return their union as a sparse routable subgraph."""
     s = w.pruned
@@ -704,12 +671,12 @@ def sparsify(w, delta_star, gamma=None, trace=None):
     delta_prime = delta_star // (2 * k * d_star)
     if delta_prime < 1:
         raise ValueError("delta_star below 2*k*d*")
-    for (i, leaf), live in s.in_w.items():
-        if live and 0 < s.rem[(i, leaf)] < delta_prime:
+    live = s.live_bundles()
+    for (i, leaf), copies in live.items():
+        if copies < delta_prime:
             raise ValueError("bundle (%d,%r) thinner than delta_prime" %
                              (i, leaf))
-    bundles = {key: delta_prime for key, live in s.in_w.items()
-               if live and s.rem[key] > 0}
+    bundles = {key: delta_prime for key in live}
 
     # bipartite selection: host vertex x -> paths through x, grouped by
     # the path's distinguished leaf
@@ -733,15 +700,10 @@ def sparsify(w, delta_star, gamma=None, trace=None):
                                      (z * delta_prime))))
     n_x = len(h)
     rounds = max(1, (n_x - 1).bit_length()) if n_x > 1 else 1
-    if gamma is None:
-        gamma = max(_iroot_ceil(len(w.host.vertices) ** 16, k),
-                    ceil_frac(8 * gamma_p * rounds))
-    gamma = Fraction(gamma)
-    if gamma / rounds <= 4 * gamma_p:
-        raise ValueError("gamma too small for the degree-lowering rounds: "
-                         "need gamma > 4*gamma'*ceil(log|X|) = %s" %
-                         (4 * gamma_p * rounds,))
-    sel_leaves = lower_degrees(h, z, delta_prime, gamma_p, gamma, trace)
+    # gamma/rounds >= 8*gamma' clears lower_degrees' need of 4*gamma'
+    gamma = Fraction(max(_iroot_ceil(len(w.host.vertices) ** 16, k),
+                         ceil_frac(8 * gamma_p * rounds)))
+    sel_leaves = lower_degrees(h, z, delta_prime, gamma_p, gamma)
     # convert selected leaf picks back to concrete path keys per vertex
     qsets = {}
     for x, picks in sel_leaves.items():
@@ -775,7 +737,7 @@ def sparsify(w, delta_star, gamma=None, trace=None):
     if cprime.num_edges() > len(w.host.vertices) * delta_star:
         raise AssertionError("sparsified edge bound violated")
     return SparsifiedRouter(cprime, bundles, qsets, delta_star, delta_prime,
-                            gamma, thinned_view(s, delta_prime))
+                            gamma, s.thinned(delta_prime))
 
 
 def sparsified_route(sp, w, demand):
@@ -805,5 +767,4 @@ def sparsified_route(sp, w, demand):
             sel_paths[(i, leaf, c)] = w.emb.paths[(i, leaf, c)]
     emb_view = Embedding(w.emb.vertex_map, sel_paths)
     return _proxy_route(sp.thinned, emb_view, path_sets,
-                        sp.delta_prime, demand, factor,
-                        lambda i, leaf: sp.bundles[(i, leaf)])
+                        sp.delta_prime, demand, factor, sp.bundles)

@@ -249,7 +249,7 @@ def test_acceptance_5_witness_and_sparsifier():
         gp = -(-max(ydeg.values()) // (z * dh))
         rounds_cap = max(1, (nl - 1).bit_length()) if nl > 1 else 1
         r = 8 * gp * rounds_cap
-        out = lower_degrees(h, z, dh, gp, r, [])
+        out = lower_degrees(h, z, dh, gp, r)
         assert all(len(out[x]) == dh for x in h)
         cnt = {}
         for v in out.values():

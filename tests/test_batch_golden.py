@@ -58,10 +58,9 @@ def _sha(obj):
 
 def _state(rd, rep):
     clusters = []
-    for cid in sorted(rd.machinery):
-        wc = rd.machinery[cid]
-        clusters.append((cid, sorted(wc.bundles.items()),
-                         sorted(wc.entry.sparse.cprime.superedges),
+    for wc in rd.clusters:
+        clusters.append((wc.id, sorted(wc.bundles.items()),
+                         sorted(wc.sparse.cprime.superedges),
                          sorted(wc.lam.items())))
     return ((rep.deleted, rep.inserted, sorted(rep.to_e_del.items()),
              rep.dissolved, rep.recourse),
@@ -77,7 +76,7 @@ def run_case(host, seed, seen):
         rep = process_batch(rd, dels)
         seen["cascade"] += rep.to_e_del.get("cascade", 0)
         seen["dissolved"] += len(rep.dissolved)
-        seen["kept"] += len(rd.machinery)
+        seen["kept"] += len(rd.clusters)
         out.append((dels, _state(rd, rep)))
     return _sha(out)
 

@@ -246,6 +246,19 @@ def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     assert doc["command"] == cmd
 
 
+@pytest.mark.parametrize("extra,rc", [([], 0), (["--delta-star", "3"], 2),
+                                      (["--d-cap", "0"], 2)],
+                         ids=["defaults", "delta-star-below-2k2", "d-cap-0"])
+def test_decompose_defaults_agree(extra, rc, capsys):
+    """Without --d-cap, d_cap is the largest value --delta-star admits,
+    so the default flags run; a d_cap below 1 is a usage error."""
+    argv = ["decompose", "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", "2", "--delta", "4"] + extra
+    assert main(argv) == rc
+    if rc == 2:
+        assert "d_cap must be at least 1" in capsys.readouterr().err
+
+
 def test_batch_insert_onto_cluster_edge_is_usage_error(tmp_path, capsys):
     """INS of an edge the single golden cluster holds is rejected before
     the decomposition changes."""

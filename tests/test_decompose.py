@@ -125,11 +125,32 @@ def test_witness_validated_once_per_build(monkeypatch):
     assert not rd.check_valid(witnesses=False)
 
 
+def test_failed_rebuild_dissolves_the_old_graph(monkeypatch):
+    """A rebuild that raises inside process_batch assigns nothing, so the
+    cluster dissolves and the dissolve charge is its edge count from
+    just before the rebuild."""
+    from routerlab import decompose
+    rd = build_decomposition(template_host(), template_cfg())
+    wc = rd.clusters[0]
+    before = []
+
+    def failing(w, delta_star):
+        before.append(set(wc.graph.superedges))
+        raise ValueError("sparsify failed")
+
+    monkeypatch.setattr(decompose, "sparsify", failing)
+    rep = process_batch(rd, [(1, 3)])
+    assert len(before) == 1
+    assert rep.dissolved == [wc.id] and rd.clusters == []
+    assert rep.to_e_del["dissolve"] == len(before[0])
+    assert set(wc.graph.superedges) == before[0] <= rd.e_del
+
+
 def _decomposition_state(rd):
     return (sorted(rd.host.superedges.items()), sorted(rd.e_del),
             [(c.id, sorted(c.graph.superedges.items())) for c in rd.clusters],
-            {cid: (sorted(wc.bundles.items()), wc.s.tau)
-             for cid, wc in rd.machinery.items()})
+            {wc.id: (sorted(wc.bundles.items()), wc.s.tau)
+             for wc in rd.clusters})
 
 
 @pytest.mark.parametrize("ins,msg", [((1, 0, 1), r"\(0, 1\)"),

@@ -16,8 +16,7 @@ from routerlab.graph import Demand, MultiGraph, Routing
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.resilience import FaultSet, FdConfig, fd_route
 from routerlab.router_template import build, realize
-from routerlab.spanner import (ClusterEntry, RouterDecomposition,
-                               extract_spanner, lc_embed)
+from routerlab.spanner import RouterDecomposition, extract_spanner, lc_embed
 
 
 def _clique(n):
@@ -33,7 +32,8 @@ def spanner_size_collision():
     g = _clique(4)
     cprime = MultiGraph()
     cprime.add_edge(0, 1)
-    entry = ClusterEntry(0, cprime, None, SimpleNamespace(cprime=cprime))
+    entry = SimpleNamespace(id=0, graph=cprime, witness=None,
+                            sparse=SimpleNamespace(cprime=cprime))
     rd = RouterDecomposition(g, [entry], {(0, 1), (2, 3)}, 16, 8, 1, 2)
     extract_spanner(rd)
 
@@ -49,7 +49,8 @@ def lc_congestion_over_bound():
     """The rounding puts all 190 edges of a K_20 cluster on one H' edge,
     over the bound max(16*eta_t*dmax/delta_star, 16*log n) = 80."""
     g = _clique(20)
-    entry = ClusterEntry(0, g, None, SimpleNamespace(cprime=g))
+    entry = SimpleNamespace(id=0, graph=g, witness=None,
+                            sparse=SimpleNamespace(cprime=g))
     rd = RouterDecomposition(g, [entry], set(), 16, 8, 1, 2)
 
     def one_edge(_g, d, _frac, _alpha, _eta, seed=0):
@@ -74,7 +75,8 @@ def lc_path_leaves_cprime():
     cprime = MultiGraph()
     cprime.add_edge(0, 1)
     cprime.add_edge(0, 3)
-    entry = ClusterEntry(0, g, None, SimpleNamespace(cprime=cprime))
+    entry = SimpleNamespace(id=0, graph=g, witness=None,
+                            sparse=SimpleNamespace(cprime=cprime))
     rd = RouterDecomposition(g, [entry], set(), 16, 8, 1, 2)
 
     def via_0_2(_g, d, _frac, _alpha, _eta, seed=0):

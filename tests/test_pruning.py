@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from routerlab.graph import _key
 from routerlab.router_template import build
 from routerlab.pruning import PruningConfig, new_pruned
 
@@ -82,6 +83,39 @@ def run_fuzz_trace(N, k, delta, preset, seed, deletions):
         if not s.is_properly_pruned():
             bad += 1
     return s, bad
+
+
+@pytest.mark.parametrize("preset", ["paper", "relaxed"])
+def test_live_bundles_and_thinned_router(preset):
+    """On seeded deletion traces, live_bundles() lists the superedges of
+    current_graph() with their multiplicities, in bundle order, and
+    thinned(d) keeps every U_i and gives every live bundle d copies."""
+    thinner = dead = 0
+    for seed in range(12):
+        s, _bad = run_fuzz_trace(4, 2, 32, preset, seed, 25)
+        t = s.t
+        live = s.live_bundles()
+        order = [(i, leaf) for i in range(1, t.k + 1)
+                 for (leaf, _c) in t.superedges(i)]
+        assert list(live) == [key for key in order if key in live]
+        want = {}
+        for (i, leaf), copies in live.items():
+            e = _key(leaf, t.level_center(i, leaf))
+            want[e] = want.get(e, 0) + copies
+        assert dict(s.current_graph().superedges) == want
+        thinner += sum(1 for copies in live.values() if copies < t.delta)
+        dead += len(order) - len(live)
+
+        view = s.thinned(3)
+        assert view.t.delta == 3 and s.live_bundles() == live
+        for i in range(1, t.k + 1):
+            assert view.u_set(i) == s.u_set(i)
+        assert view.live_bundles() == {key: 3 for key in live}
+        w = view.current_graph()
+        assert all(w.multiplicity(leaf, t.level_center(i, leaf)) == 3
+                   for (i, leaf) in live)
+    # the traces thin some bundles and drop others from W
+    assert thinner and dead
 
 
 def test_fuzz_properly_pruned_small():

@@ -157,7 +157,7 @@ def test_scattered_or_ball_cycle_dichotomy():
 
 def test_lower_degrees_bipartite():
     h = {x: list(range(4)) for x in "abcd"}
-    out = lower_degrees(h, 2, 2, 1, 16, [])
+    out = lower_degrees(h, 2, 2, 1, 16)
     assert all(len(v) == 2 for v in out.values())
     cnt = {}
     for v in out.values():
