@@ -202,6 +202,19 @@ class Report:
         return 0 if self.ok else 1
 
 
+def _check_verify(rep, vr, max_len, max_cong):
+    """One assertion per kind of verify_routing violation: verify-length
+    fails only on length, verify-congestion only on congestion, and
+    verify-demand on every other kind (endpoints, missing-edge,
+    pair-total, unrequested-pair), so the three hold iff vr.ok."""
+    kinds = [v[0] for v in vr.violations]
+    demand = sum(1 for kind in kinds if kind not in ("length", "congestion"))
+    rep.check("verify-length", max_len, vr.worst_length, "length" not in kinds)
+    rep.check("verify-congestion", max_cong, vr.worst_congestion,
+              "congestion" not in kinds)
+    rep.check("verify-demand", 0, demand, not demand)
+
+
 def _apply_prune_trace(s, phases, rep=None):
     """Run a parsed trace against a pruned router, checking proper
     pruning after every single deletion."""
@@ -279,8 +292,7 @@ def cmd_route(args):
     r = route_demand(s, d)
     max_len = 20 * t.k * t.k
     vr = verify_routing(s.current_graph(), d, r, max_len, Fraction(1))
-    rep.check("verify-length", max_len, vr.worst_length, vr.ok)
-    rep.check("verify-congestion", "1", vr.worst_congestion, vr.ok)
+    _check_verify(rep, vr, max_len, "1")
     if d.is_integral():
         rep.check("integral-flow", True, r.is_integral(), r.is_integral())
     return rep.emit(args.json)
@@ -407,8 +419,7 @@ def cmd_verify(args):
     d = parse_demand(args.demand)
     r = parse_routing(args.routing)
     vr = verify_routing(g, d, r, args.max_len, Fraction(args.max_cong))
-    rep.check("verify-length", args.max_len, vr.worst_length, vr.ok)
-    rep.check("verify-congestion", args.max_cong, vr.worst_congestion, vr.ok)
+    _check_verify(rep, vr, args.max_len, args.max_cong)
     rep.extra["violations"] = [v[:2] for v in vr.violations[:10]]
     return rep.emit(args.json)
 

@@ -22,7 +22,11 @@ between operations it is always a prefix.
 
 PrunedRouter owns this state: other modules read the surviving bundles
 through live_bundles() and the router with thinner bundles through
-thinned(delta_prime), never through its internal fields.
+thinned(delta_prime), never through its internal fields.  It also owns
+the memo of values derived from the membership sets (memo(name,
+compute), used for routing's sink paths): the memo is cleared wherever
+mask changes, at the top of _drain and in thinned(), so a memoized
+value is computed once per membership change.
 """
 
 import heapq
@@ -144,6 +148,7 @@ class PrunedRouter:
         self._reset_phase_counters()
         self.phase_log = [self._fresh_stats()]
         self._seq = 0
+        self._memo = {}                  # name -> value derived from mask
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -173,6 +178,13 @@ class PrunedRouter:
 
     def members_in_u(self, level, star):
         return [m for m in self.t.star_members(level, star) if self.in_u(m, level)]
+
+    def memo(self, name, compute):
+        """compute(self), stored under name until the next membership
+        change.  A compute that raises stores nothing."""
+        if name not in self._memo:
+            self._memo[name] = compute(self)
+        return self._memo[name]
 
     # -- phases -----------------------------------------------------------
 
@@ -267,6 +279,7 @@ class PrunedRouter:
         rpt.removed.setdefault(i, []).append((v, tag))
 
     def _drain(self, heap, pending, rpt):
+        self._memo.clear()
         t, cfg = self.t, self.cfg
         N, k = t.N, t.k
         touched = set()
@@ -379,6 +392,7 @@ class PrunedRouter:
         t = self.t
         view = PrunedRouter(build(t.N, t.k, delta_prime), self.cfg)
         view.mask = dict(self.mask)
+        view._memo.clear()
         view.star_destroyed = set(self.star_destroyed)
         view.cluster_destroyed = set(self.cluster_destroyed)
         view.n2 = dict(self.n2)

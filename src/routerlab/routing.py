@@ -11,6 +11,11 @@ Three layers, mirroring the pruned structure:
   route_demand   composes the two: source -> sink, sink-level routing,
                  sink -> target.
 
+The U_1 -> U_k sink paths depend only on the router's membership sets,
+so they are computed once per membership change: _sinks is read through
+the router's memo (PrunedRouter.memo), which the router clears whenever
+a deletion changes its masks.
+
 Every demand pair keeps its identity through the recursion and ends up
 on exactly one flow-path, so integral demands produce integral flows.
 Restriction thresholds r_i = Delta/32^i may be scaled by a configurable
@@ -39,7 +44,7 @@ def _r(s, i, scale):
     return Fraction(s.t.delta, 32 ** i) * Fraction(scale)
 
 
-def _star_path(t, i, a, target, center):
+def _star_path(a, target, center):
     """Walk from a to target inside one level-i star, through the center."""
     if a == target:
         return (a,)
@@ -50,9 +55,8 @@ def _star_path(t, i, a, target, center):
     return (a, center, target)
 
 
-def _members_by_child(s, i, star):
+def _members_by_child(t, i, star):
     """Star member in each child (level i-1) cluster, keyed by cluster id."""
-    t = s.t
     return {t.cluster_id(i - 1, m): m for m in t.star_members(i, star)}
 
 
@@ -71,7 +75,7 @@ def _route_entries(s, i, entries, r0):
             center = t.star_center(1, t.star_id(1, a))
             if t.star_id(1, a) != t.star_id(1, b):
                 raise RoutingError("level-1 pair spans two stars")
-            out[key] = _star_path(t, 1, a, b, center)
+            out[key] = _star_path(a, b, center)
         return out
 
     loads = {}          # proxy vertex -> units routed through it
@@ -83,12 +87,12 @@ def _route_entries(s, i, entries, r0):
         sa, sb = t.star_id(i, a), t.star_id(i, b)
         if sa == sb:
             center = t.star_center(i, sa)
-            out[key] = _star_path(t, i, a, b, center)
+            out[key] = _star_path(a, b, center)
             continue
         if sa not in member_cache:
-            member_cache[sa] = _members_by_child(s, i, sa)
+            member_cache[sa] = _members_by_child(t, i, sa)
         if sb not in member_cache:
-            member_cache[sb] = _members_by_child(s, i, sb)
+            member_cache[sb] = _members_by_child(t, i, sb)
         ca, cb = t.star_center(i, sa), t.star_center(i, sb)
         chosen = None
         for child in sorted(member_cache[sa]):
@@ -109,7 +113,7 @@ def _route_entries(s, i, entries, r0):
         child, a_c, b_c = chosen
         loads[a_c] = loads.get(a_c, 0) + val
         loads[b_c] = loads.get(b_c, 0) + val
-        partial[key] = (_star_path(t, i, a, a_c, ca), _star_path(t, i, b, b_c, cb))
+        partial[key] = (_star_path(a, a_c, ca), _star_path(b, b_c, cb))
         sub.setdefault(child, []).append((a_c, b_c, val, key))
 
     for child, child_entries in sub.items():
@@ -163,7 +167,6 @@ def _u1_to_ui(s, i, cluster):
     t = s.t
     if i == 1:
         return {v: (v,) for v in t.cluster_vertices(1, cluster) if s.in_u(v, 1)}
-    size = t.N ** i
     out = {}
     for j in range(t.N):
         child = cluster * t.N + j
@@ -201,6 +204,13 @@ def _u1_to_ui(s, i, cluster):
     return out
 
 
+def _sinks(s):
+    """(paths, sigma): every U_1 vertex's path to its U_k sink, and the
+    sink itself."""
+    paths = _u1_to_ui(s, s.t.k, 0)
+    return paths, {v: p[-1] for v, p in paths.items()}
+
+
 def route_u1_to_uk(s):
     """Send Delta units from every U_1 vertex to a U_k sink.
 
@@ -209,7 +219,7 @@ def route_u1_to_uk(s):
     vertices whose sink differs from themselves (self-paths carry no
     edges).
     """
-    paths = _u1_to_ui(s, s.t.k, 0)
+    paths = dict(s.memo("sinks", _sinks)[0])
     r = Routing()
     delta = Fraction(s.t.delta)
     for v, p in sorted(paths.items()):
@@ -229,8 +239,7 @@ def route_demand(s, d):
     for v in d.support():
         if not s.in_u(v, 1):
             raise RoutingError("support vertex %r not in V(W)" % (v,))
-    paths = _u1_to_ui(s, k, 0)
-    sigma = {v: p[-1] for v, p in paths.items()}
+    paths, sigma = s.memo("sinks", _sinks)
 
     items = sorted(d.values.items())
     lcm, units = flow_units(val for _pair, val in items)

@@ -179,6 +179,45 @@ def test_verify_command_exit_codes(tmp_path, capsys):
                  "--max-cong", "1"]) == 1
 
 
+def test_verify_assertions_name_the_failed_check(tmp_path, capsys):
+    g = tmp_path / "g.graph"
+    g.write_text("0 1\n1 2\n0 2\n")
+    dm = tmp_path / "d.txt"
+    dm.write_text("0 2 1\n")
+    rt = tmp_path / "r.json"
+
+    def verify(value, max_len, max_cong):
+        rt.write_text(json.dumps(
+            {"paths": [{"path": [0, 1, 2], "pair": [0, 2], "value": value}]}))
+        rc, doc = run_json(capsys, [
+            "verify", "--graph", str(g), "--routing", str(rt),
+            "--demand", str(dm), "--max-len", max_len, "--max-cong", max_cong])
+        return rc, {a["name"]: a for a in doc["assertions"]}
+
+    rc, checks = verify("1", "1", "5")
+    assert rc == 1
+    assert not checks["verify-length"]["ok"]
+    assert checks["verify-congestion"]["ok"]
+    assert checks["verify-congestion"]["observed"] == "1"
+    assert checks["verify-demand"]["ok"]
+
+    rc, checks = verify("1", "2", "1/2")
+    assert rc == 1
+    assert checks["verify-length"]["ok"]
+    assert not checks["verify-congestion"]["ok"]
+    assert checks["verify-demand"]["ok"]
+
+    rc, checks = verify("1/2", "2", "1")
+    assert rc == 1
+    assert checks["verify-length"]["ok"] and checks["verify-congestion"]["ok"]
+    assert not checks["verify-demand"]["ok"]
+    assert checks["verify-demand"]["observed"] == 1
+
+    rc, checks = verify("1", "2", "1")
+    assert rc == 0
+    assert all(a["ok"] for a in checks.values())
+
+
 def test_bad_files_are_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("0 0\n")

@@ -6,6 +6,7 @@ import pytest
 from routerlab.graph import Demand, verify_routing
 from routerlab.router_template import build
 from routerlab.pruning import PruningConfig, new_pruned
+from routerlab import routing
 from routerlab.routing import (RoutingError, route_level, route_u1_to_uk,
                                route_demand)
 
@@ -128,3 +129,129 @@ def test_route_demand_rejects_unrestricted():
     cap = Fraction(t.delta, 2 ** 8)
     with pytest.raises(RoutingError):
         route_demand(s, Demand([(1, 2, cap + 1)]))
+
+
+def _flows(r):
+    return [(p, pair, val) for p, pair, val in r.flow_paths]
+
+
+def _outcome(f):
+    """f()'s value, or the message of the RoutingError it raises."""
+    try:
+        return "ok", f()
+    except RoutingError as exc:
+        return "error", str(exc)
+
+
+def _draining_trace(t, cfg, seed, drains):
+    """Seeded deletions: `drains` random bundles each lose one copy more
+    than the per-phase edge budget, which drains them, with a random
+    single deletion elsewhere after about one in twenty of them."""
+    rng = random.Random(seed)
+    ses = [(l, c) for i in range(1, t.k + 1) for (l, c) in t.superedges(i)]
+    budget = int(cfg.edge_budget_frac * t.delta)
+    trace = []
+    for e in rng.sample(ses, drains):
+        for _ in range(budget + 1):
+            trace.append(e)
+            if rng.random() < 0.05:
+                trace.append(rng.choice(ses))
+    return trace
+
+
+def _replay(t, cfg, trace):
+    s = new_pruned(t, cfg)
+    for e in trace:
+        s.delete_edge(*e)
+    return s
+
+
+@pytest.mark.parametrize("preset", ["paper", "relaxed"])
+@pytest.mark.parametrize("shape,drains", [((16, 2, 4096), 2),
+                                          ((3, 3, 32 ** 3), 1)])
+def test_sink_memo_never_stale(preset, shape, drains):
+    """After every deletion, draining or not, the memoized sink paths
+    equal a fresh _u1_to_ui, and route_demand equals its output on a new
+    router replayed to the same state (rebuilt from the trace whenever
+    membership changed, otherwise fed the same deletion)."""
+    N, k, delta = shape
+    t = build(N, k, delta)
+    cfg = getattr(PruningConfig, preset)(k)
+    trace = _draining_trace(t, cfg, N * k, drains)
+    survivors = sorted(_replay(t, cfg, trace).u_set(1))
+    d = random_restricted_demand(random.Random(k), survivors,
+                                 Fraction(delta, k ** (4 * k)))
+    assert len(d)
+
+    def fresh_sinks(s):
+        paths = routing._u1_to_ui(s, k, 0)
+        return paths, {v: p[-1] for v, p in paths.items()}
+
+    s, ref = new_pruned(t, cfg), new_pruned(t, cfg)
+    ref_members = [s.u_set(i) for i in range(1, k + 1)]
+    changes = 0
+    for step, e in enumerate(trace):
+        s.delete_edge(*e)
+        members = [s.u_set(i) for i in range(1, k + 1)]
+        if members != ref_members:
+            changes += 1
+            ref, ref_members = _replay(t, cfg, trace[:step + 1]), members
+        else:
+            ref.delete_edge(*e)
+        assert (_outcome(lambda: s.memo("sinks", routing._sinks))
+                == _outcome(lambda: fresh_sinks(s))), step
+        assert (_outcome(lambda: _flows(route_demand(s, d)))
+                == _outcome(lambda: _flows(route_demand(ref, d)))), step
+    assert changes >= drains
+
+
+def test_sink_memo_is_hit_and_isolated(monkeypatch):
+    calls = []
+    sinks = routing._sinks
+
+    def counted(s):
+        calls.append(s)
+        return sinks(s)
+
+    def computed(s):
+        return sum(c is s for c in calls)
+
+    monkeypatch.setattr(routing, "_sinks", counted)
+    t = build(16, 2, 4096)
+    cfg = PruningConfig.relaxed(2)
+    budget = int(cfg.edge_budget_frac * t.delta)
+    s = new_pruned(t, cfg)
+    e = (1, t.level_center(2, 1))
+    d = random_restricted_demand(random.Random(3), sorted(s.u_set(1)),
+                                 Fraction(16))
+
+    first = _flows(route_demand(s, d))
+    for _ in range(19):
+        assert _flows(route_demand(s, d)) == first
+    assert computed(s) == 1
+
+    assert not s.delete_edge(*e).removed
+    assert _flows(route_demand(s, d)) == first
+    assert computed(s) == 1
+    for _ in range(budget):
+        rpt = s.delete_edge(*e)
+    assert rpt.removed                       # leaf 1 left U_2
+    drained = _flows(route_demand(s, d))
+    assert computed(s) == 2
+    assert drained != first
+    assert drained == _flows(route_demand(_replay(t, cfg, [e] * (budget + 1)), d))
+
+    _r, paths = route_u1_to_uk(s)
+    paths.clear()
+    assert _flows(route_demand(s, d)) == drained
+    assert computed(s) == 2
+
+    view = s.thinned(t.delta)
+    assert _flows(route_demand(view, d)) == drained
+    assert computed(view) == 1
+    for _ in range(budget + 1):
+        view.delete_edge(2, t.level_center(2, 2))
+    route_demand(view, d)
+    assert computed(view) == 2
+    assert _flows(route_demand(s, d)) == drained
+    assert computed(s) == 2
