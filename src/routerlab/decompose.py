@@ -207,7 +207,6 @@ class _WitnessedCluster:
         rest, that the router is still properly pruned.  Nothing is
         assigned until sparsify returns, so a rebuild that raises
         leaves the old graph for the caller to charge."""
-        t = self.s.t
         covered = {}
         for _key2, p in self.paths_iter():
             for a, b in zip(p, p[1:]):
@@ -225,20 +224,14 @@ class _WitnessedCluster:
         for (i, leaf) in sorted(self.bundles):
             for c, p in enumerate(self.bundles[(i, leaf)]):
                 paths[(i, leaf, c)] = p
-        emb = Embedding(self.vm, paths)
-        emb.stats(host)
-        degs = [host.degree(v) for v in host.vertices]
-        alpha = max(Fraction(max(degs), t.delta), Fraction(1))
-        counts = self.path_counts()
-        min_count = min(counts[v] for v in host.vertices)
-        beta = max(Fraction(1), Fraction(t.delta, min_count))
-        w = RouterWitness(host, self.s, emb, alpha, beta)
+        w = RouterWitness(host, self.s, Embedding(self.vm, paths, host))
         rep = validate_witness(w)
         if not rep:
             raise ValueError("witness invalid: %r" %
                              [c[0] for c in rep.checks if not c[1]])
         sp = sparsify(w, self.cfg.delta_star)
-        self.graph, self.witness, self.sparse, self.lam = host, w, sp, counts
+        self.graph, self.witness, self.sparse = host, w, sp
+        self.lam = {v: len(lst) for v, lst in w.path_sets.items()}
         return dropped
 
 
@@ -371,8 +364,6 @@ def build_decomposition(g, cfg):
         report.degraded = True
         for e in sorted(g0.superedges):
             report.causes[e] = "cap"
-    e_del = {e for e in g.superedges
-             if not any(e in wc.graph.superedges for wc in clusters)}
     kh = cfg.k_hat
     d_t = 22 * cfg.d_cap * kh * kh
     eta_t = 1
@@ -381,8 +372,10 @@ def build_decomposition(g, cfg):
         eta_s = wc.witness.emb.eta_star
         eta_t = max(eta_t, 8 * wc.sparse.gamma * d_s * d_s * eta_s
                     * kh ** (4 * kh + 1))
-    rd = RouterDecomposition(g, clusters, e_del, cfg.delta_star, d_t, eta_t,
-                             RHO)
+    # E^del is what was charged, so the partition check below compares
+    # the charges with the clusters' edges
+    rd = RouterDecomposition(g, clusters, set(report.causes), cfg.delta_star,
+                             d_t, eta_t, RHO)
     rd.cfg = cfg
     rd.report = report
     # rebuild() has just validated every cluster's witness

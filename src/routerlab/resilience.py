@@ -145,13 +145,6 @@ def integral_round(g, d, base, alpha, eta, seed):
     return out
 
 
-class FdConfig:
-    def __init__(self, len_const=32, strict=False, scale=None):
-        self.len_const = len_const
-        self.strict = strict
-        self.scale = scale               # integrality scale, default n
-
-
 class FdReport:
     def __init__(self):
         self.rounds = []                 # per-round audit dicts
@@ -189,31 +182,28 @@ def _first_fault_cut(path, fault_vertices, from_start=True):
     return None
 
 
-def fd_route(oracle, g, faults, demand, k, d, eta, delta, cfg=None,
+def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
              report=None):
     """Route a delta-restricted demand in g minus the faulty edges.
 
     oracle(demand) must return an integral unit-path routing in the
     intact g with length <= d and congestion <= eta_prime = 16*eta*n.
-    Returns a Routing whose paths avoid the faults entirely.
+    Each demand pair becomes ceil(value*scale) unit pairs, scale
+    defaulting to n.  Returns a Routing whose paths avoid the faults
+    entirely.
     """
-    if cfg is None:
-        cfg = FdConfig()
     n = len(g.vertices)
     eta = Fraction(eta)
     eta_p = 16 * eta * n
     delta_p = 2 * n * Fraction(delta)
     f = faults.deg
     z = ROUNDS_PER_K * k
-    if cfg.strict:
-        if Fraction(delta) ** k < (32 * f * eta) ** k * n:
-            raise ValueError("delta below 32*f*n^(1/k)*eta")
-    if f > 0:
-        lam = int(delta_p // (f * eta_p))
-        if lam < 1 or Fraction(lam) ** (z - 1) <= n * f * eta_p:
-            raise ValueError("lambda too small: %s^%d does not clear n*f*eta'"
-                             % (lam, z - 1))
-    scale = cfg.scale if cfg.scale is not None else n
+    lam = int(delta_p // (f * eta_p)) if f else 0
+    if f and (lam < 1 or Fraction(lam) ** (z - 1) <= n * f * eta_p):
+        raise ValueError("lambda too small: %s^%d does not clear n*f*eta'"
+                         % (lam, z - 1))
+    if scale is None:
+        scale = n
     fv = faults.vertices()
     assigner = _CopyAssigner(g, faults)
 
@@ -266,7 +256,6 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, cfg=None,
                         "x_leaves": [(x, (x,))], "y_leaves": [(y, (y,))],
                         "done": None})
     unresolved = list(range(len(entries)))
-    lam = int(delta_p // (f * eta_p)) if f else 0
 
     i = 0
     while unresolved:

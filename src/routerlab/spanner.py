@@ -102,8 +102,9 @@ def _bfs_dist_from(g, src, targets=None):
 
 
 def _weighted_dist_from(g, src, targets=None):
-    dist = {src: Fraction(0)}
-    heap = [(Fraction(0), src)]
+    """Integer length distances from src, as far as targets needs."""
+    dist = {src: 0}
+    heap = [(0, src)]
     want = set(targets) if targets is not None else None
     done = set()
     while heap:
@@ -114,9 +115,7 @@ def _weighted_dist_from(g, src, targets=None):
         if want is not None and want <= done:
             break
         for u in g.neighbors(v):
-            w = g.lengths.get(_key(v, u))
-            w = Fraction(1) if w is None else Fraction(w)
-            nd = dv + w
+            nd = dv + g.length(v, u)
             if u not in dist or nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
@@ -150,9 +149,7 @@ def stretch_check(g, h, weighted=False):
             if dh is None:
                 return math.inf, (u, v)
             if weighted:
-                lg = g.lengths.get((u, v))
-                lg = Fraction(1) if lg is None else Fraction(lg)
-                ratio = Fraction(dh) / lg
+                ratio = Fraction(dh, g.length(u, v))
             else:
                 ratio = dh
             if ratio > worst:
@@ -225,16 +222,13 @@ def _fault_edges(faults):
     return {_key(u, v) for (u, v) in faults}
 
 
-def fd_spanner_check(rd, faults, k, cfg=None, exhaustive_cap=10 ** 4,
+def fd_spanner_check(rd, faults, k, len_const=32, exhaustive_cap=10 ** 4,
                      seed=0):
     """For host edges surviving the faults: their detour length in H'
-    minus the faults, against the resilient-routing length constant.
-    Each source is searched only until the distances to its partners
-    among the checked edges are final."""
-    from .resilience import FdConfig
-    if cfg is None:
-        cfg = FdConfig()
-    bound = cfg.len_const * k * rd.d_t
+    minus the faults, against the resilient-routing length bound
+    len_const * k * d_t.  Each source is searched only until the
+    distances to its partners among the checked edges are final."""
+    bound = len_const * k * rd.d_t
     fe = _fault_edges(faults)
     hprime = extract_spanner(rd)
     hf = hprime.without_edges(e for e in fe if hprime.has_edge(*e))

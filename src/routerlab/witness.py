@@ -33,15 +33,17 @@ class Embedding:
     """Injective vertex map plus one host path per live edge copy.
 
     Paths are keyed (level, leaf, copy) and stored oriented from the
-    mapped leaf to the mapped center.
+    mapped leaf to the mapped center.  d_star, the longest path's hop
+    count (at least 1), and eta_star, the per-copy congestion on the
+    host, are computed here once.
     """
 
-    def __init__(self, vertex_map, paths):
+    def __init__(self, vertex_map, paths, host):
         self.vertex_map = dict(vertex_map)
         self.paths = {k: tuple(p) for k, p in paths.items()}
-        self.d_star = max((len(p) - 1 for p in self.paths.values()), default=1)
-        self.d_star = max(self.d_star, 1)
-        self.eta_star = None        # filled by stats()
+        self.d_star = max(max((len(p) - 1 for p in self.paths.values()),
+                              default=1), 1)
+        self.eta_star = _congestion(self.edge_loads(), host)
 
     def edge_loads(self):
         loads = {}
@@ -50,13 +52,6 @@ class Embedding:
                 e = _key(a, b)
                 loads[e] = loads.get(e, 0) + 1
         return loads
-
-    def stats(self, host):
-        """Recompute d* and the per-copy congestion eta* against a host."""
-        self.d_star = max(max((len(p) - 1 for p in self.paths.values()),
-                              default=1), 1)
-        self.eta_star = _congestion(self.edge_loads(), host)
-        return self.d_star, self.eta_star
 
 
 def _congestion(loads, host):
@@ -71,29 +66,41 @@ def _congestion(loads, host):
 
 
 class RouterWitness:
-    def __init__(self, host, pruned, emb, alpha, beta):
+    """A pruned router embedded into a host, with its path index and
+    fitted parameters, all computed once here.
+
+    path_sets maps each host vertex v to one (path key, sub-path) entry
+    per embedding path through v, in key order.  The sub-path runs from
+    v back along the path to the mapped leaf, cut at v's first
+    occurrence.  witness_route hands demand pairs off along these
+    entries, sparsify selects sparsified_route's entries from them, and
+    a cluster's rebuild takes its path counts from them.
+
+    alpha = max(max degree / Delta, 1).  beta = max(1, Delta / fewest
+    paths through a host vertex), or 1 when that count is 0."""
+
+    def __init__(self, host, pruned, emb):
         self.host = host
         self.pruned = pruned
         self.emb = emb
-        self.alpha = Fraction(alpha)
-        self.beta = Fraction(beta)
+        self.path_sets = {v: [] for v in host.vertices}
+        for key in sorted(emb.paths):
+            p = emb.paths[key]
+            for idx, v in enumerate(p):
+                if v in self.path_sets and v not in p[:idx]:
+                    self.path_sets[v].append(
+                        (key, tuple(reversed(p[:idx + 1]))))
+        delta = pruned.t.delta
+        max_deg = max((host.degree(v) for v in host.vertices), default=delta)
+        fewest = min((len(lst) for lst in self.path_sets.values()),
+                     default=delta)
+        self.alpha = max(Fraction(max_deg, delta), Fraction(1))
+        self.beta = (max(Fraction(1), Fraction(delta, fewest)) if fewest
+                     else Fraction(1))
 
     @property
     def q(self):
         return ceil_frac(Fraction(self.pruned.t.delta) / self.beta)
-
-    def path_sets(self):
-        """For each host vertex v: list of (distinguished leaf u, subpath
-        from v to the mapped leaf), over all embedding paths through v,
-        in key order."""
-        out = {v: [] for v in self.host.vertices}
-        for key in sorted(self.emb.paths):
-            p = self.emb.paths[key]
-            leaf = key[1]
-            for idx, v in enumerate(p):
-                if v in out:
-                    out[v].append((leaf, tuple(reversed(p[:idx + 1]))))
-        return out
 
 
 class WitnessReport:
@@ -116,14 +123,7 @@ def identity_witness(s):
         center = t.level_center(i, leaf)
         for c in range(copies):
             paths[(i, leaf, c)] = (leaf, center)
-    emb = Embedding(vm, paths)
-    emb.stats(host)
-    degs = [host.degree(v) for v in host.vertices]
-    max_deg = max(degs, default=t.delta)
-    min_deg = min(degs, default=t.delta)
-    alpha = max(Fraction(max_deg, t.delta), Fraction(1))
-    beta = max(Fraction(1), Fraction(t.delta, min_deg)) if min_deg else Fraction(1)
-    return RouterWitness(host, s, emb, alpha, beta)
+    return RouterWitness(host, s, Embedding(vm, paths, host))
 
 
 def validate_witness(w):
@@ -387,9 +387,7 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
                     load[e] += 1
                     weight[e] = (base + slope[e] * load[e]
                                  if load[e] < cap[e] else _UNUSABLE)
-    emb = Embedding(vm, paths)
-    emb.stats(c)
-    return emb, fakes
+    return Embedding(vm, paths, c), fakes
 
 
 class ScatteredCert:
@@ -530,11 +528,14 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     return out
 
 
-def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
+def _proxy_route(pruned, emb, path_sets, width, demand, factor):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
-    back through the embedding.  copies maps each live bundle (level,
-    leaf) to the number of its copies translation may use.
+    back through the embedding.  path_sets gives each demand vertex at
+    least width (path key, sub-path) entries of a RouterWitness's index;
+    the j-th unit of a pair goes from the leaf of its endpoints' j-th
+    entries.  Translation spreads each live bundle (level, leaf) of
+    pruned over its first pruned.live_bundles()[bundle] copies.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
@@ -543,6 +544,7 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     appear only in the proxy Demand handed to route_demand and in the
     returned Routing."""
     t = pruned.t
+    copies = pruned.live_bundles()
     items = sorted(demand.values.items())
     units = [val / width for _pair, val in items]
     unit_lcm, scaled = flow_units(units)
@@ -550,8 +552,9 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     plan = []            # (a, b, unit, unit * L, a_leaf, r_a, b_leaf, r_b)
     for ((a, b), _val), unit, n in zip(items, units, scaled):
         for j in range(width):
-            a_leaf, r_a = path_sets[a][j]
-            b_leaf, r_b = path_sets[b][j]
+            a_key, r_a = path_sets[a][j]
+            b_key, r_b = path_sets[b][j]
+            a_leaf, b_leaf = a_key[1], b_key[1]
             plan.append((a, b, unit, n, a_leaf, r_a, b_leaf, r_b))
             if a_leaf != b_leaf:
                 key = _key(a_leaf, b_leaf)
@@ -627,22 +630,25 @@ def witness_route(w, demand, restriction=None):
     t = s.t
     k = t.k
     q = w.q
-    ps = w.path_sets()
-    trimmed = {v: lst[:q] for v, lst in ps.items()}
+    trimmed = {v: lst[:q] for v, lst in w.path_sets.items()}
     for v in demand.support():
         if len(trimmed[v]) < q:
             raise ValueError("vertex %r lies on fewer than q paths" % (v,))
     factor = w.alpha * w.beta * (k ** (4 * k + 1)) * w.emb.d_star
-    return _proxy_route(s, w.emb, trimmed, q, demand, factor,
-                        s.live_bundles())
+    return _proxy_route(s, w.emb, trimmed, q, demand, factor)
 
 
 class SparsifiedRouter:
-    def __init__(self, cprime, bundles, qsets, delta_star, delta_prime,
-                 gamma, thinned):
+    """The sparse subgraph C' of a witness and what routes inside it.
+    qsets maps each host vertex to its selected entries of the witness's
+    path_sets.  The copies selected per bundle are those the thinned
+    router holds: the first thinned.live_bundles()[bundle] = delta_prime
+    copies of every bundle live when the sparsifier was built."""
+
+    def __init__(self, cprime, qsets, delta_star, delta_prime, gamma,
+                 thinned):
         self.cprime = cprime            # simple host subgraph
-        self.bundles = bundles          # (level, leaf) -> selected copy count
-        self.qsets = qsets              # host vertex -> list of path keys
+        self.qsets = qsets              # host vertex -> selected entries
         self.delta_star = delta_star
         self.delta_prime = delta_prime
         self.gamma = gamma
@@ -671,21 +677,15 @@ def sparsify(w, delta_star):
     delta_prime = delta_star // (2 * k * d_star)
     if delta_prime < 1:
         raise ValueError("delta_star below 2*k*d*")
-    live = s.live_bundles()
-    for (i, leaf), copies in live.items():
+    for (i, leaf), copies in s.live_bundles().items():
         if copies < delta_prime:
             raise ValueError("bundle (%d,%r) thinner than delta_prime" %
                              (i, leaf))
-    bundles = {key: delta_prime for key in live}
 
     # bipartite selection: host vertex x -> paths through x, grouped by
     # the path's distinguished leaf
-    incident = {v: [] for v in w.host.vertices}
-    for key in sorted(w.emb.paths):
-        for v in set(w.emb.paths[key]):
-            if v in incident:
-                incident[v].append(key)
-    h = {x: [key[1] for key in keys] for x, keys in incident.items()}
+    h = {x: [key[1] for key, _sub in entries]
+         for x, entries in w.path_sets.items()}
     min_deg = min((len(lst) for lst in h.values()), default=0)
     if min_deg < 2 * delta_prime:
         raise ValueError("some host vertex lies on fewer than 2*delta_prime "
@@ -704,21 +704,22 @@ def sparsify(w, delta_star):
     gamma = Fraction(max(_iroot_ceil(len(w.host.vertices) ** 16, k),
                          ceil_frac(8 * gamma_p * rounds)))
     sel_leaves = lower_degrees(h, z, delta_prime, gamma_p, gamma)
-    # convert selected leaf picks back to concrete path keys per vertex
+    # convert selected leaf picks back to index entries per vertex,
+    # first entries of each leaf first
     qsets = {}
     for x, picks in sel_leaves.items():
-        used = set()
-        keys = []
         want = {}
         for y in picks:
             want[y] = want.get(y, 0) + 1
-        for key in incident[x]:
-            if want.get(key[1], 0) > 0 and key not in used:
-                want[key[1]] -= 1
-                used.add(key)
-                keys.append(key)
-        qsets[x] = keys
+        chosen = []
+        for entry in w.path_sets[x]:
+            leaf = entry[0][1]
+            if want.get(leaf, 0) > 0:
+                want[leaf] -= 1
+                chosen.append(entry)
+        qsets[x] = chosen
 
+    thinned = s.thinned(delta_prime)
     cprime = MultiGraph()
     for v in w.host.vertices:
         cprime.add_vertex(v)
@@ -728,16 +729,16 @@ def sparsify(w, delta_star):
             if not cprime.has_edge(a, b):
                 cprime.add_edge(a, b, 1, w.host.lengths.get(_key(a, b)))
 
-    for keys in qsets.values():
-        for key in keys:
+    for entries in qsets.values():
+        for key, _sub in entries:
             add_path(w.emb.paths[key])
-    for (i, leaf), cnt in bundles.items():
+    for (i, leaf), cnt in thinned.live_bundles().items():
         for c in range(cnt):
             add_path(w.emb.paths[(i, leaf, c)])
     if cprime.num_edges() > len(w.host.vertices) * delta_star:
         raise AssertionError("sparsified edge bound violated")
-    return SparsifiedRouter(cprime, bundles, qsets, delta_star, delta_prime,
-                            gamma, s.thinned(delta_prime))
+    return SparsifiedRouter(cprime, qsets, delta_star, delta_prime, gamma,
+                            thinned)
 
 
 def sparsified_route(sp, w, demand):
@@ -746,25 +747,13 @@ def sparsified_route(sp, w, demand):
     8*gamma*(d*)^2*eta**k^(4k+1)."""
     if not is_restricted(demand, Weighting.uniform(sp.delta_star)):
         raise ValueError("demand is not delta_star-restricted")
-    t = sp.thinned.t
-    k = t.k
-    d_star = w.emb.d_star
+    k = sp.thinned.t.k
     path_sets = {}
     for v in demand.support():
-        lst = []
-        for key in sp.qsets[v]:
-            p = w.emb.paths[key]
-            idx = p.index(v)
-            lst.append((key[1], tuple(reversed(p[:idx + 1]))))
-        if len(lst) < sp.delta_prime:
+        if len(sp.qsets[v]) < sp.delta_prime:
             raise ValueError("vertex %r has too few selected paths" % (v,))
-        path_sets[v] = lst[:sp.delta_prime]
-    factor = 4 * sp.gamma * d_star * (k ** (4 * k + 1))
-    # restrict translation to the selected copies
-    sel_paths = {}
-    for (i, leaf), cnt in sp.bundles.items():
-        for c in range(cnt):
-            sel_paths[(i, leaf, c)] = w.emb.paths[(i, leaf, c)]
-    emb_view = Embedding(w.emb.vertex_map, sel_paths)
-    return _proxy_route(sp.thinned, emb_view, path_sets,
-                        sp.delta_prime, demand, factor, sp.bundles)
+        path_sets[v] = sp.qsets[v][:sp.delta_prime]
+    factor = 4 * sp.gamma * w.emb.d_star * (k ** (4 * k + 1))
+    # translation uses only the thinned router's delta_prime copies
+    return _proxy_route(sp.thinned, w.emb, path_sets, sp.delta_prime,
+                        demand, factor)

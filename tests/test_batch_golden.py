@@ -7,6 +7,8 @@ After each batch it records the BatchReport fields, the sorted E^del
 and, for every surviving cluster, its bundles (the surviving embedding
 paths), its C' edges and its phase-start path counts lam.  The cases
 cover cascade charges, dissolved clusters and clusters that are kept.
+The same cases also check every cluster's witness path index against
+its bundles after the build and after every batch.
 """
 
 import hashlib
@@ -90,3 +92,36 @@ def test_batch_fingerprint(shape):
     # the recorded cases must exercise cascades, dissolves and survival
     assert seen["cascade"] > 0 and seen["dissolved"] > 0, seen
     assert seen["kept"] > 0, seen
+
+
+def _check_path_index(rd):
+    """Every cluster's witness index against a count made from its
+    bundles, and every entry against its embedding path."""
+    for wc in rd.clusters:
+        w = wc.witness
+        counts = wc.path_counts()
+        assert set(w.path_sets) == set(w.host.vertices) == set(counts)
+        for v, entries in w.path_sets.items():
+            assert len(entries) == counts[v]
+            keys = [key for key, _sub in entries]
+            assert keys == sorted(set(keys))
+            for key, sub in entries:
+                p = w.emb.paths[key]
+                assert sub[0] == v and v not in sub[1:]
+                assert sub[-1] == wc.vm[key[1]]
+                assert tuple(reversed(sub)) == p[:len(sub)]
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN))
+def test_path_index_matches_path_counts(shape):
+    host = realize(build(*shape))
+    checked = 0
+    for seed in SEEDS:
+        rd = build_decomposition(host.copy(), PipelineConfig(**CFG))
+        _check_path_index(rd)
+        rng = random.Random(seed)
+        for _ in range(3):
+            process_batch(rd, rng.sample(sorted(rd.host.superedges), 2))
+            _check_path_index(rd)
+            checked += len(rd.clusters)
+    assert checked > 0

@@ -79,6 +79,12 @@ def test_route_empty_demand_ok(tmp_path, capsys):
                                 "--demand", str(dm)])
     assert rc == 0
     assert doc["pairs"] == 0
+    # checked under the same names as a non-empty demand; an empty
+    # demand is integral, so integral-flow is reported too
+    assert [a["name"] for a in doc["assertions"]] == [
+        "verify-length", "verify-congestion", "verify-demand",
+        "integral-flow"]
+    assert all(a["ok"] for a in doc["assertions"])
 
 
 def test_route_small_demand(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from routerlab.graph import MultiGraph
 from routerlab.router_template import build, realize
+from routerlab import decompose
 from routerlab.decompose import (PipelineConfig, build_decomposition,
                                  process_batch)
 from routerlab.spanner import extract_spanner, stretch_check
@@ -56,6 +57,27 @@ def test_low_degree_vertices_shed():
     rd = build_decomposition(g, template_cfg())
     assert not rd.check_valid()
     assert "low-degree" in set(rd.report.causes.values())
+
+
+def test_build_rejects_an_uncharged_edge(monkeypatch):
+    """E^del is the set of charged edges, so the build's partition check
+    fails when an edge leaves the working graph without a charge."""
+    g = realize(build(4, 4, 4))
+    rd = build_decomposition(g.copy(), template_cfg())
+    assert rd.report.cause_counts() == {"scatter": len(g.superedges)}
+    real = decompose._take_out
+    uncharged = []
+
+    def take_out(g0, edges, causes=None, tag=None):
+        real(g0, edges, causes, tag)
+        if tag == "scatter" and not uncharged:
+            uncharged.append(edges[0])
+            del causes[edges[0]]
+
+    monkeypatch.setattr(decompose, "_take_out", take_out)
+    with pytest.raises(AssertionError, match="decomposition invalid"):
+        build_decomposition(g, template_cfg())
+    assert uncharged
 
 
 def test_batch_deletion_keeps_validity_and_stretch():

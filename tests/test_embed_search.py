@@ -99,9 +99,7 @@ def _ref_embed_with_map(c, t, vm, d_max, eta_max, fake_budget, seen):
                     load[e] = load.get(e, 0) + 1
     if len(fakes) > fake_budget:
         return None
-    emb = witness.Embedding(vm, paths)
-    emb.stats(c)
-    return emb, fakes
+    return witness.Embedding(vm, paths, c), fakes
 
 
 def _outcome(got):

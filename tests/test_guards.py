@@ -14,7 +14,7 @@ from routerlab.decompose import (PipelineConfig, _WitnessedCluster,
                                  build_decomposition, process_batch)
 from routerlab.graph import Demand, MultiGraph, Routing
 from routerlab.pruning import PruningConfig, new_pruned
-from routerlab.resilience import FaultSet, FdConfig, fd_route
+from routerlab.resilience import FaultSet, fd_route
 from routerlab.router_template import build, realize
 from routerlab.spanner import RouterDecomposition, extract_spanner, lc_embed
 
@@ -162,7 +162,7 @@ def fd_leaf_demand_unrestricted():
         return r
 
     fd_route(oracle, g, FaultSet(g, [(1, 2, 1)]), Demand([(0, 3, 1)]), 1,
-             3, 1, 16, cfg=FdConfig(scale=65))
+             3, 1, 16, scale=65)
 
 
 # the fault-tree leaf count guard in fd_route (len(leaves) == lambda^(i-1))

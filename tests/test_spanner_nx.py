@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from routerlab.graph import MultiGraph
-from routerlab.resilience import FdConfig
 from routerlab.spanner import (RouterDecomposition,
                                connectivity_certificate_check,
                                fd_spanner_check, stretch_check)
@@ -100,7 +99,6 @@ def test_stretch_check_disconnected_subgraph():
 
 
 def test_fd_spanner_check_matches_networkx():
-    cfg = FdConfig(len_const=1)
     seen_violations = seen_cut = 0
     rng = random.Random(99)
     for trial, g, h in _cases():
@@ -109,8 +107,8 @@ def test_fd_spanner_check_matches_networkx():
         d_t = rng.randint(1, 3)
         rd = RouterDecomposition(g, [], set(h.superedges), 16, d_t, 1, 2)
         cap = rng.choice([10 ** 4, max(1, len(edges) // 2)])
-        got = fd_spanner_check(rd, faults, 1, cfg=cfg, exhaustive_cap=cap,
-                               seed=trial)
+        got = fd_spanner_check(rd, faults, 1, len_const=1,
+                               exhaustive_cap=cap, seed=trial)
         bound = d_t
         check = [e for e in edges if e not in set(faults)]
         if len(check) > cap:
