@@ -12,7 +12,7 @@ All power-law thresholds (sizes vs n^(1/k), growth vs N^(1/k^3)) are
 compared exactly on big integers: a <= b^(p/q) iff a^q <= b^p.
 """
 
-from .graph import MultiGraph, ball
+from .graph import MultiGraph, ball, bfs_layers
 
 
 def pow_le(a, b, p, q):
@@ -83,32 +83,26 @@ def eligible_index(c, v, k):
     nh = c.num_vertices()
     d = 4 * k ** 3
     kc = k ** 3
-    seen = {v}
-    frontier = [v]
-    prev_n, prev_e = 1, 0
-    n_i, e_i = 1, 0
-    for i in range(1, d + 1):
-        nxt = []
-        for x in frontier:
-            for y in sorted(g.neighbors(x)):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    # each ball edge is charged when its second endpoint
-                    # enters the ball, so e_i stays exact per layer
-                    e_i += sum(g.multiplicity(y, z)
-                               for z in g.neighbors(y)
-                               if z in seen and z != y)
-        frontier = nxt
+    seen = set()
+    prev_n = prev_e = e_i = 0
+    for i, layer in enumerate(bfs_layers(g, v, d)):
+        for y in layer:
+            seen.add(y)
+            # each ball edge is charged when its second endpoint
+            # enters the ball, so e_i stays exact per layer
+            e_i += sum(g.multiplicity(y, z)
+                       for z in g.neighbors(y) if z in seen)
         n_i = len(seen)
-        if (grow_le(n_i, prev_n, nh, 1, kc)
+        if (i and grow_le(n_i, prev_n, nh, 1, kc)
                 and pow_lt(n_i, nh, k - 1, k)
                 and grow_le(e_i, prev_e, nh, 1, kc)):
             return i
         prev_n, prev_e = n_i, e_i
-        if not frontier:
-            break
-    return LargeBallCert(v, d, len(ball(g, v, d)))
+    if i < d and pow_lt(n_i, nh, k - 1, k):
+        # the component ends before radius d: layer i+1 is empty, so
+        # nothing grows there and it is eligible iff the ball is small
+        return i + 1
+    return LargeBallCert(v, d, len(seen))
 
 
 def _induced(g, verts):
@@ -146,11 +140,11 @@ def process_cluster(c, k, next_id=0):
         res = eligible_index(Cluster(c.id, g), live[0], k)
         if isinstance(res, LargeBallCert):
             break
-        i = res
-        v = live[0]
-        piece_verts = ball(g, v, i)
-        core = set(ball(g, v, i - 1))
-        sub = _induced(g, piece_verts)
+        # the piece is B(v, i) and its core B(v, i-1), also when the
+        # component ends before radius i
+        layers = list(bfs_layers(g, live[0], res))
+        core = set().union(*layers[:res])
+        sub = _induced(g, set().union(*layers))
         pieces.append(Cluster(next_id, sub))
         cores.append(core)
         next_id += 1

@@ -8,6 +8,9 @@ with flow_units to integers in units of 1/L, L the lcm of their
 denominators, and turns a result back into a Fraction only where it
 builds a Demand or Routing.  verify_routing, the independent checker,
 stays on Fraction throughout.
+
+bfs_layers is the one breadth-first search: ball, hop_dist and every
+hop-ball, distance and component search elsewhere run on it.
 """
 
 from fractions import Fraction
@@ -230,23 +233,46 @@ class VerifyReport:
         return self.ok
 
 
-def ball(g, v, d):
-    """Vertices at hop distance at most d from v (multiplicities irrelevant)."""
-    if v not in g.vertices:
-        raise KeyError("unknown vertex %r" % (v,))
-    seen = {v}
-    frontier = [v]
-    for _ in range(d):
+def bfs_layers(g, src, depth=None):
+    """Breadth-first rings around src: [src], then each ring of vertices
+    one hop further, in discovery order, up to depth hops (to the end of
+    src's component when depth is None).  An empty ring ends the search
+    and is not yielded."""
+    seen = {src}
+    layer = [src]
+    hops = 0
+    while layer:
+        yield layer
+        if hops == depth:
+            return
+        hops += 1
         nxt = []
-        for x in frontier:
+        for x in layer:
             for y in g.neighbors(x):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        if not nxt:
+        layer = nxt
+
+
+def hop_dist(g, src, targets=None):
+    """Hop distances from src over its component.  Given targets, the
+    search stops at the first ring by which every target has one."""
+    dist = {}
+    want = set(targets) if targets is not None else None
+    for hops, layer in enumerate(bfs_layers(g, src)):
+        for v in layer:
+            dist[v] = hops
+        if want is not None and want <= dist.keys():
             break
-        frontier = nxt
-    return seen
+    return dist
+
+
+def ball(g, v, d):
+    """Vertices at hop distance at most d from v (multiplicities irrelevant)."""
+    if v not in g.vertices:
+        raise KeyError("unknown vertex %r" % (v,))
+    return set().union(*bfs_layers(g, v, d))
 
 
 def is_restricted(d, w):

@@ -10,7 +10,7 @@ verified routing realizes must never be called infeasible.
 
 from fractions import Fraction
 
-from .graph import Demand, _key
+from .graph import Demand, _key, hop_dist
 
 
 class CapExceeded(ValueError):
@@ -21,20 +21,7 @@ def dist_matrix(g, cap=4000):
     """All-pairs hop distances by BFS from every vertex."""
     if len(g.vertices) > cap:
         raise CapExceeded("vertex cap exceeded")
-    out = {}
-    for s in sorted(g.vertices):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        out[s] = dist
-    return out
+    return {s: hop_dist(g, s) for s in sorted(g.vertices)}
 
 
 def enum_paths(g, u, v, d, cap=200000):

@@ -30,6 +30,7 @@ value is computed once per membership change.
 """
 
 import heapq
+import math
 from fractions import Fraction
 
 from .graph import MultiGraph
@@ -163,7 +164,6 @@ class PrunedRouter:
             "deleted": 0,                # |E'_tau|: adversary copies taken from W
             "edges_deleted_from_w": 0,   # includes bulk bundle retirements
             "removed": {i: 0 for i in range(1, k + 1)},
-            "removed_u1": 0,
             "R": {i: 0 for i in range(1, k + 1)},
             "Rp": {i: 0 for i in range(1, k + 1)},
             "Rpp": {i: 0 for i in range(1, k + 1)},
@@ -203,7 +203,7 @@ class PrunedRouter:
         return {
             "deleted": st["deleted"],
             "deleted_from_u_k": st["removed"][self.t.k],
-            "deleted_from_u_1": st["removed_u1"],
+            "deleted_from_u_1": st["removed"][1],
             "edges_deleted_from_w": st["edges_deleted_from_w"],
             "removed": dict(st["removed"]),
             "R": dict(st["R"]),
@@ -244,13 +244,10 @@ class PrunedRouter:
         self._seq += 1
         heapq.heappush(heap, (i, 1, self._seq, v, tag))
 
-    def _push2(self, heap, i, s):
+    def _push(self, heap, i, typ, obj):
+        """Queue a star (typ 2) or child cluster (typ 3) of level i."""
         self._seq += 1
-        heapq.heappush(heap, (i, 2, self._seq, s, None))
-
-    def _push3(self, heap, i, c):
-        self._seq += 1
-        heapq.heappush(heap, (i, 3, self._seq, c, None))
+        heapq.heappush(heap, (i, typ, self._seq, obj, None))
 
     def _remove_bundle(self, i, leaf, touched):
         if self.in_w.get((i, leaf)):
@@ -272,8 +269,6 @@ class PrunedRouter:
     def _record_removal(self, i, v, tag, rpt):
         st = self.phase_log[self.tau]
         st["removed"][i] += 1
-        if i == 1:
-            st["removed_u1"] += 1
         bucket = {DIRECT: "R", INDIRECT: "Rp", CASCADE: "Rpp"}[tag]
         st[bucket][i] += 1
         rpt.removed.setdefault(i, []).append((v, tag))
@@ -298,11 +293,11 @@ class PrunedRouter:
                 s = t.star_id(i, v)
                 if (i, s) not in self.star_destroyed:
                     if v == t.star_center(i, s):
-                        self._push2(heap, i, s)
+                        self._push(heap, i, 2, s)
                     else:
                         self.n_star[(i, s)] = self.n_star.get((i, s), 0) + 1
                         if self.n_star[(i, s)] > cfg.star_budget_frac * N:
-                            self._push2(heap, i, s)
+                            self._push(heap, i, 2, s)
                 if i > 1:
                     cl = (i - 1, t.cluster_id(i - 1, v))
                     if cl not in self.cluster_destroyed:
@@ -311,7 +306,7 @@ class PrunedRouter:
                         self.n2[cl] = self.n2.get(cl, 0) + 1
                         left = N ** (i - 1) - self.n2[cl]
                         if left < cfg.cluster_survival_frac * self.hn[cl]:
-                            self._push3(heap, i, cl[1])
+                            self._push(heap, i, 3, cl[1])
             elif typ == 2:
                 s = obj
                 if (i, s) in self.star_destroyed:
@@ -408,8 +403,7 @@ class PrunedRouter:
         t, cfg = self.t, self.cfg
         N, k, delta = t.N, t.k, t.delta
         viol = []
-        floor = -(-(cfg.min_bundle_frac * delta).numerator
-                  // (cfg.min_bundle_frac * delta).denominator)
+        floor = math.ceil(cfg.min_bundle_frac * delta)
         for v in t.vertices():
             if not self._is_prefix(self.mask[v]):
                 viol.append(("prefix", v))

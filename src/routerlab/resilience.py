@@ -14,6 +14,7 @@ lambda large enough the process must finish within 10k rounds.
 
 from fractions import Fraction
 import itertools
+import math
 import random
 
 from .graph import Demand, Routing, _key, flow_units
@@ -210,7 +211,7 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
     # integralize: m_ab unit pairs per demand pair
     units = {}
     for (a, b), val in sorted(demand.values.items()):
-        m = -((-val * scale).numerator // (val * scale).denominator)
+        m = math.ceil(val * scale)
         units[(a, b)] = m
     d_int = Demand()
     for pair, m in units.items():

@@ -55,11 +55,6 @@ def _star_path(a, target, center):
     return (a, center, target)
 
 
-def _members_by_child(t, i, star):
-    """Star member in each child (level i-1) cluster, keyed by cluster id."""
-    return {t.cluster_id(i - 1, m): m for m in t.star_members(i, star)}
-
-
 def _route_entries(s, i, entries, r0):
     """Route keyed demand entries (a, b, units, key), all inside one
     level-i cluster, on edges of level <= i.  One path per entry.
@@ -82,35 +77,26 @@ def _route_entries(s, i, entries, r0):
     r_prev = r0.numerator // (r0.denominator * 32 ** (i - 1))
     sub = {}            # child cluster id -> entries
     partial = {}        # key -> (source side walk, target side walk)
-    member_cache = {}
     for a, b, val, key in entries:
         sa, sb = t.star_id(i, a), t.star_id(i, b)
         if sa == sb:
             center = t.star_center(i, sa)
             out[key] = _star_path(a, b, center)
             continue
-        if sa not in member_cache:
-            member_cache[sa] = _members_by_child(t, i, sa)
-        if sb not in member_cache:
-            member_cache[sb] = _members_by_child(t, i, sb)
         ca, cb = t.star_center(i, sa), t.star_center(i, sb)
-        chosen = None
-        for child in sorted(member_cache[sa]):
-            if child not in member_cache[sb]:
-                continue
-            a_c = member_cache[sa][child]
-            b_c = member_cache[sb][child]
+        # the j-th member of a level-i star lies in the cluster's j-th
+        # child, so candidates pair up by position, in child order
+        for a_c, b_c in zip(t.star_members(i, sa), t.star_members(i, sb)):
             if a_c == ca or b_c == cb:
                 continue                       # proxies must be leaves of their stars
             if not (s.in_u(a_c, i) and s.in_u(b_c, i)):
                 continue
             if (loads.get(a_c, 0) + val <= r_prev
                     and loads.get(b_c, 0) + val <= r_prev):
-                chosen = (child, a_c, b_c)
                 break
-        if chosen is None:
+        else:
             raise RoutingError("admissibility violated for pair %r" % (key,))
-        child, a_c, b_c = chosen
+        child = t.cluster_id(i - 1, a_c)
         loads[a_c] = loads.get(a_c, 0) + val
         loads[b_c] = loads.get(b_c, 0) + val
         partial[key] = (_star_path(a, a_c, ca), _star_path(b, b_c, cb))

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .graph import MultiGraph, Demand, _key
+from .graph import MultiGraph, Demand, _key, hop_dist
 from .resilience import integral_round
 from .witness import validate_witness, sparsified_route
 
@@ -84,23 +84,6 @@ def extract_spanner(rd):
     return h
 
 
-def _bfs_dist_from(g, src, targets=None):
-    dist = {src: 0}
-    frontier = [src]
-    want = set(targets) if targets is not None else None
-    while frontier:
-        if want is not None and want <= dist.keys():
-            break
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
 def _weighted_dist_from(g, src, targets=None):
     """Integer length distances from src, as far as targets needs."""
     dist = {src: 0}
@@ -143,7 +126,7 @@ def stretch_check(g, h, weighted=False):
     pair = None
     for u, vs in _partners(g.superedges).items():
         dist = (_weighted_dist_from(h, u, vs) if weighted
-                else _bfs_dist_from(h, u, vs))
+                else hop_dist(h, u, vs))
         for v in vs:
             dh = dist.get(v)
             if dh is None:
@@ -231,7 +214,7 @@ def fd_spanner_check(rd, faults, k, len_const=32, exhaustive_cap=10 ** 4,
     bound = len_const * k * rd.d_t
     fe = _fault_edges(faults)
     hprime = extract_spanner(rd)
-    hf = hprime.without_edges(e for e in fe if hprime.has_edge(*e))
+    hf = hprime.without_edges(fe)
     check = [e for e in sorted(rd.host.superedges) if e not in fe]
     if len(check) > exhaustive_cap:
         rng = random.Random(seed)
@@ -240,7 +223,7 @@ def fd_spanner_check(rd, faults, k, len_const=32, exhaustive_cap=10 ** 4,
     worst_pair = None
     violations = []
     for u, vs in _partners(check).items():
-        dist = _bfs_dist_from(hf, u, vs)
+        dist = hop_dist(hf, u, vs)
         for v in vs:
             dh = dist.get(v)
             if dh is None or dh > bound:
@@ -253,23 +236,15 @@ def fd_spanner_check(rd, faults, k, len_const=32, exhaustive_cap=10 ** 4,
             "ok": not violations}
 
 
-def _components(g, removed):
+def _components(g):
+    """Component id of every vertex, ids numbered in order of each
+    component's least vertex."""
     comp = {}
     cid = 0
     for v in sorted(g.vertices):
-        if v in comp:
-            continue
-        comp[v] = cid
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in g.neighbors(x):
-                    if y not in comp and _key(x, y) not in removed:
-                        comp[y] = cid
-                        nxt.append(y)
-            frontier = nxt
-        cid += 1
+        if v not in comp:
+            comp.update(dict.fromkeys(hop_dist(g, v), cid))
+            cid += 1
     return comp
 
 
@@ -277,8 +252,8 @@ def connectivity_certificate_check(g, h, faults):
     """True iff g and h, both minus the faults, have the same connected
     components on V(g)."""
     fe = _fault_edges(faults)
-    cg = _components(g, fe)
-    ch = _components(h, fe)
+    cg = _components(g.without_edges(fe))
+    ch = _components(h.without_edges(fe))
     for v in g.vertices:
         if v not in ch:
             return False

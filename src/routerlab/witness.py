@@ -20,13 +20,8 @@ import math
 from fractions import Fraction
 
 from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
-                    flow_units, is_restricted)
+                    bfs_layers, flow_units, is_restricted)
 from .routing import route_demand
-
-
-def ceil_frac(x):
-    x = Fraction(x)
-    return -(-x.numerator // x.denominator)
 
 
 class Embedding:
@@ -100,7 +95,7 @@ class RouterWitness:
 
     @property
     def q(self):
-        return ceil_frac(Fraction(self.pruned.t.delta) / self.beta)
+        return math.ceil(Fraction(self.pruned.t.delta) / self.beta)
 
 
 class WitnessReport:
@@ -428,30 +423,21 @@ def scattered_or_ball(g, d, eps):
         if not live_u or not big(len(gp.vertices)):
             return ScatteredCert(d, eps, n)
         u = live_u[0]
-        # BFS once; dist labels drive the layer edge counts
-        dist = {u: 0}
-        frontier = [u]
-        r = 0
-        edge_at = {}         # radius -> cumulative edge count
+        # one search; edge_at[r] counts the edges from ring r back into
+        # B(u, r), cumulated over r (an edge inside ring r counts twice)
+        dist = {}
+        edge_at = []
         cum = 0
-        while frontier:
-            for x in frontier:
+        for r, layer in enumerate(bfs_layers(gp, u)):
+            dist.update(dict.fromkeys(layer, r))
+            for x in layer:
                 cum += sum(gp.multiplicity(x, y) for y in gp.neighbors(x)
-                           if dist.get(y, r + 1) <= r)
-            edge_at[r] = cum
-            nxt = []
-            for x in frontier:
-                for y in sorted(gp.neighbors(x)):
-                    if y not in dist:
-                        dist[y] = r + 1
-                        nxt.append(y)
-            frontier = nxt
-            r += 1
-        max_r = r - 1
+                           if y in dist)
+            edge_at.append(cum)
 
         def e_j(j):
             # edges inside B(u, 2(j+1)d)
-            return edge_at[min(2 * (j + 1) * d, max_r)]
+            return edge_at[min(2 * (j + 1) * d, len(edge_at) - 1)]
 
         j = 1
         while e_j(j + 1) ** q > (m ** p) * (e_j(j) ** q):
@@ -501,10 +487,10 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     if r <= 4 * gamma_p:
         raise ValueError("r_hat too small: r_hat/ceil(log|X|) must exceed "
                          "4*gamma'")
-    dh = ceil_frac(delta_hat)
+    dh = math.ceil(delta_hat)
     # counts are integers: n >= (r-1)*dh iff n >= ceil((r-1)*dh), and
     # len >= delta_hat iff len >= dh
-    limit = ceil_frac((r - 1) * dh)
+    limit = math.ceil((r - 1) * dh)
     out = {}
     remaining = list(xs)
     guard = 0
@@ -696,13 +682,13 @@ def sparsify(w, delta_star):
         for y in lst:
             ydeg[y] = ydeg.get(y, 0) + 1
     gamma_p = max(Fraction(1),
-                  Fraction(ceil_frac(Fraction(max(ydeg.values())) /
+                  Fraction(math.ceil(Fraction(max(ydeg.values())) /
                                      (z * delta_prime))))
     n_x = len(h)
     rounds = max(1, (n_x - 1).bit_length()) if n_x > 1 else 1
     # gamma/rounds >= 8*gamma' clears lower_degrees' need of 4*gamma'
     gamma = Fraction(max(_iroot_ceil(len(w.host.vertices) ** 16, k),
-                         ceil_frac(8 * gamma_p * rounds)))
+                         math.ceil(8 * gamma_p * rounds)))
     sel_leaves = lower_degrees(h, z, delta_prime, gamma_p, gamma)
     # convert selected leaf picks back to index entries per vertex,
     # first entries of each leaf first

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from routerlab.graph import (MultiGraph, Demand, Routing, Weighting, _key,
-                             ball, is_restricted, verify_routing)
+                             ball, bfs_layers, hop_dist, is_restricted,
+                             verify_routing)
+from routerlab.oracle import dist_matrix
 
 
 def triangle():
@@ -74,6 +77,44 @@ def test_ball():
     assert ball(g, 0, 0) == {0}
     assert ball(g, 0, 2) == {0, 1, 2}
     assert ball(g, 2, 10) == set(range(5))
+
+
+def test_bfs_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(25):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 40)
+        g = MultiGraph()
+        for v in range(n):
+            g.add_vertex(3 * v)
+        for _ in range(rng.randrange(2 * n)):
+            a, b = rng.sample(sorted(g.vertices), 2)
+            g.add_edge(a, b, rng.randrange(1, 3))
+        ng = nx.Graph()
+        ng.add_nodes_from(g.vertices)
+        ng.add_edges_from(g.superedges)
+        want_all = dict(nx.all_pairs_shortest_path_length(ng))
+        assert dist_matrix(g) == want_all
+        for src in sorted(g.vertices):
+            want = want_all[src]
+            layers = list(bfs_layers(g, src))
+            assert layers[0] == [src] and all(layers)
+            got = {v: hops for hops, layer in enumerate(layers)
+                   for v in layer}
+            assert sum(map(len, layers)) == len(got) and got == want
+            assert hop_dist(g, src) == want
+            for depth in range(4):
+                assert list(bfs_layers(g, src, depth)) == layers[:depth + 1]
+                assert ball(g, src, depth) == {
+                    v for v, hops in want.items() if hops <= depth}
+            targets = rng.sample(sorted(g.vertices), min(3, n))
+            dist = hop_dist(g, src, targets)
+            assert all(dist.get(t) == want.get(t) for t in targets)
+            if all(t in want for t in targets):
+                # the search ends with the ring of the farthest target
+                assert max(dist.values()) == max(want[t] for t in targets)
+            else:
+                assert dist == want
 
 
 def test_verify_routing_ok_and_violations():
