@@ -246,8 +246,7 @@ def cmd_build_router(args):
     t = build(args.N, args.k, args.delta, strict=args.strict)
     nv = t.num_vertices()
     centers = sum(1 for v in t.vertices() if t.is_center(v))
-    edges = sum(1 for i in range(1, t.k + 1)
-                for _ in t.superedges(i)) * t.delta
+    edges = t.num_edges()
     rep.check("num-vertices", args.N ** args.k, nv, nv == args.N ** args.k)
     rep.check("center-degree", (args.N - 1) * args.delta * args.k,
               t.center_degree(),

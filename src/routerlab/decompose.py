@@ -285,8 +285,7 @@ def _try_witness(cid, cfg, sub):
     t = build(n_c, cfg.k_hat, cfg.delta)
     if t.num_vertices() > nv:
         return None
-    total = sum(1 for i in range(1, t.k + 1)
-                for _ in t.superedges(i)) * t.delta
+    total = t.num_edges()
     budget = int(FAKE_BUDGET_FRAC * total)
     got = greedy_embed(sub, t, cfg.d_cap, ETA_CAP, budget)
     if got is None:

@@ -135,6 +135,8 @@ class PrunedRouter:
             raise ValueError("star keep fraction unattainable: a fresh star "
                              "has N-1 leaves, need N*(1-star_keep_frac) >= 1")
         self.full_mask = ((1 << k) - 1) << 1        # bits 1..k
+        # the masks of U-prefixes: bits 1..l for l = 0..k
+        self._prefixes = frozenset(((1 << l) - 1) << 1 for l in range(k + 1))
         self.mask = {v: self.full_mask for v in template.vertices()}
         self.rem = {}
         self.in_w = {}
@@ -175,9 +177,6 @@ class PrunedRouter:
 
     def u_set(self, i):
         return {v for v in self.t.vertices() if self.in_u(v, i)}
-
-    def members_in_u(self, level, star):
-        return [m for m in self.t.star_members(level, star) if self.in_u(m, level)]
 
     def memo(self, name, compute):
         """compute(self), stored under name until the next membership
@@ -337,10 +336,7 @@ class PrunedRouter:
                 raise AssertionError("non-prefix mask after drain")
 
     def _is_prefix(self, m):
-        l = 0
-        while m & (1 << (l + 1)):
-            l += 1
-        return m == (((1 << l) - 1) << 1)
+        return m in self._prefixes
 
     def _has_w_edge(self, v):
         for i in range(1, self.t.k + 1):
@@ -400,43 +396,58 @@ class PrunedRouter:
     # -- checkers ---------------------------------------------------------
 
     def is_properly_pruned(self):
+        """One full scan of (P0) prefix membership, (P1) bundles, (P2)
+        stars, (P3) isolated vertices and (P4) clusters, over the
+        template's tables.  Each keep fraction f is compared as
+        count < ceil(f * size), which for an integer count is
+        count < f * size."""
         t, cfg = self.t, self.cfg
-        N, k, delta = t.N, t.k, t.delta
+        N, k = t.N, t.k
+        tab = t.tables
+        mask, in_w, rem = self.mask, self.in_w, self.rem
+        masks = [mask[v] for v in t.vertices()]
         viol = []
-        floor = math.ceil(cfg.min_bundle_frac * delta)
-        for v in t.vertices():
-            if not self._is_prefix(self.mask[v]):
+        prefixes = self._prefixes
+        for v, m in enumerate(masks):
+            if m not in prefixes:
                 viol.append(("prefix", v))
+        bundle_floor = math.ceil(cfg.min_bundle_frac * t.delta)
+        star_floor = math.ceil(cfg.star_keep_frac * N)
         for i in range(1, k + 1):
-            for (leaf, _c) in t.superedges(i):
-                if self.in_u(leaf, i):
-                    if not self.in_w.get((i, leaf)):
+            bit = 1 << i
+            for leaf in tab.leaves:
+                key = (i, leaf)
+                if masks[leaf] & bit:
+                    if not in_w.get(key):
                         viol.append(("P1-missing-bundle", i, leaf))
-                    elif self.rem[(i, leaf)] < floor:
-                        viol.append(("P1-thin-bundle", i, leaf, self.rem[(i, leaf)]))
-                elif self.in_w.get((i, leaf)):
+                    elif rem[key] < bundle_floor:
+                        viol.append(("P1-thin-bundle", i, leaf, rem[key]))
+                elif in_w.get(key):
                     viol.append(("P1-stale-bundle", i, leaf))
-            for s in range(t.num_stars(i)):
-                center = t.star_center(i, s)
-                leaves = sum(1 for m in t.star_members(i, s)
-                             if m != center and self.in_u(m, i))
-                if self.in_u(center, i):
-                    if leaves < cfg.star_keep_frac * N:
+            lv = tab.levels[i]
+            for s, (center, members) in enumerate(zip(lv.star_center,
+                                                      lv.star_members)):
+                alive = sum(1 for m in members if masks[m] & bit)
+                if masks[center] & bit:
+                    leaves = alive - 1
+                    if leaves < star_floor:
                         viol.append(("P2-thin-star", i, s, leaves))
-                elif leaves:
-                    viol.append(("P2-dead-center", i, s, leaves))
-                if (i, s) in self.star_destroyed and self.members_in_u(i, s):
+                elif alive:                     # all of them leaves
+                    viol.append(("P2-dead-center", i, s, alive))
+                if alive and (i, s) in self.star_destroyed:
                     viol.append(("P2-destroyed-mark", i, s))
-        for v in t.vertices():
-            if self.in_u(v, 1) and not self._has_w_edge(v):
+        for v, m in enumerate(masks):
+            if m & 2 and not self._has_w_edge(v):
                 viol.append(("P3-isolated", v))
         for i in range(1, k):
+            bit = 1 << (i + 1)
             size = N ** i
+            cluster_floor = math.ceil(cfg.cluster_keep_frac * size)
             for c in range(N ** (k - i)):
-                vs = t.cluster_vertices(i, c)
-                if any(self.in_u(x, 1) for x in vs):
-                    alive = sum(1 for x in vs if self.in_u(x, i + 1))
-                    if alive < cfg.cluster_keep_frac * size:
+                ms = masks[c * size:(c + 1) * size]
+                if any(m & 2 for m in ms):
+                    alive = sum(1 for m in ms if m & bit)
+                    if alive < cluster_floor:
                         viol.append(("P4-thin-cluster", i, c, alive))
         return CheckReport(viol)
 

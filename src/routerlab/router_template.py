@@ -17,9 +17,96 @@ We fix: inside a level-i group, block j's ordering places its centers
 I_j = [j*N^(i-2), (j+1)*N^(i-2)), and its leaves in ascending order on
 the remaining positions.  The star at position z then has exactly one
 center member, taken from block z // N^(i-2).
+
+That arithmetic (_ordering, its inverse _position, and _star_id and
+_star_members on top of them) runs once per (N, k): _tables turns it
+into lookup tables, shared by every template with those N and k
+whatever its Delta.  Per level they hold the star id and the level
+center of every vertex, and the center and the member tuple of every
+star; one leaf tuple serves all levels.  star_id, star_center,
+star_members, level_center, superedges and superedge_level read the
+tables, and the pruning checker scans them directly.  They store no
+superedge tuples and no pair index: superedges() yields its pairs on
+the fly, and superedge_level tries the k level-center columns.
 """
 
+import functools
+from collections import namedtuple
+
 from .graph import MultiGraph
+
+
+def _ordering(N, level, j, p):
+    """Vertex (local to a level-(level-1) block) at position p of block j."""
+    B = N ** (level - 2)           # size of the center block I_j
+    if j * B <= p < (j + 1) * B:
+        return N * (p - j * B)     # p-th center, ascending
+    l = p if p < j * B else p - B  # leaf rank among ascending leaf locals
+    q, s = divmod(l, N - 1)
+    return q * N + s + 1
+
+
+def _position(N, level, j, y):
+    """Inverse of _ordering: position of block-local vertex y in block j."""
+    B = N ** (level - 2)
+    if y % N == 0:
+        return j * B + y // N
+    l = (y // N) * (N - 1) + (y % N) - 1
+    return l if l < j * B else l + B
+
+
+def _star_id(N, level, v):
+    """The level-`level` star containing v."""
+    if level == 1:
+        return v // N
+    M = N ** (level - 1)
+    c, x = divmod(v, N * M)
+    j, y = divmod(x, M)
+    return c * M + _position(N, level, j, y)
+
+
+def _star_members(N, level, s):
+    """The star's members, the one from child block j at index j, and
+    the index of its center among them."""
+    if level == 1:
+        return range(s * N, (s + 1) * N), 0
+    M = N ** (level - 1)
+    c, p = divmod(s, M)
+    base = c * N * M
+    members = [base + j * M + _ordering(N, level, j, p) for j in range(N)]
+    return members, p // N ** (level - 2)
+
+
+# One level's structure: star id and level center per vertex, center
+# and member tuple per star.
+LevelTables = namedtuple("LevelTables",
+                         "star_id level_center star_center star_members")
+
+# levels[i] for i in 1..k (levels[0] is None); leaves ascending.
+Tables = namedtuple("Tables", "leaves levels")
+
+
+@functools.cache
+def _tables(N, k):
+    """The lookup tables of build(N, k, .), built once per (N, k) and
+    shared, so every table is a tuple.  Each entry is one of the int
+    objects of `ids`, so the tables cost one pointer per entry."""
+    ids = tuple(range(N ** k))
+    levels = [None]
+    for level in range(1, k + 1):
+        star_id = tuple(ids[_star_id(N, level, v)] for v in ids)
+        star_members = []
+        star_center = []
+        for s in range(N ** (k - 1)):
+            members, center = _star_members(N, level, s)
+            members = tuple(ids[m] for m in members)
+            star_members.append(members)
+            star_center.append(members[center])
+        levels.append(LevelTables(
+            star_id, tuple(star_center[s] for s in star_id),
+            tuple(star_center), tuple(star_members)))
+    return Tables(tuple(v for v in ids if v % N), tuple(levels))
+
 
 class RouterTemplate:
     def __init__(self, N, k, delta):
@@ -27,8 +114,23 @@ class RouterTemplate:
         self.k = k
         self.delta = delta
 
+    @functools.cached_property
+    def tables(self):
+        """_tables(N, k), looked up on first use."""
+        return _tables(self.N, self.k)
+
+    def _level(self, level):
+        if not 1 <= level <= self.k:
+            raise ValueError("star level out of range")
+        return self.tables.levels[level]
+
     def num_vertices(self):
         return self.N ** self.k
+
+    def num_edges(self):
+        """Edge copies: k levels of N^k - N^(k-1) bundles of Delta."""
+        N, k = self.N, self.k
+        return k * (N ** k - N ** (k - 1)) * self.delta
 
     def vertices(self):
         return range(self.N ** self.k)
@@ -49,70 +151,35 @@ class RouterTemplate:
     def num_stars(self, level):
         return self.N ** (self.k - 1)
 
-    def _ordering(self, level, j, p):
-        """Vertex (local to a level-(level-1) block) at position p of block j."""
-        N = self.N
-        B = N ** (level - 2)           # size of the center block I_j
-        if j * B <= p < (j + 1) * B:
-            return N * (p - j * B)     # p-th center, ascending
-        l = p if p < j * B else p - B  # leaf rank among ascending leaf locals
-        q, s = divmod(l, N - 1)
-        return q * N + s + 1
-
-    def _position(self, level, j, y):
-        """Inverse of _ordering: position of block-local vertex y in block j."""
-        N = self.N
-        B = N ** (level - 2)
-        if y % N == 0:
-            return j * B + y // N
-        l = (y // N) * (N - 1) + (y % N) - 1
-        return l if l < j * B else l + B
-
     def star_id(self, level, v):
         """Global id of the level-`level` star containing v."""
-        N = self.N
-        if not 1 <= level <= self.k:
-            raise ValueError("star level out of range")
-        if level == 1:
-            return v // N
-        M = N ** (level - 1)
-        c, x = divmod(v, N ** level)
-        j, y = divmod(x, M)
-        return c * M + self._position(level, j, y)
+        return self._level(level).star_id[v]
 
     def star_members(self, level, s):
-        N = self.N
-        if level == 1:
-            return [s * N + t for t in range(N)]
-        M = N ** (level - 1)
-        c, p = divmod(s, M)
-        base = c * (N ** level)
-        return [base + j * M + self._ordering(level, j, p) for j in range(N)]
+        """The star's members, the one from child block j at index j."""
+        return self._level(level).star_members[s]
 
     def star_center(self, level, s):
-        N = self.N
-        if level == 1:
-            return s * N
-        M = N ** (level - 1)
-        c, p = divmod(s, M)
-        B = N ** (level - 2)
-        j = p // B
-        return c * (N ** level) + j * M + N * (p - j * B)
+        return self._level(level).star_center[s]
 
     def level_center(self, level, v):
         """Center of v's level-`level` star (v itself when v is that center)."""
-        return self.star_center(level, self.star_id(level, v))
+        return self._level(level).level_center[v]
 
     def superedges(self, level):
         """All (leaf, center) bundles of one level, ascending by leaf id."""
-        for v in self.vertices():
-            if not self.is_center(v):
-                yield (v, self.level_center(level, v))
+        lc = self._level(level).level_center
+        return ((v, lc[v]) for v in self.tables.leaves)
 
     def superedge_level(self, u, v):
-        """The unique level at which (u,v) is a bundle, or None."""
+        """The unique level at which (u,v) is a bundle, or None (also
+        for ids outside [0, N^k) and for u == v)."""
+        n = self.N ** self.k
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return None
         for level in range(1, self.k + 1):
-            if self.level_center(level, u) == v or self.level_center(level, v) == u:
+            lc = self.tables.levels[level].level_center
+            if lc[u] == v or lc[v] == u:
                 return level
         return None
 

@@ -68,6 +68,20 @@ def test_prune_with_trace(tmp_path, capsys):
     assert all(a["ok"] for a in doc["assertions"])
 
 
+@pytest.mark.parametrize("u,v", [(-1, 0), (1000, 0), (-1, 12), (0, 0)])
+def test_prune_rejects_non_bundles(tmp_path, capsys, u, v):
+    """Ids outside the template and a center paired with itself."""
+    man = tmp_path / "router.json"
+    assert main(["build-router", "--N", "4", "--k", "2", "--delta", "8",
+                 "--out", str(man)]) == 0
+    capsys.readouterr()
+    tr = tmp_path / "trace.txt"
+    tr.write_text("DEL %d %d\n" % (u, v))
+    assert main(["prune", "--template", str(man), "--trace", str(tr)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: (%d,%d) is not a bundle\n" % (u, v)
+
+
 def test_route_empty_demand_ok(tmp_path, capsys):
     man = tmp_path / "router.json"
     main(["build-router", "--N", "4", "--k", "2", "--delta", "3",

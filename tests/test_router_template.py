@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routerlab.router_template import build, realize
+from routerlab.router_template import _ordering, _position, build, realize
 
 
 def test_w2_4_3_structure():
@@ -84,3 +86,101 @@ def test_star_membership_consistent(N, k):
             assert center in members
             for m in members:
                 assert t.star_id(i, m) == s
+
+
+# -- tables against the closed forms ---------------------------------------
+
+TABLE_SHAPES = [(N, k) for N in range(2, 6) for k in range(1, 5)
+                if N ** k <= 1024] + [(3, 5), (3, 6)]
+
+
+def _ref_star_id(N, level, v):
+    if level == 1:
+        return v // N
+    M = N ** (level - 1)
+    c, x = divmod(v, N ** level)
+    j, y = divmod(x, M)
+    return c * M + _position(N, level, j, y)
+
+
+def _ref_star_members(N, level, s):
+    if level == 1:
+        return tuple(s * N + t for t in range(N))
+    M = N ** (level - 1)
+    c, p = divmod(s, M)
+    base = c * N ** level
+    return tuple(base + j * M + _ordering(N, level, j, p) for j in range(N))
+
+
+def _ref_star_center(N, level, s):
+    if level == 1:
+        return s * N
+    M = N ** (level - 1)
+    B = N ** (level - 2)
+    c, p = divmod(s, M)
+    j = p // B
+    return c * N ** level + j * M + N * (p - j * B)
+
+
+def _ref_level_center(N, level, v):
+    return _ref_star_center(N, level, _ref_star_id(N, level, v))
+
+
+@pytest.mark.parametrize("N,k", TABLE_SHAPES)
+def test_tables_match_closed_forms(N, k):
+    t = build(N, k, 3)
+    n = N ** k
+    rng = random.Random(N * 10 + k)
+    for i in range(1, k + 1):
+        assert [t.star_id(i, v) for v in range(n)] == \
+            [_ref_star_id(N, i, v) for v in range(n)]
+        assert [t.level_center(i, v) for v in range(n)] == \
+            [_ref_level_center(N, i, v) for v in range(n)]
+        for s in range(t.num_stars(i)):
+            assert t.star_members(i, s) == _ref_star_members(N, i, s)
+            assert t.star_center(i, s) == _ref_star_center(N, i, s)
+        assert list(t.superedges(i)) == \
+            [(v, _ref_level_center(N, i, v)) for v in range(n) if v % N]
+    for u in range(n):
+        others = {_ref_level_center(N, i, u) for i in range(1, k + 1)}
+        others |= {rng.randrange(n) for _ in range(4)}
+        for v in others - {u}:
+            want = next((i for i in range(1, k + 1)
+                         if _ref_level_center(N, i, u) == v
+                         or _ref_level_center(N, i, v) == u), None)
+            assert t.superedge_level(u, v) == want
+            assert t.superedge_level(v, u) == want
+    for u, v in ((-1, 0), (0, -1), (n, 0), (0, n), (-1, N), (1000, 0)):
+        assert t.superedge_level(u, v) is None
+    assert all(t.superedge_level(v, v) is None for v in range(n))
+
+
+@pytest.mark.parametrize("N,k", TABLE_SHAPES)
+def test_position_inverts_ordering(N, k):
+    for level in range(2, k + 1):
+        M = N ** (level - 1)
+        for j in range(N):
+            order = [_ordering(N, level, j, p) for p in range(M)]
+            assert sorted(order) == list(range(M))
+            assert [_position(N, level, j, y) for y in order] == \
+                list(range(M))
+
+
+@pytest.mark.parametrize("N,k", [(3, 2), (4, 3)])
+def test_bad_level_raises(N, k):
+    t = build(N, k, 2)
+    for level in (0, -1, k + 1):
+        for call in (lambda: t.star_id(level, 0),
+                     lambda: t.star_members(level, 0),
+                     lambda: t.star_center(level, 0),
+                     lambda: t.level_center(level, 0),
+                     lambda: t.superedges(level)):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_num_edges_counts_superedges():
+    for N, k in TABLE_SHAPES:
+        t = build(N, k, 3)
+        edges = sum(1 for i in range(1, k + 1) for _ in t.superedges(i))
+        assert t.num_edges() == edges * 3
