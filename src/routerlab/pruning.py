@@ -13,7 +13,10 @@ affected object is retired through a worklist with three entry kinds:
                   cluster is flushed out of U_1..U_{i-1} and destroyed.
 
 Entries are processed lowest level first, ties broken 1 < 2 < 3.  All
-budget comparisons are exact rationals and strict ("exceeds").
+budget comparisons are exact and strict ("exceeds") and run on ints:
+for an integer count n, n > f*x iff n > floor(f*x), and n < f*x iff
+n < ceil(f*x).  The edge and star budgets are computed once per router;
+the cluster survival threshold ceil(f*hn) when a count is compared.
 
 Mid-drain the membership of a vertex need not be a prefix of levels (a
 type-3 flush can clear low levels while an escalation entry for a high
@@ -30,11 +33,22 @@ value is computed once per membership change.
 """
 
 import heapq
-import math
+import itertools
+import operator
 from fractions import Fraction
 
 from .graph import MultiGraph
 from .router_template import build
+
+
+def _floor_mul(f, x):
+    """floor(f * x) for a Fraction f and an int x, in ints."""
+    return f.numerator * x // f.denominator
+
+
+def _ceil_mul(f, x):
+    """ceil(f * x) for a Fraction f and an int x, in ints."""
+    return -(-f.numerator * x // f.denominator)
 
 
 class PruningConfig:
@@ -134,6 +148,14 @@ class PrunedRouter:
         if N - 1 < cfg.star_keep_frac * N:
             raise ValueError("star keep fraction unattainable: a fresh star "
                              "has N-1 leaves, need N*(1-star_keep_frac) >= 1")
+        # integer budgets: n > frac * size iff n > floor(frac * size)
+        self.edge_budget = _floor_mul(cfg.edge_budget_frac, delta)
+        self.star_budget = _floor_mul(cfg.star_budget_frac, N)
+        # checker floors: count < keep * size iff count < ceil(keep * size)
+        self._bundle_floor = _ceil_mul(cfg.min_bundle_frac, delta)
+        self._star_floor = _ceil_mul(cfg.star_keep_frac, N)
+        self._cluster_floor = [None] + [
+            _ceil_mul(cfg.cluster_keep_frac, N ** i) for i in range(1, k)]
         self.full_mask = ((1 << k) - 1) << 1        # bits 1..k
         # the masks of U-prefixes: bits 1..l for l = 0..k
         self._prefixes = frozenset(((1 << l) - 1) << 1 for l in range(k + 1))
@@ -229,7 +251,7 @@ class PrunedRouter:
         st["deleted"] += 1
         st["edges_deleted_from_w"] += 1
         self.n_edge[key] = self.n_edge.get(key, 0) + 1
-        if self.n_edge[key] > self.cfg.edge_budget_frac * self.t.delta:
+        if self.n_edge[key] > self.edge_budget:
             st["J"][level] += 1
             heap, pending = [], set()
             self._push1(heap, pending, level, leaf, DIRECT)
@@ -295,7 +317,7 @@ class PrunedRouter:
                         self._push(heap, i, 2, s)
                     else:
                         self.n_star[(i, s)] = self.n_star.get((i, s), 0) + 1
-                        if self.n_star[(i, s)] > cfg.star_budget_frac * N:
+                        if self.n_star[(i, s)] > self.star_budget:
                             self._push(heap, i, 2, s)
                 if i > 1:
                     cl = (i - 1, t.cluster_id(i - 1, v))
@@ -304,7 +326,9 @@ class PrunedRouter:
                             self.hn[cl] = N ** (i - 1) - self.n2.get(cl, 0)
                         self.n2[cl] = self.n2.get(cl, 0) + 1
                         left = N ** (i - 1) - self.n2[cl]
-                        if left < cfg.cluster_survival_frac * self.hn[cl]:
+                        keep = _ceil_mul(cfg.cluster_survival_frac,
+                                         self.hn[cl])
+                        if left < keep:
                             self._push(heap, i, 3, cl[1])
             elif typ == 2:
                 s = obj
@@ -396,76 +420,97 @@ class PrunedRouter:
     # -- checkers ---------------------------------------------------------
 
     def is_properly_pruned(self):
-        """One full scan of (P0) prefix membership, (P1) bundles, (P2)
-        stars, (P3) isolated vertices and (P4) clusters, over the
-        template's tables.  Each keep fraction f is compared as
-        count < ceil(f * size), which for an integer count is
-        count < f * size."""
-        t, cfg = self.t, self.cfg
-        N, k = t.N, t.k
+        """(P0) prefix membership, then per level (P1) bundles and (P2)
+        stars, then (P3) isolated vertices and (P4) clusters, in one pass
+        per level over the template's tables.
+
+        Level i's pass reads one alive byte per vertex (bit i of its
+        mask).  Level-1 stars and all clusters are id ranges, counted
+        with bytes.count; stars of higher levels are counted through the
+        template's per-star getters (star_getters).  P3 comes from the
+        P1 pass: a bundle in W marks its leaf and its center at level i
+        when that vertex's membership run (bits 1..i of its mask all
+        set) reaches i, so a vertex is isolated iff it is in U_1 and
+        unmarked.  This is the rule of _has_w_edge, which stops at the
+        first gap of a mask that is not a prefix.  Each keep fraction f
+        is compared as count < ceil(f * size), which for an integer
+        count is count < f * size; the floors are computed once per
+        router."""
+        t = self.t
+        N, k, n = t.N, t.k, t.num_vertices()
         tab = t.tables
-        mask, in_w, rem = self.mask, self.in_w, self.rem
-        masks = [mask[v] for v in t.vertices()]
-        viol = []
+        in_w, rem = self.in_w, self.rem
+        bundle_floor, star_floor = self._bundle_floor, self._star_floor
+        masks = list(map(self.mask.__getitem__, t.vertices()))
         prefixes = self._prefixes
-        for v, m in enumerate(masks):
-            if m not in prefixes:
-                viol.append(("prefix", v))
-        bundle_floor = math.ceil(cfg.min_bundle_frac * t.delta)
-        star_floor = math.ceil(cfg.star_keep_frac * N)
+        viol = [("prefix", v) for v, m in enumerate(masks)
+                if m not in prefixes]
+        alive = [None]              # alive[i][v] == 1 iff v is in U_i
+        run = bytes((1,)) * n       # run[v] == 1 iff v is in U_1 .. U_i
+        marked = bytearray(n)       # v has a W bundle its run reaches
         for i in range(1, k + 1):
-            bit = 1 << i
+            a = bytes(m >> i & 1 for m in masks)
+            alive.append(a)
+            run = bytes(map(operator.and_, run, a))
+            lv = tab.levels[i]
+            lc = lv.level_center
             for leaf in tab.leaves:
                 key = (i, leaf)
-                if masks[leaf] & bit:
-                    if not in_w.get(key):
+                w = in_w.get(key)
+                if a[leaf]:
+                    if not w:
                         viol.append(("P1-missing-bundle", i, leaf))
-                    elif rem[key] < bundle_floor:
+                        continue
+                    if rem[key] < bundle_floor:
                         viol.append(("P1-thin-bundle", i, leaf, rem[key]))
-                elif in_w.get(key):
+                    if run[leaf]:
+                        marked[leaf] = 1
+                elif w:
                     viol.append(("P1-stale-bundle", i, leaf))
-            lv = tab.levels[i]
-            for s, (center, members) in enumerate(zip(lv.star_center,
-                                                      lv.star_members)):
-                alive = sum(1 for m in members if masks[m] & bit)
-                if masks[center] & bit:
-                    leaves = alive - 1
-                    if leaves < star_floor:
-                        viol.append(("P2-thin-star", i, s, leaves))
-                elif alive:                     # all of them leaves
-                    viol.append(("P2-dead-center", i, s, alive))
-                if alive and (i, s) in self.star_destroyed:
+                else:
+                    continue
+                c = lc[leaf]
+                if run[c]:
+                    marked[c] = 1
+            if i == 1:
+                counts = [a.count(1, lo, lo + N) for lo in range(0, n, N)]
+            else:
+                counts = [sum(get(a)) for get in t.star_getters[i]]
+            for s, (center, count) in enumerate(zip(lv.star_center, counts)):
+                if a[center]:
+                    if count - 1 < star_floor:
+                        viol.append(("P2-thin-star", i, s, count - 1))
+                elif count:                     # all of them leaves
+                    viol.append(("P2-dead-center", i, s, count))
+                if count and (i, s) in self.star_destroyed:
                     viol.append(("P2-destroyed-mark", i, s))
-        for v, m in enumerate(masks):
-            if m & 2 and not self._has_w_edge(v):
-                viol.append(("P3-isolated", v))
+        viol.extend(("P3-isolated", v) for v in itertools.compress(
+            t.vertices(), map(operator.gt, alive[1], marked)))
         for i in range(1, k):
-            bit = 1 << (i + 1)
             size = N ** i
-            cluster_floor = math.ceil(cfg.cluster_keep_frac * size)
-            for c in range(N ** (k - i)):
-                ms = masks[c * size:(c + 1) * size]
-                if any(m & 2 for m in ms):
-                    alive = sum(1 for m in ms if m & bit)
-                    if alive < cluster_floor:
-                        viol.append(("P4-thin-cluster", i, c, alive))
+            a, floor = alive[i + 1], self._cluster_floor[i]
+            for c, lo in enumerate(range(0, n, size)):
+                if alive[1].find(1, lo, lo + size) >= 0:
+                    count = a.count(1, lo, lo + size)
+                    if count < floor:
+                        viol.append(("P4-thin-cluster", i, c, count))
         return CheckReport(viol)
 
     def check_invariants(self):
         """Per-phase invariants on the live counters (I1..I3)."""
-        t, cfg = self.t, self.cfg
+        t = self.t
         viol = []
         for (i, leaf), n in self.n_edge.items():
-            if self.in_u(leaf, i) and n > cfg.edge_budget_frac * t.delta:
+            if self.in_u(leaf, i) and n > self.edge_budget:
                 viol.append(("I1", i, leaf, n))
         for (i, s), n in self.n_star.items():
-            if self.in_u(t.star_center(i, s), i) and n > cfg.star_budget_frac * t.N:
+            if self.in_u(t.star_center(i, s), i) and n > self.star_budget:
                 viol.append(("I2", i, s, n))
         for (lv, c), hn in self.hn.items():
             vs = t.cluster_vertices(lv, c)
             if any(self.in_u(x, 1) for x in vs):
                 left = t.N ** lv - self.n2.get((lv, c), 0)
-                if left < cfg.cluster_survival_frac * hn:
+                if left < _ceil_mul(self.cfg.cluster_survival_frac, hn):
                     viol.append(("I3", lv, c, left, hn))
         return CheckReport(viol)
 

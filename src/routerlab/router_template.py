@@ -25,12 +25,18 @@ whatever its Delta.  Per level they hold the star id and the level
 center of every vertex, and the center and the member tuple of every
 star; one leaf tuple serves all levels.  star_id, star_center,
 star_members, level_center, superedges and superedge_level read the
-tables, and the pruning checker scans them directly.  They store no
-superedge tuples and no pair index: superedges() yields its pairs on
+tables.  The pruning checker scans them directly, one pass per level:
+it walks the leaf tuple and the level-center column for its bundle
+checks.  It counts each star's members in U_i with _star_getters, one
+operator.itemgetter per star above level 1, built once per (N, k) next
+to the tables and applied to a byte string of alive flags; level-1
+stars, being id ranges, are counted with bytes.count.  The tables store
+no superedge tuples and no pair index: superedges() yields its pairs on
 the fly, and superedge_level tries the k level-center columns.
 """
 
 import functools
+import operator
 from collections import namedtuple
 
 from .graph import MultiGraph
@@ -108,6 +114,19 @@ def _tables(N, k):
     return Tables(tuple(v for v in ids if v % N), tuple(levels))
 
 
+@functools.cache
+def _star_getters(N, k):
+    """getters[i][s](seq) is the tuple of seq's items at the members of
+    level-i star s, for i = 2..k; built once per (N, k) from _tables,
+    apart from them so that templates that are only realized never
+    build them.  Level-1 stars are the id ranges [s*N, (s+1)*N), so
+    getters[1] (and getters[0]) is None."""
+    levels = _tables(N, k).levels
+    return (None, None) + tuple(
+        tuple(operator.itemgetter(*m) for m in levels[i].star_members)
+        for i in range(2, k + 1))
+
+
 class RouterTemplate:
     def __init__(self, N, k, delta):
         self.N = N
@@ -118,6 +137,11 @@ class RouterTemplate:
     def tables(self):
         """_tables(N, k), looked up on first use."""
         return _tables(self.N, self.k)
+
+    @functools.cached_property
+    def star_getters(self):
+        """_star_getters(N, k), looked up on first use."""
+        return _star_getters(self.N, self.k)
 
     def _level(self, level):
         if not 1 <= level <= self.k:

@@ -47,6 +47,16 @@ def test_build_router_manifest(tmp_path, capsys):
     assert saved == {"N": 4, "k": 2, "delta": 3, "vertices": 16, "edges": 72}
 
 
+@pytest.mark.parametrize("N,k", [(2, 1), (3, 3), (4, 2), (5, 4)])
+def test_build_router_counts_centers(capsys, N, k):
+    """The closed-form center count equals the per-vertex count."""
+    rc, doc = run_json(capsys, ["build-router", "--N", str(N), "--k", str(k),
+                                "--delta", "2"])
+    t = build(N, k, 2)
+    assert rc == 0
+    assert doc["centers"] == sum(1 for v in t.vertices() if t.is_center(v))
+
+
 def test_build_router_strict_rejects(capsys):
     rc = main(["--strict", "build-router", "--N", "4", "--k", "2",
                "--delta", "3"])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from routerlab.graph import _key
 from routerlab.router_template import build
-from routerlab.pruning import PruningConfig, new_pruned
+from routerlab.pruning import (DIRECT, PruningConfig, _ceil_mul,
+                               _floor_mul, new_pruned)
 
 
 def fresh(N=4, k=2, delta=32, preset="relaxed"):
@@ -147,3 +149,68 @@ def test_phase_stats_bounds_k23():
             s, bad = run_fuzz_trace(N, k, 32, "relaxed", seed, 30)
             assert bad == 0
             assert not phase_bound_violations(s, k), (N, k, seed)
+
+
+# -- integer budgets -------------------------------------------------------
+
+BUDGET_SHAPES = [(1, 4), (1, 9), (2, 12), (2, 16), (3, 5), (3, 16), (4, 4)]
+
+
+def _cut_leaf(s, leaf):
+    """Delete one more copy of leaf's level-1 bundle than its budget."""
+    c = s.t.level_center(1, leaf)
+    for _ in range(s.edge_budget + 1):
+        s.delete_edge(leaf, c)
+
+
+@pytest.mark.parametrize("preset", ["paper", "relaxed"])
+@pytest.mark.parametrize("k,N", BUDGET_SHAPES)
+@pytest.mark.parametrize("delta", [1, 7, 8, 9, 24, 25])
+def test_edge_and_star_budgets_are_exact(preset, k, N, delta):
+    """Budgets are floor(frac * size), and deletions trigger exactly past
+    them: a bundle survives edge_budget deletions in a phase and leaves
+    at the next; a star survives star_budget lost leaves and is
+    destroyed at the next."""
+    t, s = fresh(N, k, delta, preset)
+    cfg = s.cfg
+    assert s.edge_budget == math.floor(cfg.edge_budget_frac * delta)
+    assert s.star_budget == math.floor(cfg.star_budget_frac * N)
+    assert s.edge_budget + 1 <= delta and s.star_budget + 1 <= N - 1
+    for n in range(delta + 2):
+        assert (n > s.edge_budget) == (n > cfg.edge_budget_frac * delta)
+    for n in range(N + 1):
+        assert (n > s.star_budget) == (n > cfg.star_budget_frac * N)
+
+    leaf, c = 1, t.level_center(1, 1)
+    for _ in range(s.edge_budget):
+        assert not s.delete_edge(leaf, c).removed
+    assert s.in_u(leaf, 1)
+    assert (leaf, DIRECT) in s.delete_edge(leaf, c).removed[1]
+    assert not s.in_u(leaf, 1)
+
+    t, s = fresh(N, k, delta, preset)
+    for leaf in range(1, s.star_budget + 1):
+        _cut_leaf(s, leaf)
+    assert (1, 0) not in s.star_destroyed and s.in_u(0, 1)
+    _cut_leaf(s, s.star_budget + 1)
+    assert (1, 0) in s.star_destroyed and not s.in_u(0, 1)
+
+
+@pytest.mark.parametrize("preset", ["paper", "relaxed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_floor_and_ceil_are_exact(preset, k):
+    """For every fraction of both presets, _floor_mul and _ceil_mul give
+    floor(f*x) and ceil(f*x), so n > _floor_mul(f, x) iff n > f*x and
+    n < _ceil_mul(f, x) iff n < f*x, on both sides of every boundary up
+    to x = 300 (the cluster survival test compares left with hn so)."""
+    cfg = getattr(PruningConfig, preset)(k)
+    for f in (cfg.edge_budget_frac, cfg.star_budget_frac,
+              cfg.cluster_survival_frac, cfg.min_bundle_frac,
+              cfg.star_keep_frac, cfg.cluster_keep_frac):
+        for x in range(301):
+            lo, hi = _floor_mul(f, x), _ceil_mul(f, x)
+            assert lo == math.floor(f * x) and hi == math.ceil(f * x)
+            for n in (lo - 1, lo, lo + 1):
+                assert (n > lo) == (n > f * x)
+            for n in (hi - 1, hi, hi + 1):
+                assert (n < hi) == (n < f * x)
