@@ -430,6 +430,8 @@ def _parse_faults(path, g):
             c = int(tok[2]) if len(tok) == 3 else 1
         except ValueError:
             raise CliError("non-integer field", path, no)
+        if c < 1:
+            raise CliError("fault count %d is below 1" % c, path, no)
         items.append((u, v, c))
     try:
         return FaultSet(g, items)

@@ -65,6 +65,9 @@ class MultiGraph:
 
     def remove_copies(self, u, v, count=1):
         k = _key(u, v)
+        if count < 1:
+            raise ValueError("removing %d copies of %r, at least 1 needed"
+                             % (count, k))
         m = self.superedges.get(k, 0)
         if m < count:
             raise ValueError("removing %d copies of %r, only %d present" % (count, k, m))

@@ -25,22 +25,29 @@ ROUNDS_PER_K = 10       # fd_route gives up after ROUNDS_PER_K * k rounds
 class FaultSet:
     """Per-copy edge faults: for each superedge, how many of its
     parallel copies are down.  Copies with the lowest indices are the
-    faulted ones by convention."""
+    faulted ones by convention.  Built from (u, v, count) triples, each
+    count at least 1; iterating yields the faulted superedges."""
 
     def __init__(self, g, copies):
         self.counts = {}
-        for item in copies:
-            if len(item) == 3:
-                u, v, c = item
-            else:
-                (u, v), c = item, 1
+        for u, v, c in copies:
             e = _key(u, v)
             if not g.has_edge(*e):
                 raise KeyError("fault %r is not a host edge" % (e,))
+            if c < 1:
+                raise ValueError("fault count %r on %r is below 1" % (c, e))
             self.counts[e] = self.counts.get(e, 0) + c
             if self.counts[e] > g.multiplicity(*e):
                 raise ValueError("more faulted copies than exist on %r" % (e,))
-        self.deg = faulty_degree(self.counts, g)
+        # max per-vertex number of faulted copies
+        per_vertex = {}
+        for (u, v), c in self.counts.items():
+            per_vertex[u] = per_vertex.get(u, 0) + c
+            per_vertex[v] = per_vertex.get(v, 0) + c
+        self.deg = max(per_vertex.values(), default=0)
+
+    def __iter__(self):
+        return iter(self.counts)
 
     def count(self, u, v):
         return self.counts.get(_key(u, v), 0)
@@ -58,24 +65,6 @@ class FaultSet:
         for e, c in self.counts.items():
             out.remove_copies(e[0], e[1], c)
         return out
-
-
-def faulty_degree(copies, g):
-    """Max per-vertex number of faulted copies.  Accepts a mapping
-    edge -> count or an iterable of edges (one copy each)."""
-    counts = {}
-    items = copies.items() if hasattr(copies, "items") else \
-        [( _key(u, v), 1) for (u, v) in copies]
-    per_edge = {}
-    for e, c in items:
-        e = _key(*e)
-        if not g.has_edge(*e):
-            raise KeyError("edge %r not in graph" % (e,))
-        per_edge[e] = per_edge.get(e, 0) + c
-    for (u, v), c in per_edge.items():
-        counts[u] = counts.get(u, 0) + c
-        counts[v] = counts.get(v, 0) + c
-    return max(counts.values(), default=0)
 
 
 def _limit_denominator(n, d, max_den):
@@ -153,45 +142,14 @@ class FdReport:
         self.total_pairs = 0
 
 
-class _CopyAssigner:
-    """Hands out parallel-copy indices round robin per superedge, so a
-    routing with congestion c uses each copy about c times.  A path is
-    then faulted exactly where one of its assigned copies is."""
-
-    def __init__(self, g, faults):
-        self.g = g
-        self.faults = faults
-        self.counters = {}
-
-    def faulted_positions(self, path):
-        out = []
-        for idx, (a, b) in enumerate(zip(path, path[1:])):
-            e = _key(a, b)
-            c = self.counters.get(e, 0)
-            self.counters[e] = c + 1
-            if c % self.g.multiplicity(*e) < self.faults.count(a, b):
-                out.append(idx)
-        return out
-
-
-def _first_fault_cut(path, fault_vertices, from_start=True):
-    """Index of the fault vertex closest to the chosen end of the path."""
-    rng = range(len(path)) if from_start else range(len(path) - 1, -1, -1)
-    for idx in rng:
-        if path[idx] in fault_vertices:
-            return idx
-    return None
-
-
-def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
-             report=None):
+def fd_route(oracle, g, faults, demand, k, d, eta, delta, report=None):
     """Route a delta-restricted demand in g minus the faulty edges.
 
     oracle(demand) must return an integral unit-path routing in the
     intact g with length <= d and congestion <= eta_prime = 16*eta*n.
-    Each demand pair becomes ceil(value*scale) unit pairs, scale
-    defaulting to n.  Returns a Routing whose paths avoid the faults
-    entirely.
+    A demand pair of value x becomes m = ceil(x*n) unit pairs, n the
+    number of vertices of g.  Returns a Routing whose paths avoid the
+    faults entirely.
     """
     n = len(g.vertices)
     eta = Fraction(eta)
@@ -203,61 +161,69 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
     if f and (lam < 1 or Fraction(lam) ** (z - 1) <= n * f * eta_p):
         raise ValueError("lambda too small: %s^%d does not clear n*f*eta'"
                          % (lam, z - 1))
-    if scale is None:
-        scale = n
     fv = faults.vertices()
-    assigner = _CopyAssigner(g, faults)
+    # parallel-copy indices are handed out round robin per superedge, so
+    # a routing with congestion c uses each copy about c times; a path
+    # is faulted exactly where one of its assigned copies is
+    copy_counters = {}
 
-    # integralize: m_ab unit pairs per demand pair
-    units = {}
-    for (a, b), val in sorted(demand.values.items()):
-        m = math.ceil(val * scale)
-        units[(a, b)] = m
-    d_int = Demand()
-    for pair, m in units.items():
-        d_int.values[pair] = Fraction(m)
+    def faulted_positions(path):
+        out = []
+        for idx, (a, b) in enumerate(zip(path, path[1:])):
+            e = _key(a, b)
+            c = copy_counters.get(e, 0)
+            copy_counters[e] = c + 1
+            if c % g.multiplicity(*e) < faults.count(a, b):
+                out.append(idx)
+        return out
 
+    def unit_paths(units):
+        """The oracle's paths for units[pair] unit pairs of each pair,
+        grouped by pair."""
+        dm = Demand()
+        for pair, m in sorted(units.items()):
+            dm.values[pair] = Fraction(m)
+        by_pair = {}
+        for path, pair, _val in oracle(dm).flow_paths:
+            by_pair.setdefault(_key(*pair), []).append(path)
+        for pair, m in units.items():
+            got = len(by_pair.get(pair, ()))
+            if got != m:
+                raise ValueError("oracle returned %d paths for %r, wanted %d"
+                                 % (got, pair, m))
+        return by_pair
+
+    # integralize: m unit pairs per demand pair
+    units = {pair: math.ceil(val * n)
+             for pair, val in sorted(demand.values.items())}
     out = Routing()
     if not units:
         return out
 
-    base = oracle(d_int)
-    by_pair = {}
-    for path, pair, _val in base.flow_paths:
-        by_pair.setdefault(_key(*pair), []).append(path)
-
     rep = report if report is not None else FdReport()
-    # split unit paths into safe ones and stuck endpoint pairs
+    by_pair = unit_paths(units)
+    # split unit paths into safe ones and stuck endpoint pairs; a stuck
+    # one keeps its path up to its first and from its last fault vertex,
+    # and one tree per side whose leaves hold (vertex, walk): the
+    # composed fault-free path from the tree root down to that leaf
     final_paths = {pair: [] for pair in units}
-    stuck = []           # (pair, prefix path, suffix path, x, y)
-    for pair, m in units.items():
-        paths = by_pair.get(pair, [])
-        if len(paths) != m:
-            raise ValueError("oracle returned %d paths for %r, wanted %d"
-                             % (len(paths), pair, m))
-        for p in paths:
+    stuck = []
+    for pair in units:
+        for p in by_pair[pair]:
             if p[0] != pair[0]:
                 p = tuple(reversed(p))
-            if not assigner.faulted_positions(p):
+            if not faulted_positions(p):
                 final_paths[pair].append(p)
                 continue
-            xi = _first_fault_cut(p, fv, True)
-            yi = _first_fault_cut(p, fv, False)
-            stuck.append((pair, p[:xi + 1], p[yi:], p[xi], p[yi]))
+            on_f = [idx for idx, v in enumerate(p) if v in fv]
+            x, y = p[on_f[0]], p[on_f[-1]]
+            stuck.append({"pair": pair, "pre": p[:on_f[0] + 1],
+                          "suf": p[on_f[-1]:], "x_leaves": [(x, (x,))],
+                          "y_leaves": [(y, (y,))], "done": None})
     rep.total_pairs = sum(units.values())
     rep.safe_at_start = rep.total_pairs - len(stuck)
 
-    # trees: per stuck entry, one tree per side; nodes carry the
-    # embedding path of the edge to their parent
-    entries = []
-    for (pair, pre, suf, x, y) in stuck:
-        # leaves hold (vertex, walk): the composed fault-free path from
-        # the tree root down to that leaf
-        entries.append({"pair": pair, "pre": pre, "suf": suf,
-                        "x_leaves": [(x, (x,))], "y_leaves": [(y, (y,))],
-                        "done": None})
-    unresolved = list(range(len(entries)))
-
+    unresolved = stuck
     i = 0
     while unresolved:
         i += 1
@@ -266,8 +232,7 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
         # matched-leaf demand, lambda units per matched pair
         agg = {}
         leaves = lam ** (i - 1)
-        for ei in unresolved:
-            e = entries[ei]
+        for e in unresolved:
             if len(e["x_leaves"]) != leaves or len(e["y_leaves"]) != leaves:
                 raise AssertionError("fault-tree leaf count broken")
             for (u, _wu), (w, _ww) in zip(e["x_leaves"], e["y_leaves"]):
@@ -281,41 +246,29 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
             tot[w] = tot.get(w, 0) + m
         if any(t > delta_p for t in tot.values()):
             raise AssertionError("D^i not restricted")
-        if agg:
-            di = Demand()
-            for key, m in sorted(agg.items()):
-                di.values[key] = Fraction(m)
-            qi = oracle(di)
-            pool = {}
-            for path, pair, _val in qi.flow_paths:
-                pool.setdefault(_key(*pair), []).append(path)
-            for key, m in agg.items():
-                if len(pool.get(key, [])) != m:
-                    raise ValueError("oracle returned wrong path count for %r"
-                                     % (key,))
-        else:
-            pool = {}
-        taken = {key: 0 for key in pool}
+        pool = unit_paths(agg) if agg else {}
+        taken = dict.fromkeys(pool, 0)
         still = []
         round_audit = {"round": i, "pairs": len(unresolved), "good": 0}
-        for ei in unresolved:
-            e = entries[ei]
-            # gather this entry's lambda paths per matched leaf pair
+        for e in unresolved:
+            # gather this entry's lambda paths per matched leaf pair; the
+            # copy counters advance for all of them, also after a good
+            # path is found
             per_leaf = []
             good = None
-            for j, ((u, wu), (w, ww)) in enumerate(
-                    zip(e["x_leaves"], e["y_leaves"])):
+            for (u, wu), (w, ww) in zip(e["x_leaves"], e["y_leaves"]):
                 if u == w:
                     paths = [((u,), [])] * lam
                 else:
                     key = _key(u, w)
                     start = taken[key]
                     taken[key] += lam
-                    raw = pool[key][start:start + lam]
-                    raw = [p if p[0] == u else tuple(reversed(p))
-                           for p in raw]
-                    paths = [(p, assigner.faulted_positions(p)) for p in raw]
-                per_leaf.append((j, u, wu, w, ww, paths))
+                    paths = []
+                    for p in pool[key][start:start + lam]:
+                        if p[0] != u:
+                            p = tuple(reversed(p))
+                        paths.append((p, faulted_positions(p)))
+                per_leaf.append((wu, ww, paths))
                 if good is None:
                     for p, fp in paths:
                         if not fp:
@@ -323,14 +276,13 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
                             break
             if good is not None:
                 wu, mid, ww = good
-                full = (tuple(e["pre"]) + tuple(wu[1:]) + tuple(mid[1:])
-                        + tuple(reversed(ww))[1:] + tuple(e["suf"][1:]))
-                e["done"] = full
+                e["done"] = (tuple(e["pre"]) + tuple(wu[1:]) + tuple(mid[1:])
+                             + tuple(reversed(ww))[1:] + tuple(e["suf"][1:]))
                 round_audit["good"] += 1
                 continue
             # bad pair: every path hits F; expand both trees
             nx, ny = [], []
-            for j, u, wu, w, ww, paths in per_leaf:
+            for wu, ww, paths in per_leaf:
                 # child = near endpoint of the first faulted copy, reached
                 # by the path's maximal fault-free prefix
                 for p, fp in paths:
@@ -340,16 +292,15 @@ def fd_route(oracle, g, faults, demand, k, d, eta, delta, scale=None,
                     ny.append((p[cut2],
                                tuple(ww) + tuple(reversed(p[cut2:]))[1:]))
             e["x_leaves"], e["y_leaves"] = nx, ny
-            still.append(ei)
+            still.append(e)
         rep.rounds.append(round_audit)
         unresolved = still
 
-    for e in entries:
+    # safe paths first, then the stuck ones in entry order
+    for e in stuck:
         final_paths[e["pair"]].append(e["done"])
-
-    for (a, b), val in sorted(demand.values.items()):
-        m = units[(a, b)]
-        share = val / m
-        for p in final_paths[(a, b)]:
-            out.add(p, (a, b), share)
+    for pair, m in units.items():
+        share = demand.values[pair] / m
+        for p in final_paths[pair]:
+            out.add(p, pair, share)
     return out

@@ -17,6 +17,9 @@ from .graph import MultiGraph, Demand, _key, hop_dist
 from .resilience import integral_round
 from .witness import validate_witness, sparsified_route
 
+FD_LEN_CONST = 32       # fd_spanner_check's detour bound, in units of k * d_t
+FD_CHECK_CAP = 10 ** 4  # fd_spanner_check samples this many edges at most
+
 
 class RouterDecomposition:
     def __init__(self, host, clusters, e_del, delta_star, d_t, eta_t, rho):
@@ -197,28 +200,22 @@ def lc_embed(rd, seed=0):
     return LcEmbedding(paths, d_obs, eta_obs)
 
 
-def _fault_edges(faults):
-    """Whole superedges considered removed by a per-copy fault set: all
-    edges with at least one faulted copy (H' is simple)."""
-    if hasattr(faults, "counts"):
-        return set(faults.counts)
-    return {_key(u, v) for (u, v) in faults}
-
-
-def fd_spanner_check(rd, faults, k, len_const=32, exhaustive_cap=10 ** 4,
-                     seed=0):
+def fd_spanner_check(rd, faults, k, seed=0):
     """For host edges surviving the faults: their detour length in H'
     minus the faults, against the resilient-routing length bound
-    len_const * k * d_t.  Each source is searched only until the
-    distances to its partners among the checked edges are final."""
-    bound = len_const * k * rd.d_t
-    fe = _fault_edges(faults)
+    FD_LEN_CONST * k * d_t.  faults is an iterable of edges (u, v), such
+    as a FaultSet; a faulted edge is removed with all its copies, as H'
+    is simple.  Over FD_CHECK_CAP surviving edges, that many are checked,
+    sampled by seed.  Each source is searched only until the distances
+    to its partners among the checked edges are final."""
+    bound = FD_LEN_CONST * k * rd.d_t
+    fe = {_key(u, v) for u, v in faults}
     hprime = extract_spanner(rd)
     hf = hprime.without_edges(fe)
     check = [e for e in sorted(rd.host.superedges) if e not in fe]
-    if len(check) > exhaustive_cap:
+    if len(check) > FD_CHECK_CAP:
         rng = random.Random(seed)
-        check = sorted(rng.sample(check, exhaustive_cap))
+        check = sorted(rng.sample(check, FD_CHECK_CAP))
     worst = 0
     worst_pair = None
     violations = []
@@ -250,8 +247,9 @@ def _components(g):
 
 def connectivity_certificate_check(g, h, faults):
     """True iff g and h, both minus the faults, have the same connected
-    components on V(g)."""
-    fe = _fault_edges(faults)
+    components on V(g).  faults is an iterable of edges (u, v), such as a
+    FaultSet; a faulted edge is removed with all its copies."""
+    fe = {_key(u, v) for u, v in faults}
     cg = _components(g.without_edges(fe))
     ch = _components(h.without_edges(fe))
     for v in g.vertices:

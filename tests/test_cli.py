@@ -192,6 +192,19 @@ def test_cert_check(tmp_path, capsys):
     assert rc2 == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fault_count_below_one_is_usage_error(host_file, tmp_path, capsys,
+                                              count):
+    fl = tmp_path / "faults.txt"
+    fl.write_text("# one bad count\n0 1 %s\n" % count)
+    where = "%s:2: fault count %s is below 1" % (fl, count)
+    assert main(decomp_argv("fd-check", host_file, "--faults", str(fl))) == 2
+    assert where in capsys.readouterr().err
+    assert main(["cert-check", "--graph", host_file, "--sub", host_file,
+                 "--faults", str(fl)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_verify_command_exit_codes(tmp_path, capsys):
     g = tmp_path / "g.graph"
     g.write_text("0 1\n1 2\n0 2\n")

@@ -33,6 +33,15 @@ def test_multigraph_basics():
     assert not g.has_edge(1, 2)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_remove_copies_rejects_count_below_one(count):
+    g = MultiGraph()
+    g.add_edge(1, 2, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        g.remove_copies(1, 2, count)
+    assert g.multiplicity(1, 2) == 2
+
+
 def test_remove_vertex_clears_incident():
     g = triangle()
     g.remove_vertex(1)

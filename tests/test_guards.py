@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -147,9 +148,10 @@ def u1_path_off_target():
 
 
 def fd_leaf_demand_unrestricted():
-    """65 unit paths of one pair all cross the faulted edge (1, 2) of the
-    path 0-1-2-3, so the first round asks 65*lambda = 130 units of vertex
-    1, over delta' = 2*n*delta = 128."""
+    """65 unit paths of one pair (demand value 65/4 on n = 4 vertices)
+    all cross the faulted edge (1, 2) of the path 0-1-2-3, so the first
+    round asks 65*lambda = 130 units of vertex 1, over
+    delta' = 2*n*delta = 128."""
     g = MultiGraph()
     for a in range(3):
         g.add_edge(a, a + 1)
@@ -161,8 +163,8 @@ def fd_leaf_demand_unrestricted():
                 r.add(tuple(range(a, b + 1)), (a, b), 1)
         return r
 
-    fd_route(oracle, g, FaultSet(g, [(1, 2, 1)]), Demand([(0, 3, 1)]), 1,
-             3, 1, 16, scale=65)
+    fd_route(oracle, g, FaultSet(g, [(1, 2, 1)]),
+             Demand([(0, 3, Fraction(65, 4))]), 1, 3, 1, 16)
 
 
 # the fault-tree leaf count guard in fd_route (len(leaves) == lambda^(i-1))

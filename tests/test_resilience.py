@@ -8,7 +8,7 @@ from routerlab.router_template import build
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.routing import route_demand
 from routerlab.resilience import (FaultSet, FdReport, _limit_denominator,
-                                  faulty_degree, fd_route, integral_round)
+                                  fd_route, integral_round)
 
 K = 2
 DELTA_T = 1 << 19
@@ -46,11 +46,18 @@ FX = Fixture()
 
 
 def test_faulty_degree_and_fault_set():
-    assert faulty_degree([], FX.g) == 0
+    assert FaultSet(FX.g, []).deg == 0
     F = FX.faults()
     assert F.deg >= 1
     gf = F.reduced_graph(FX.g)
     assert gf.num_edges() == FX.g.num_edges() - sum(F.counts.values())
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_fault_set_rejects_count_below_one(count):
+    u = FX.leaves[0]
+    with pytest.raises(ValueError, match="below 1"):
+        FaultSet(FX.g, [(u, FX.t.level_center(1, u), count)])
 
 
 def test_fd_route_verifies_in_reduced_graph():

@@ -124,6 +124,24 @@ def test_route_demand_single_flow_path_per_pair():
     assert len(pairs) == len(set(pairs)) == 2
 
 
+def test_route_demand_shared_sink():
+    """A pair whose two U_1 paths end at one sink is joined there, with
+    no middle route.  Deleting leaf 1's level-2 bundle takes its level-1
+    star out of U_2, and 0 and 3 both drain to sink 0."""
+    t, s = pruned(4, 2, 8)
+    for _ in range(t.delta):
+        s.delete_edge(1, t.level_center(2, 1))
+    assert s.is_properly_pruned().ok
+    _r, paths = route_u1_to_uk(s)
+    a, b = 0, 3
+    assert paths[a][-1] == paths[b][-1]
+    d = Demand([(a, b, Fraction(t.delta, 2 ** 8))])
+    r = route_demand(s, d)
+    assert [p for p, _pr, _v in r.flow_paths] == [
+        tuple(paths[a]) + tuple(reversed(paths[b]))[1:]]
+    assert verify_routing(s.current_graph(), d, r, 20 * 2 * 2, 1).ok
+
+
 def test_route_demand_rejects_unrestricted():
     t, s = pruned(4, 2, 64)
     cap = Fraction(t.delta, 2 ** 8)

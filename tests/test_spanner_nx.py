@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from routerlab import spanner
 from routerlab.graph import MultiGraph
 from routerlab.spanner import (RouterDecomposition,
                                connectivity_certificate_check,
@@ -98,7 +99,8 @@ def test_stretch_check_disconnected_subgraph():
     assert _nx_stretch(g, h, False) == (math.inf, (2, 5))
 
 
-def test_fd_spanner_check_matches_networkx():
+def test_fd_spanner_check_matches_networkx(monkeypatch):
+    monkeypatch.setattr(spanner, "FD_LEN_CONST", 1)
     seen_violations = seen_cut = 0
     rng = random.Random(99)
     for trial, g, h in _cases():
@@ -107,8 +109,8 @@ def test_fd_spanner_check_matches_networkx():
         d_t = rng.randint(1, 3)
         rd = RouterDecomposition(g, [], set(h.superedges), 16, d_t, 1, 2)
         cap = rng.choice([10 ** 4, max(1, len(edges) // 2)])
-        got = fd_spanner_check(rd, faults, 1, len_const=1,
-                               exhaustive_cap=cap, seed=trial)
+        monkeypatch.setattr(spanner, "FD_CHECK_CAP", cap)
+        got = fd_spanner_check(rd, faults, 1, seed=trial)
         bound = d_t
         check = [e for e in edges if e not in set(faults)]
         if len(check) > cap:

@@ -205,7 +205,7 @@ def _certificates(g, seed):
         h = _spanning_plus(g, rng, Fraction(1, 3))
         if trial % 2:
             h.remove_edge(*rng.choice(sorted(h.superedges)))
-        faults = FaultSet(g, rng.sample(edges, trial))
+        faults = FaultSet(g, [(u, v, 1) for u, v in rng.sample(edges, trial)])
         out.append(connectivity_certificate_check(g, h, faults))
     return out
 
