@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
-                    bfs_layers, flow_units, is_restricted)
+                    bfs_layers, flow_units, hop_dist, is_restricted)
 from .routing import route_demand
 
 
@@ -185,40 +185,58 @@ def _trace_back(prev, src, dst):
 _UNUSABLE = math.inf
 
 
-def _dijkstra(adj, src, dst, weight, bound):
-    """Least-weight path from src to dst, as (vertices, edge indices).
-    Vertices are the indices of adj, so dist and prev are lists.  Edge
-    e weighs weight[e] > 0, or _UNUSABLE at capacity; heap ties go to
-    the smaller vertex, so the order of adj does not matter.
+def _dijkstra(adj, src, dst, weight, bound, h):
+    """Least-weight path from src to dst, as (vertices, edge indices
+    with the edge nearest dst first, as _trace_back gives them).
+    Vertices are the indices of adj, so g and h are lists.  Edge e
+    weighs weight[e] >= base, or _UNUSABLE at capacity, and
+    h[v] = base*hop(v, dst), or _UNUSABLE when no hop path exists.  Some
+    usable src->dst path must exist, of least weight W* <= bound (the
+    caller passes W_h).
 
-    Relaxations to a weight above bound are dropped, which leaves the
-    path unchanged whenever bound >= W*, the least src->dst weight (the
-    caller passes W_h >= W*).  The search without the bound pops its
-    entries in increasing (weight, vertex) order and stops at (W*, dst),
-    so every entry it pops, and every dist and prev entry it reads on
-    the way, weighs at most W* <= bound and is kept.  A dropped
-    relaxation only sets a dist above bound, which any later kept
-    relaxation overwrites in both searches, so no kept comparison
-    differs.  Some usable src->dst path must exist."""
-    dist = [_UNUSABLE] * len(adj)
-    dist[src] = 0
-    prev = [None] * len(adj)
-    heap = [(0, src)]
+    A* search on f = g + h.  h never overestimates the weight left from
+    v, and h[v] <= w(v, u) + h[u] on every edge, so a vertex popped at
+    f <= W* has its least weight g from src.  A vertex is pushed only
+    while f <= bound, and bound falls to W* once dst pops; popping goes
+    on until the least f exceeds W*.  Every vertex on a least-weight
+    path has f <= W*, so all of them are settled with exact g.
+
+    The path is traced back from dst: each step goes to the neighbour v
+    with g[v] + w(v, u) == g[u] that minimises (g[v], v).  The
+    neighbours with g*(v) + w(v, u) == g*(u) lie on least-weight paths,
+    so they are settled and pass the test; a neighbour with g[v] > g*(v)
+    fails it, as g*(v) + w(v, u) >= g*(u).  Plain Dijkstra with heap ties
+    to the smaller vertex pops in (g, vertex) order and keeps the first
+    strict improvement, so its predecessor of u is the same minimiser:
+    the path is the one Dijkstra picks, whatever the order of adj."""
+    g = [_UNUSABLE] * len(adj)
+    g[src] = 0
+    heap = [(h[src], src)]
     while heap:
-        dv, v = heapq.heappop(heap)
-        if dv > dist[v]:
+        f, v = heapq.heappop(heap)
+        if f > bound:
+            break
+        gv = g[v]
+        if f > gv + h[v]:
             continue
         if v == dst:
-            break
+            bound = gv
+            continue
         for u, e in adj[v]:
-            nd = dv + weight[e]
-            if nd > bound:
-                continue
-            if nd < dist[u]:
-                dist[u] = nd
-                prev[u] = (v, e)
-                heapq.heappush(heap, (nd, u))
-    return _trace_back(prev, src, dst)
+            nd = gv + weight[e]
+            if nd < g[u] and nd + h[u] <= bound:
+                g[u] = nd
+                heapq.heappush(heap, (nd + h[u], u))
+    path = [dst]
+    edges = []
+    while path[-1] != src:
+        gu = g[path[-1]]
+        _, v, e = min((g[v], v, e) for v, e in adj[path[-1]]
+                      if g[v] + weight[e] == gu)
+        path.append(v)
+        edges.append(e)
+    path.reverse()
+    return tuple(path), edges
 
 
 def _hop_bound(adj, src, dst, weight, d_max):
@@ -278,7 +296,8 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     (Embedding, F) when |F| <= fake_budget, else None.
 
     An edge e carrying load(e) paths weighs 1 + 4*load(e)/(mult(e)*eta_max)
-    and is usable while load(e) < eta_max*mult(e).  The search compares
+    and is usable while load(e) < eta_max*mult(e), so eta_max must be
+    positive (ValueError otherwise).  The search compares
     these weights exactly as integers, scaled by S = p*M for eta_max = p/q
     and M the lcm of the host's multiplicities; a uniform positive scale
     keeps every comparison and tie, so the chosen paths are those of the
@@ -286,20 +305,31 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     |F| exceeds fake_budget.
 
     Each copy is placed by the rule: take the least-weight usable path
-    (Dijkstra, ties to the smaller vertex); if it has more than d_max
-    hops, take the first breadth-first path of at most d_max hops
-    instead; if there is none, the copy is fake.  Before any search, a
-    d_max-round layered relaxation finds W_h, the least weight of a
-    usable walk of at most d_max hops.  No such walk means no path of at
-    most d_max hops, so the rule ends in a fake and no search runs.
-    Otherwise the least weight W* is at most W_h, and Dijkstra drops
-    every relaxation above W_h without changing its path (see
-    _dijkstra).  When W_h < 2*S every path of two or more hops weighs
-    more than W_h >= W*, so the direct edge is the least path and no
-    search runs either."""
+    (the one Dijkstra picks when heap ties go to the smaller vertex); if
+    it has more than d_max hops, take the first breadth-first path of at
+    most d_max hops instead; if there is none, the copy is fake.  Before
+    any search, a d_max-round layered relaxation finds W_h, the least
+    weight of a usable walk of at most d_max hops.  No such walk means
+    no path of at most d_max hops, so the rule ends in a fake and no
+    search runs.  Otherwise the least weight W* is at most W_h.  When
+    W_h < 2*S every path of two or more hops weighs more than
+    W_h >= W*, so the direct edge is the least path and no search runs
+    either.
+
+    The search is A* towards the copy's mapped center.  Every edge
+    weighs at least S, so S*hop(v, center) never overestimates the
+    weight left from v; the hop distances come from one breadth-first
+    search of c per center, run at its first search and kept for the
+    call.  The search pushes only vertices whose estimate is within
+    W_h, and within W* once the center pops, keeps popping until every
+    vertex of every least-weight path is settled, and traces the path
+    back through the predecessors Dijkstra would record (see
+    _dijkstra)."""
     if t.num_vertices() > len(c.vertices):
         raise ValueError("template larger than host")
     eta_max = Fraction(eta_max)
+    if eta_max <= 0:
+        raise ValueError("eta_max must be positive, got %s" % eta_max)
     if (all(v in c.vertices for v in t.vertices())
             and all(c.has_edge(leaf, center)
                     for i in range(1, t.k + 1)
@@ -355,6 +385,7 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
     weight = [base] * len(slope)        # every cap is at least 1
     paths = {}
     fakes = set()
+    lower = {}          # dst -> its A* lower bounds, built at its first search
     for i in range(1, t.k + 1):
         for (leaf, center) in t.superedges(i):
             direct = (vm[leaf], vm[center])
@@ -373,7 +404,12 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
                     paths[key] = direct
                     edges = (index[_key(*direct)],)
                 else:
-                    found = _dijkstra(adj, src, dst, weight, bound)
+                    if dst not in lower:
+                        hop = hop_dist(c, direct[1])
+                        lower[dst] = [base * hop[v] if v in hop else _UNUSABLE
+                                      for v in verts]
+                    found = _dijkstra(adj, src, dst, weight, bound,
+                                      lower[dst])
                     if len(found[0]) - 1 > d_max:
                         found = _hop_path(adj, src, dst, weight, d_max)
                     paths[key] = tuple(map(verts.__getitem__, found[0]))

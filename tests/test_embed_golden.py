@@ -13,6 +13,9 @@ the golden (3,4,4) reports never do.
 Besides the pipeline runs, greedy_embed is called directly with an
 unbounded fake budget, so the hash also covers full embeddings that
 contain fakes and hop-limited paths.
+
+K_82 at Delta = 12 is pinned on its own: its pipeline runs 2508
+searches where almost every pair ties, and its one cluster sparsifies.
 """
 
 import hashlib
@@ -49,6 +52,19 @@ def random_regular(seed, n=81, cycles=4):
         g.add_edge(a, b)
     return g
 
+
+def complete(n):
+    g = MultiGraph()
+    for a in range(n):
+        for b in range(a + 1, n):
+            g.add_edge(a, b)
+    return g
+
+
+# K_82 at Delta = 12 is the one host where the pipeline sparsifies; in a
+# complete graph every unloaded pair has 80 two-hop paths of equal weight,
+# so it is the worst case for the search's tie-break
+K82_CFG = dict(k=2, delta=12, delta_star=16, d_cap=2, template_n=3)
 
 HOSTS = {
     "router(4,4,4)": lambda: realize(build(4, 4, 4)),
@@ -98,6 +114,19 @@ GOLDEN = {
 }
 
 
+# recorded before the search became goal-directed
+GOLDEN_K82 = {
+    "embeds":
+        "12b01f9a67a847410797c843b52d4e9b6d98a82b002bd06b0ee54696a29ab65f",
+    "e_del":
+        "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "cprime":
+        "10e6ac39105fd21d3242657aaa2991dd20e79030df6187c0bc2a9d0f01672c86",
+    "lc_paths":
+        "e309229a6496175b8be8d3f799b04f33a22ab9902f2d93d92f80402e038b421e",
+}
+
+
 def _sha(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -110,7 +139,11 @@ def _outcome(got):
             sorted(fakes), emb.d_star, emb.eta_star)
 
 
-def fingerprint(g, monkeypatch, seen):
+def fingerprint(g, monkeypatch, seen, cfg=CFG, direct=True):
+    """Hashes of every embedding the pipeline on g chose, and of the
+    decomposition built from them, with the decomposition itself.  With
+    direct, greedy_embed is also called on g with an unbounded fake
+    budget."""
     embeds = []
     real_embed = decompose.greedy_embed
 
@@ -126,33 +159,57 @@ def fingerprint(g, monkeypatch, seen):
         seen["hop_paths"] += found is not None
         return found
 
+    real_search = witness._dijkstra
+
+    def counting_search(*args):
+        seen["searches"] += 1
+        return real_search(*args)
+
     monkeypatch.setattr(decompose, "greedy_embed", recording_embed)
     monkeypatch.setattr(witness, "_hop_path", counting_hop)
-    rd = build_decomposition(g, PipelineConfig(**CFG))
+    monkeypatch.setattr(witness, "_dijkstra", counting_search)
+    rd = build_decomposition(g, PipelineConfig(**cfg))
     lc = spanner.lc_embed(rd, seed=0)
-    direct = []
-    for d_max in (2, 3):
-        for eta in (Fraction(3, 2), Fraction(4)):
-            got = witness.greedy_embed(g, build(3, 4, 4), d_max, eta, LARGE)
-            direct.append(_outcome(got))
-    seen["fakes"] += sum(len(o[2]) for o in direct + embeds if o)
-    seen["none"] += embeds.count(None)
-    return {
-        "embeds": _sha(embeds),
+    got = {
         "e_del": _sha((sorted(rd.e_del), sorted(rd.report.causes.items()))),
         "cprime": _sha([(c.id, sorted(c.sparse.cprime.superedges))
                         for c in rd.clusters]),
         "lc_paths": _sha(sorted(lc.paths.items())),
-        "direct": _sha(direct),
     }
+    outcomes = list(embeds)
+    if direct:
+        calls = []
+        for d_max in (2, 3):
+            for eta in (Fraction(3, 2), Fraction(4)):
+                calls.append(_outcome(witness.greedy_embed(
+                    g, build(3, 4, 4), d_max, eta, LARGE)))
+        got["direct"] = _sha(calls)
+        outcomes += calls
+    got["embeds"] = _sha(embeds)
+    seen["fakes"] += sum(len(o[2]) for o in outcomes if o)
+    seen["none"] += embeds.count(None)
+    return got, rd
 
 
 @pytest.mark.parametrize("name", sorted(HOSTS))
 def test_embedding_fingerprint(name, monkeypatch):
-    seen = {"hop_paths": 0, "fakes": 0, "none": 0}
-    got = fingerprint(HOSTS[name](), monkeypatch, seen)
+    seen = {"hop_paths": 0, "fakes": 0, "none": 0, "searches": 0}
+    got, _ = fingerprint(HOSTS[name](), monkeypatch, seen)
     assert got == GOLDEN[name]
     if name != "router(3,5,4)":
         # the fingerprint must cover the fallback and the fake branch
         assert seen["hop_paths"] > 0 and seen["fakes"] > 0, seen
         assert seen["none"] > 0, seen
+
+
+def test_complete_host_fingerprint(monkeypatch):
+    g = complete(82)
+    seen = {"hop_paths": 0, "fakes": 0, "none": 0, "searches": 0}
+    got, rd = fingerprint(g, monkeypatch, seen, K82_CFG, direct=False)
+    assert got == GOLDEN_K82
+    # not vacuous: the searches run, the one cluster survives and H' is a
+    # real sparsifier
+    assert seen["searches"] > 0, seen
+    assert len(rd.clusters) == 1
+    h = spanner.extract_spanner(rd)
+    assert h.num_edges() == 286 and 4 * h.num_edges() < g.num_edges()

@@ -1,15 +1,20 @@
-"""Differential test of the integer embedding search against a rational
-reference.
+"""Differential tests of the embedding search.
 
-The reference below is the embedding search written directly over
+The first reference below is the embedding search written directly over
 Fraction weights 1 + 4*load/(mult*eta_max), with usability
 load < eta_max*mult.  witness._embed_with_map must choose exactly the
 same paths and fakes, or give up exactly when the reference does.
+
+The second is a textbook Dijkstra on index graphs: witness._dijkstra,
+an A* search with a canonical trace-back, must return the same vertices
+and edge indices on graphs whose weights tie often.
 """
 
 import heapq
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from routerlab import witness
 from routerlab.graph import MultiGraph, _key
@@ -199,3 +204,127 @@ def test_greedy_embed_matches_reference_on_fixed_hosts():
             want = _ref_embed_with_map(host, tmpl, got[0].vertex_map, 2, eta,
                                        LARGE, {"penalised": 0})
             assert _outcome(got) == _outcome(want)
+
+
+def _textbook_dijkstra(adj, src, dst, weight):
+    """Pops (dist, vertex), keeps the first strict improvement and stops
+    at dst.  Returns (vertices, edge indices nearest dst first, dist), or
+    None without a usable path."""
+    dist = {src: 0}
+    prev = {}
+    heap = [(0, src)]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
+        if v == dst:
+            break
+        for u, e in adj[v]:
+            if weight[e] == witness._UNUSABLE:
+                continue
+            nd = dv + weight[e]
+            if u not in dist or nd < dist[u]:
+                dist[u] = nd
+                prev[u] = (v, e)
+                heapq.heappush(heap, (nd, u))
+    if dst not in dist:
+        return None
+    path, edges = [dst], []
+    while path[-1] != src:
+        v, e = prev[path[-1]]
+        path.append(v)
+        edges.append(e)
+    path.reverse()
+    return tuple(path), edges, dist
+
+
+def _search_case(rng, n, base):
+    """An index graph on n + 2 vertices: a random connected graph on n of
+    them and an edge between the other two, which no hop path joins to
+    the rest.  Weights come from a few values >= base, so ties are
+    common, and about one edge in six is at capacity.  Each adjacency
+    list is shuffled.  Drawn until src reaches dst over usable edges;
+    returns (adj, weight, src, dst, lower bounds, textbook result)."""
+    while True:
+        label = list(range(n + 2))
+        rng.shuffle(label)
+        pairs = {(min(a, b), max(a, b))
+                 for a, b in zip(label[:n], label[1:n])}
+        for _ in range(rng.randrange(0, 3 * n)):
+            a, b = rng.sample(label[:n], 2)
+            pairs.add((min(a, b), max(a, b)))
+        pairs.add((min(label[n:]), max(label[n:])))
+        adj = [[] for _ in label]
+        weight = []
+        for a, b in sorted(pairs):
+            adj[a].append((b, len(weight)))
+            adj[b].append((a, len(weight)))
+            weight.append(witness._UNUSABLE if rng.randrange(6) == 0
+                          else rng.choice((base, base, base, 2 * base,
+                                           2 * base + 1)))
+        for lst in adj:
+            rng.shuffle(lst)
+        src, dst = rng.sample(label[:n], 2)
+        want = _textbook_dijkstra(adj, src, dst, weight)
+        if want is not None:
+            return adj, weight, src, dst, _lower_bounds(adj, dst, base), want
+
+
+def _lower_bounds(adj, dst, base):
+    hop = {dst: 0}
+    layer = [dst]
+    while layer:
+        nxt = []
+        for v in layer:
+            for u, _e in adj[v]:
+                if u not in hop:
+                    hop[u] = hop[v] + 1
+                    nxt.append(u)
+        layer = nxt
+    return [base * hop[v] if v in hop else witness._UNUSABLE
+            for v in range(len(adj))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14),
+       base=st.sampled_from([1, 2, 3, 12]))
+def test_search_matches_textbook_dijkstra(seed, n, base):
+    rng = random.Random(seed)
+    adj, weight, src, dst, h, want = _search_case(rng, n, base)
+    w_star = want[2][dst]
+    bound = rng.randint(w_star, 2 * w_star)
+    got = witness._dijkstra(adj, src, dst, weight, bound, h)
+    assert got == want[:2]
+
+
+def test_search_cases_tie_and_slack():
+    """The generator above gives paths through vertices with several
+    least-weight predecessors, and bounds above W*."""
+    tied = slack = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        adj, weight, src, dst, h, (path, _edges, dist) = _search_case(
+            rng, 2 + seed % 13, 1 + seed % 3)
+        tied += any(
+            sum(dist.get(v, witness._UNUSABLE) + weight[e] == dist[u]
+                for v, e in adj[u]) > 1
+            for u in path[1:])
+        slack += rng.randint(dist[dst], 2 * dist[dst]) > dist[dst]
+    assert tied >= 25 and slack >= 100, (tied, slack)
+
+
+def test_search_settles_tied_paths_past_dst():
+    """Two least paths 9-8-1-0 and 9-3-2-0 under unit weights, where the
+    lower bounds are exact: A* pops 3 and 2 before dst 0, and 8 and 1 only
+    after it.  Dijkstra's predecessor of 0 is 1, so the search must settle
+    the path through 8 and 1 before it traces back."""
+    edges = [(9, 8), (8, 1), (1, 0), (9, 3), (3, 2), (2, 0)]
+    adj = [[] for _ in range(10)]
+    for e, (a, b) in enumerate(edges):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    weight = [1] * len(edges)
+    want = _textbook_dijkstra(adj, 9, 0, weight)
+    assert want[0] == (9, 8, 1, 0)
+    got = witness._dijkstra(adj, 9, 0, weight, 3, _lower_bounds(adj, 0, 1))
+    assert got == want[:2]

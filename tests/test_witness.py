@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from routerlab.graph import (MultiGraph, Demand, Weighting, ball,
                              is_restricted, verify_routing)
 from routerlab.router_template import build, realize
@@ -116,6 +118,15 @@ def test_greedy_embed_path_host_fails():
     for i in range(29):
         pth.add_edge(i, i + 1)
     assert greedy_embed(pth, build(3, 1, 4), 2, 1, 0) is None
+
+
+@pytest.mark.parametrize("eta_max", [0, -1])
+def test_greedy_embed_rejects_nonpositive_eta_max(eta_max):
+    # under eta_max <= 0 every edge cap is 0, and below 0 the weights
+    # turn negative, so no search could terminate with a valid embedding
+    with pytest.raises(ValueError, match="eta_max"):
+        greedy_embed(realize(build(3, 4, 4)), build(3, 3, 4), 2, eta_max,
+                     10 ** 6)
 
 
 def test_scattered_or_ball_clique():
