@@ -61,13 +61,8 @@ def parse_graph(path):
                            path, no)
         if u == v:
             raise CliError("self loops are not allowed", path, no)
-        if g.has_edge(u, v):
-            # duplicate lines accumulate multiplicity
-            cur = g.multiplicity(u, v)
-            g.remove_edge(u, v)
-            g.add_edge(u, v, cur + mult, length)
-        else:
-            g.add_edge(u, v, mult, length)
+        # a repeated pair adds its multiplicity and takes this line's length
+        g.add_edge(u, v, mult, length)
     return g
 
 
@@ -247,12 +242,20 @@ def cmd_build_router(args):
     nv = t.num_vertices()
     centers = args.N ** (args.k - 1)      # ids with lowest base-N digit 0
     edges = t.num_edges()
-    rep.check("num-vertices", args.N ** args.k, nv, nv == args.N ** args.k)
-    rep.check("center-degree", (args.N - 1) * args.delta * args.k,
-              t.center_degree(),
-              t.center_degree() == (args.N - 1) * args.delta * args.k)
-    rep.check("leaf-degree", args.delta * args.k, t.leaf_degree(),
-              t.leaf_degree() == args.delta * args.k)
+    # observed from the bundles themselves: Delta copies at both ends
+    deg = {}
+    for i in range(1, args.k + 1):
+        for bundle in t.superedges(i):
+            for v in bundle:
+                deg[v] = deg.get(v, 0) + args.delta
+    rep.check("num-vertices", args.N ** args.k, len(deg),
+              len(deg) == args.N ** args.k)
+    for name, bound, center in (("center-degree", t.center_degree(), True),
+                                ("leaf-degree", t.leaf_degree(), False)):
+        seen = sorted({deg.get(v, 0) for v in t.vertices()
+                       if t.is_center(v) == center})
+        rep.check(name, bound, seen[0] if len(seen) == 1 else seen,
+                  seen == [bound])
     rep.extra["centers"] = centers
     rep.extra["edges"] = edges
     if args.out:

@@ -28,12 +28,14 @@ from .router_template import build
 from .pruning import PruningConfig, new_pruned
 from .clustering import init_clustering
 from .witness import (Embedding, RouterWitness, greedy_embed, sparsify,
-                      scattered_or_ball, ScatteredCert, validate_witness)
+                      scattered_or_ball, ScatteredCert, validate_witness,
+                      _iroot_ceil)
 from .spanner import RouterDecomposition
 
 
 # Fixed pipeline constants.
 ETA_CAP = 4                         # congestion cap of greedy_embed
+RECOURSE_NUM = 13                   # a batch charges <= n^(13/k^2) per edge
 FAKE_BUDGET_FRAC = Fraction(1, 4)   # share of template copies allowed fake
 ITER_CAP = 8                        # build iterations before degrading
 RHO = max(2, ITER_CAP)              # vertex and C' overlap budget
@@ -44,7 +46,7 @@ SCATTER_EPS = Fraction(1, 2)
 class PipelineConfig:
     def __init__(self, k, delta, delta_star, d_cap=None, degree_floor=None,
                  large_threshold=None, template_n=None, batch_bound=None,
-                 preset="relaxed", recourse_exp=None):
+                 preset="relaxed"):
         self.k = k
         self.k_hat = k * k
         self.delta = delta
@@ -59,8 +61,6 @@ class PipelineConfig:
         self.batch_bound = (batch_bound if batch_bound is not None
                             else max(1, delta // (2 * (self.k_hat + 1))))
         self.preset = preset
-        self.recourse_exp = (Fraction(recourse_exp) if recourse_exp is not None
-                             else Fraction(13, k * k))
         self.validate()
         # cascade threshold: a vertex leaves once its path count falls
         # under this fraction of its phase-start count
@@ -453,10 +453,16 @@ def _repair(rd, wc, edges, report):
     report.recourse += len(before_sparse ^ after_sparse)
     added = report.charged() - e_del_before
     n = len(rd.host.vertices)
-    bound = len(edges) * math.ceil(max(n, 2) ** float(cfg.recourse_exp))
+    bound = len(edges) * _recourse_per_edge(max(n, 2), cfg.k)
     if added > bound:
         raise AssertionError("per-batch E^del accounting bound broken")
     return True
+
+
+def _recourse_per_edge(n, k):
+    """pi_c = ceil(n^(RECOURSE_NUM/k^2)), computed exactly as the least b
+    with b^(k^2) >= n^RECOURSE_NUM."""
+    return _iroot_ceil(n ** RECOURSE_NUM, k * k)
 
 
 def process_batch(rd, deletions, insertions=()):

@@ -192,7 +192,7 @@ def _dijkstra(adj, src, dst, weight, bound, h):
     weighs weight[e] >= base, or _UNUSABLE at capacity, and
     h[v] = base*hop(v, dst), or _UNUSABLE when no hop path exists.  Some
     usable src->dst path must exist, of least weight W* <= bound (the
-    caller passes W_h).
+    caller passes the weight of a usable path).
 
     A* search on f = g + h.  h never overestimates the weight left from
     v, and h[v] <= w(v, u) + h[u] on every edge, so a vertex popped at
@@ -239,42 +239,15 @@ def _dijkstra(adj, src, dst, weight, bound, h):
     return tuple(path), edges
 
 
-def _hop_bound(adj, src, dst, weight, d_max):
-    """W_h, the least weight of a usable src->dst walk of at most d_max
-    hops, or None when there is none.  Layered relaxation: after round h
-    the layer holds, for each vertex other than dst, the least weight of
-    an h-hop walk to it that avoids dst and beats the best walk to dst so
-    far; the last round only reads the edges into dst."""
-    if d_max < 1:
-        return None
-    best = _UNUSABLE
-    layer = {src: 0}
-    for _ in range(d_max - 1):
-        nxt = {}
-        for v, dv in layer.items():
-            for u, e in adj[v]:
-                nd = dv + weight[e]
-                if nd >= best:
-                    continue
-                if u == dst:
-                    best = nd
-                elif nd < nxt.get(u, best):
-                    nxt[u] = nd
-        layer = nxt
-    for u, e in adj[dst]:
-        du = layer.get(u)
-        if du is not None and du + weight[e] < best:
-            best = du + weight[e]
-    return None if best == _UNUSABLE else best
-
-
 def _hop_path(adj, src, dst, weight, d_max):
-    """Breadth-first path of at most d_max hops over usable edges,
+    """Breadth-first path of at most d_max >= 1 hops over usable edges,
     scanning each adjacency list (sorted by neighbour id) in order, or
-    None."""
+    None.  The last round reads only the edges into dst: the scan would
+    end at the first frontier vertex with a usable edge to dst, and adj
+    holds at most one edge per pair."""
     prev = {src: None}
     frontier = [src]
-    for _ in range(d_max):
+    for _ in range(d_max - 1):
         nxt = []
         for v in frontier:
             for u, e in adj[v]:
@@ -284,8 +257,13 @@ def _hop_path(adj, src, dst, weight, d_max):
                     if u == dst:
                         return _trace_back(prev, src, dst)
         if not nxt:
-            break
+            return None
         frontier = nxt
+    into = {u: e for u, e in adj[dst] if weight[e] < _UNUSABLE}
+    for v in frontier:
+        if v in into:
+            prev[dst] = (v, into[v])
+            return _trace_back(prev, src, dst)
     return None
 
 
@@ -307,29 +285,34 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     Each copy is placed by the rule: take the least-weight usable path
     (the one Dijkstra picks when heap ties go to the smaller vertex); if
     it has more than d_max hops, take the first breadth-first path of at
-    most d_max hops instead; if there is none, the copy is fake.  Before
-    any search, a d_max-round layered relaxation finds W_h, the least
-    weight of a usable walk of at most d_max hops.  No such walk means
-    no path of at most d_max hops, so the rule ends in a fake and no
-    search runs.  Otherwise the least weight W* is at most W_h.  When
-    W_h < 2*S every path of two or more hops weighs more than
-    W_h >= W*, so the direct edge is the least path and no search runs
-    either.
+    most d_max hops instead; if there is none, the copy is fake.  d_max
+    must be at least 1 (ValueError otherwise).  Three steps decide it.
+    When the direct edge is usable and weighs under 2*S, it is the least
+    path and no search runs: every other path has two or more hops, and
+    every edge weighs at least S.  Otherwise the breadth-first path of
+    at most d_max hops is found first.  When there is none, no usable
+    path has at most d_max hops, so the rule ends in a fake and no
+    search runs.  Otherwise its weight is at least W*, the least weight,
+    and bounds the search, whose path is taken unless it has more than
+    d_max hops; then the breadth-first path is.
 
     The search is A* towards the copy's mapped center.  Every edge
     weighs at least S, so S*hop(v, center) never overestimates the
     weight left from v; the hop distances come from one breadth-first
     search of c per center, run at its first search and kept for the
-    call.  The search pushes only vertices whose estimate is within
-    W_h, and within W* once the center pops, keeps popping until every
-    vertex of every least-weight path is settled, and traces the path
-    back through the predecessors Dijkstra would record (see
-    _dijkstra)."""
+    call.  The search pushes only vertices whose estimate is within the
+    breadth-first path's weight, and within W* once the center pops,
+    keeps popping until every vertex of every least-weight path is
+    settled, and traces the path back through the predecessors Dijkstra
+    would record (see _dijkstra); any bound of at least W* gives that
+    path."""
     if t.num_vertices() > len(c.vertices):
         raise ValueError("template larger than host")
     eta_max = Fraction(eta_max)
     if eta_max <= 0:
         raise ValueError("eta_max must be positive, got %s" % eta_max)
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1, got %s" % d_max)
     if (all(v in c.vertices for v in t.vertices())
             and all(c.has_edge(leaf, center)
                     for i in range(1, t.k + 1)
@@ -390,28 +373,30 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
         for (leaf, center) in t.superedges(i):
             direct = (vm[leaf], vm[center])
             src, dst = rank[direct[0]], rank[direct[1]]
+            de = index.get(_key(*direct))      # the direct edge, if any
             for copy in range(t.delta):
                 key = (i, leaf, copy)
-                bound = _hop_bound(adj, src, dst, weight, d_max)
-                if bound is None:
-                    fakes.add(key)
-                    if len(fakes) > fake_budget:
-                        return None
-                    continue
-                if bound < 2 * base:
-                    # every edge weighs at least base, so only the direct
-                    # edge weighs at most bound: it is the least path
+                if de is not None and weight[de] < 2 * base:
+                    # every other path has two or more hops and every edge
+                    # weighs at least base: the direct edge is the least path
                     paths[key] = direct
-                    edges = (index[_key(*direct)],)
+                    edges = (de,)
                 else:
+                    short = _hop_path(adj, src, dst, weight, d_max)
+                    if short is None:
+                        fakes.add(key)
+                        if len(fakes) > fake_budget:
+                            return None
+                        continue
                     if dst not in lower:
                         hop = hop_dist(c, direct[1])
                         lower[dst] = [base * hop[v] if v in hop else _UNUSABLE
                                       for v in verts]
-                    found = _dijkstra(adj, src, dst, weight, bound,
+                    found = _dijkstra(adj, src, dst, weight,
+                                      sum(map(weight.__getitem__, short[1])),
                                       lower[dst])
                     if len(found[0]) - 1 > d_max:
-                        found = _hop_path(adj, src, dst, weight, d_max)
+                        found = short
                     paths[key] = tuple(map(verts.__getitem__, found[0]))
                     edges = found[1]
                 for e in edges:

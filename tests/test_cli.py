@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from routerlab import router_template
 from routerlab.cli import main
 from routerlab.router_template import build, realize
 
@@ -55,6 +56,28 @@ def test_build_router_counts_centers(capsys, N, k):
     t = build(N, k, 2)
     assert rc == 0
     assert doc["centers"] == sum(1 for v in t.vertices() if t.is_center(v))
+
+
+def test_build_router_degrees_come_from_the_bundles(monkeypatch, capsys):
+    """Tables that send leaf 1's level-1 bundle to the next star's center
+    give the two centers different degrees, and the check fails."""
+    real = router_template._tables
+
+    def corrupt(N, k):
+        tables = real(N, k)
+        lc = list(tables.levels[1].level_center)
+        lc[1] = N
+        levels = list(tables.levels)
+        levels[1] = levels[1]._replace(level_center=tuple(lc))
+        return tables._replace(levels=tuple(levels))
+
+    monkeypatch.setattr(router_template, "_tables", corrupt)
+    rc, doc = run_json(capsys, ["build-router", "--N", "4", "--k", "2",
+                                "--delta", "3"])
+    assert rc == 1
+    failed = {a["name"]: a["observed"] for a in doc["assertions"]
+              if not a["ok"]}
+    assert failed == {"center-degree": [15, 18, 21]}
 
 
 def test_build_router_strict_rejects(capsys):
@@ -387,3 +410,33 @@ def test_route_check_flag_removed(tmp_path, capsys):
     dm.write_text("# nothing to route\n")
     assert main(["route", "--template", str(man), "--demand", str(dm),
                  "--check", "x"]) == 2
+
+
+def test_repeated_graph_lines_add_multiplicities(tmp_path, capsys):
+    """Every third line of the golden host split into 'u v 1' in place and
+    'u v 3' at the end decomposes exactly as the merged file does."""
+    with open(os.path.join(DATA, "golden_host.graph")) as f:
+        lines = f.read().splitlines()
+    split, tail = [], []
+    for no, line in enumerate(lines):
+        if no % 3 or line.startswith("#"):
+            split.append(line)
+            continue
+        u, v, mult = line.split()
+        assert mult == "4"
+        split.append("%s %s 1" % (u, v))
+        tail.append("%s %s 3" % (u, v))
+    assert len(tail) > 50
+    host = tmp_path / "split.graph"
+    host.write_text("\n".join(split + tail) + "\n")
+    opts = ["--k", "2", "--delta", "4", "--delta-star", "16", "--d-cap", "2",
+            "--template-n", "3"]
+    docs = []
+    for path in (os.path.join(DATA, "golden_host.graph"), str(host)):
+        out = str(tmp_path / "report.json")
+        assert main(["--seed", "11", "--json", out, "decompose", "--graph",
+                     path] + opts) == 0
+        doc = json.loads(strip_timings(out))
+        assert doc["params"].pop("graph") == path
+        docs.append(doc)
+    assert docs[0] == docs[1]

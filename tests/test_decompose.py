@@ -125,6 +125,13 @@ def test_recourse_accounted():
     assert rep.recourse >= 0
 
 
+def test_recourse_bound_is_exact():
+    # ceil(7044 ** 3.25) in floating point reads one too low
+    pi = decompose._recourse_per_edge(7044, 2)
+    assert pi == 3201937708096
+    assert (pi - 1) ** 4 < 7044 ** 13 <= pi ** 4
+
+
 def test_witness_validated_once_per_build(monkeypatch):
     """build_decomposition validates each cluster's witness once, in
     rebuild; the public check_valid still validates every witness."""

@@ -146,27 +146,24 @@ def fingerprint(g, monkeypatch, seen, cfg=CFG, direct=True):
     budget."""
     embeds = []
     real_embed = decompose.greedy_embed
+    limit = [None]          # d_max of the greedy_embed call in progress
 
     def recording_embed(*args):
+        limit[0] = args[2]
         got = real_embed(*args)
         embeds.append(_outcome(got))
         return got
 
-    real_hop = witness._hop_path
-
-    def counting_hop(*args):
-        found = real_hop(*args)
-        seen["hop_paths"] += found is not None
-        return found
-
     real_search = witness._dijkstra
 
     def counting_search(*args):
+        found = real_search(*args)
         seen["searches"] += 1
-        return real_search(*args)
+        # a search path over d_max hops gives way to the breadth-first one
+        seen["fallbacks"] += len(found[0]) - 1 > limit[0]
+        return found
 
     monkeypatch.setattr(decompose, "greedy_embed", recording_embed)
-    monkeypatch.setattr(witness, "_hop_path", counting_hop)
     monkeypatch.setattr(witness, "_dijkstra", counting_search)
     rd = build_decomposition(g, PipelineConfig(**cfg))
     lc = spanner.lc_embed(rd, seed=0)
@@ -180,6 +177,7 @@ def fingerprint(g, monkeypatch, seen, cfg=CFG, direct=True):
     if direct:
         calls = []
         for d_max in (2, 3):
+            limit[0] = d_max
             for eta in (Fraction(3, 2), Fraction(4)):
                 calls.append(_outcome(witness.greedy_embed(
                     g, build(3, 4, 4), d_max, eta, LARGE)))
@@ -193,18 +191,18 @@ def fingerprint(g, monkeypatch, seen, cfg=CFG, direct=True):
 
 @pytest.mark.parametrize("name", sorted(HOSTS))
 def test_embedding_fingerprint(name, monkeypatch):
-    seen = {"hop_paths": 0, "fakes": 0, "none": 0, "searches": 0}
+    seen = {"fallbacks": 0, "fakes": 0, "none": 0, "searches": 0}
     got, _ = fingerprint(HOSTS[name](), monkeypatch, seen)
     assert got == GOLDEN[name]
     if name != "router(3,5,4)":
         # the fingerprint must cover the fallback and the fake branch
-        assert seen["hop_paths"] > 0 and seen["fakes"] > 0, seen
+        assert seen["fallbacks"] > 0 and seen["fakes"] > 0, seen
         assert seen["none"] > 0, seen
 
 
 def test_complete_host_fingerprint(monkeypatch):
     g = complete(82)
-    seen = {"hop_paths": 0, "fakes": 0, "none": 0, "searches": 0}
+    seen = {"fallbacks": 0, "fakes": 0, "none": 0, "searches": 0}
     got, rd = fingerprint(g, monkeypatch, seen, K82_CFG, direct=False)
     assert got == GOLDEN_K82
     # not vacuous: the searches run, the one cluster survives and H' is a

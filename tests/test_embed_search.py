@@ -12,6 +12,7 @@ and edge indices on graphs whose weights tie often.
 
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -73,7 +74,9 @@ def _ref_hop_path(host, src, dst, usable, d_max):
 
 def _ref_embed_with_map(c, t, vm, d_max, eta_max, fake_budget, seen):
     """Rational reference; counts in seen["penalised"] the copies whose
-    congestion-penalized path differs from the hop-shortest one."""
+    congestion-penalized path differs from the hop-shortest one, and in
+    seen["fallback_path"] and seen["fallback_none"] the hop-limited
+    fallbacks that found a path and that found none."""
     load = {}
 
     def usable(e):
@@ -95,6 +98,7 @@ def _ref_embed_with_map(c, t, vm, d_max, eta_max, fake_budget, seen):
                     seen["penalised"] += 1
                 if p is not None and len(p) - 1 > d_max:
                     p = _ref_hop_path(c, src, dst, usable, d_max)
+                    seen["fallback_none" if p is None else "fallback_path"] += 1
                 if p is None or len(p) - 1 > d_max:
                     fakes.add(key)
                     continue
@@ -154,7 +158,7 @@ LARGE = 10 ** 6
 def test_integer_search_matches_rational_reference():
     rng = random.Random(20260118)
     seen = {"penalised": 0, "accepted": 0, "accepted_with_fakes": 0,
-            "none": 0, "cases": 0}
+            "none": 0, "cases": 0, "fallback_path": 0, "fallback_none": 0}
     for trial in range(300):
         delta = rng.randint(1, 4)
         t = rng.choice([build(3, 1, delta), build(2, 2, delta),
@@ -172,7 +176,7 @@ def test_integer_search_matches_rational_reference():
         nf = len(full[1])
         for budget in sorted({0, max(nf - 1, 0), nf, LARGE}):
             want = _outcome(_ref_embed_with_map(
-                c, t, vm, d_max, eta, budget, {"penalised": 0}))
+                c, t, vm, d_max, eta, budget, Counter()))
             got = _outcome(witness._embed_with_map(
                 c, t, vm, d_max, eta, budget))
             assert got == want, (trial, d_max, eta, budget)
@@ -188,6 +192,9 @@ def test_integer_search_matches_rational_reference():
     assert seen["accepted_with_fakes"] >= 50, seen
     assert seen["none"] >= 100, seen
     assert seen["penalised"] >= 100, seen
+    # the hop-limited fallback must both find paths and find none
+    assert seen["fallback_path"] >= 50, seen
+    assert seen["fallback_none"] >= 200, seen
 
 
 def test_greedy_embed_matches_reference_on_fixed_hosts():
@@ -202,7 +209,7 @@ def test_greedy_embed_matches_reference_on_fixed_hosts():
         for eta in ETAS:
             got = witness.greedy_embed(host, tmpl, 2, eta, LARGE)
             want = _ref_embed_with_map(host, tmpl, got[0].vertex_map, 2, eta,
-                                       LARGE, {"penalised": 0})
+                                       LARGE, Counter())
             assert _outcome(got) == _outcome(want)
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from routerlab import routing, spanner
+from routerlab import decompose, routing, spanner
 from routerlab.decompose import (PipelineConfig, _WitnessedCluster,
                                  build_decomposition, process_batch)
 from routerlab.graph import Demand, MultiGraph, Routing
@@ -109,15 +109,20 @@ def bundle_out_of_sync():
 
 
 def recourse_over_bound():
-    """With the recourse exponent at 0 the per-batch bound is pi_c = 1;
-    deleting host edge (1, 3) of the realized (3,4,4) router charges far
-    more than one edge to E^del without dissolving the cluster."""
+    """With RECOURSE_NUM at 0 the per-batch bound is pi_c = 1; deleting
+    host edge (1, 3) of the realized (3,4,4) router charges far more than
+    one edge to E^del without dissolving the cluster."""
     rd = build_decomposition(
         realize(build(3, 4, 4)),
         PipelineConfig(k=2, delta=4, delta_star=16, d_cap=2, template_n=3,
-                       batch_bound=6, recourse_exp=0))
+                       batch_bound=6))
     assert len(rd.clusters) == 1
-    process_batch(rd, [(1, 3)])
+    saved = decompose.RECOURSE_NUM
+    decompose.RECOURSE_NUM = 0
+    try:
+        process_batch(rd, [(1, 3)])
+    finally:
+        decompose.RECOURSE_NUM = saved
 
 
 def prefix_mask_after_drain():

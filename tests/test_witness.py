@@ -129,6 +129,15 @@ def test_greedy_embed_rejects_nonpositive_eta_max(eta_max):
                      10 ** 6)
 
 
+@pytest.mark.parametrize("d_max", [0, -1])
+def test_greedy_embed_rejects_d_max_below_one(d_max):
+    # no path has fewer than one hop, so every copy would be fake, or
+    # placed on its direct edge against the hop limit
+    with pytest.raises(ValueError, match="d_max"):
+        greedy_embed(realize(build(3, 2, 4)), build(3, 2, 4), d_max, 4,
+                     10 ** 6)
+
+
 def test_scattered_or_ball_clique():
     g = MultiGraph()
     for i in range(100):
