@@ -98,8 +98,12 @@ def parse_trace(path, allow_ins=False):
             elif op == "DEL":
                 if len(tok) not in (3, 4):
                     raise CliError("expected 'DEL u v [count]'", path, no)
-                phases[-1].append(("del", int(tok[1]), int(tok[2]),
-                                   int(tok[3]) if len(tok) == 4 else 1))
+                u, v = int(tok[1]), int(tok[2])
+                count = int(tok[3]) if len(tok) == 4 else 1
+                if count < 1:
+                    raise CliError("deletion count %d is below 1" % count,
+                                   path, no)
+                phases[-1].append(("del", u, v, count))
             elif op == "DEACT":
                 if len(tok) != 2:
                     raise CliError("expected 'DEACT cluster_id'", path, no)
@@ -110,9 +114,13 @@ def parse_trace(path, allow_ins=False):
                                    path, no)
                 if len(tok) not in (3, 4, 5):
                     raise CliError("expected 'INS u v [mult] [len]'", path, no)
-                phases[-1].append(("ins", int(tok[1]), int(tok[2]),
-                                   int(tok[3]) if len(tok) > 3 else 1,
-                                   int(tok[4]) if len(tok) > 4 else 1))
+                u, v = int(tok[1]), int(tok[2])
+                mult = int(tok[3]) if len(tok) > 3 else 1
+                length = int(tok[4]) if len(tok) > 4 else 1
+                if mult < 1 or length < 1:
+                    raise CliError("insertion mult and len must be at least 1",
+                                   path, no)
+                phases[-1].append(("ins", u, v, mult, length))
             else:
                 raise CliError("unknown trace op %r" % (tok[0],), path, no)
         except ValueError:
@@ -143,11 +151,6 @@ def load_template(path):
         return build(int(data["N"]), int(data["k"]), int(data["delta"]))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise CliError("bad template file: %s" % e)
-
-
-def _preset(name, k):
-    return PruningConfig.paper(k) if name == "paper" else \
-        PruningConfig.relaxed(k)
 
 
 def _jsonable(x):
@@ -270,7 +273,7 @@ def cmd_prune(args):
     t = load_template(args.template)
     rep = Report("prune", {"template": args.template, "trace": args.trace,
                            "preset": args.preset, "seed": args.seed})
-    s = new_pruned(t, _preset(args.preset, t.k))
+    s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
     phases = parse_trace(args.trace) if args.trace else [[]]
     _apply_prune_trace(s, phases, rep)
     final = s.is_properly_pruned()
@@ -283,7 +286,7 @@ def cmd_route(args):
     rep = Report("route", {"template": args.template, "demand": args.demand,
                            "trace": args.trace, "preset": args.preset,
                            "seed": args.seed})
-    s = new_pruned(t, _preset(args.preset, t.k))
+    s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
     if args.trace:
         _apply_prune_trace(s, parse_trace(args.trace))
     d = parse_demand(args.demand)
@@ -321,9 +324,7 @@ def cmd_cluster(args):
 
 def _pipeline_cfg(args):
     return PipelineConfig(args.k, args.delta, args.delta_star,
-                          d_cap=args.d_cap, degree_floor=args.degree_floor,
-                          large_threshold=args.large_threshold,
-                          template_n=args.template_n,
+                          d_cap=args.d_cap, template_n=args.template_n,
                           batch_bound=args.batch_bound, preset=args.preset)
 
 
@@ -457,10 +458,6 @@ def _add_decomp_opts(p):
     p.add_argument("--delta-star", dest="delta_star", type=int, default=16)
     p.add_argument("--d-cap", dest="d_cap", type=int, default=None)
     p.add_argument("--template-n", dest="template_n", type=int, default=None)
-    p.add_argument("--large-threshold", dest="large_threshold", type=int,
-                   default=None)
-    p.add_argument("--degree-floor", dest="degree_floor", type=int,
-                   default=None)
     p.add_argument("--batch-bound", dest="batch_bound", type=int,
                    default=None)
 

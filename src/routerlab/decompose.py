@@ -44,9 +44,8 @@ SCATTER_EPS = Fraction(1, 2)
 
 
 class PipelineConfig:
-    def __init__(self, k, delta, delta_star, d_cap=None, degree_floor=None,
-                 large_threshold=None, template_n=None, batch_bound=None,
-                 preset="relaxed"):
+    def __init__(self, k, delta, delta_star, d_cap=None, template_n=None,
+                 batch_bound=None, preset="relaxed"):
         self.k = k
         self.k_hat = k * k
         self.delta = delta
@@ -54,9 +53,6 @@ class PipelineConfig:
         # by default the largest d_cap that delta_star admits
         self.d_cap = (d_cap if d_cap is not None
                       else delta_star // (2 * self.k_hat))
-        self.degree_floor = degree_floor if degree_floor is not None else delta
-        self.large_threshold = (large_threshold if large_threshold is not None
-                                else delta)
         self.template_n = template_n
         self.batch_bound = (batch_bound if batch_bound is not None
                             else max(1, delta // (2 * (self.k_hat + 1))))
@@ -77,10 +73,7 @@ class PipelineConfig:
         return self
 
     def pruning_cfg(self, n=None):
-        if self.preset == "paper":
-            base = PruningConfig.paper(self.k_hat)
-        else:
-            base = PruningConfig.relaxed(self.k_hat)
+        base = PruningConfig.preset(self.preset, self.k_hat)
         if n is not None and n - 1 < base.star_keep_frac * n:
             # narrow templates have only n-1 leaves per star; relax the
             # leaf floor so a fresh star is already above it
@@ -235,16 +228,16 @@ class _WitnessedCluster:
         return dropped
 
 
-def _strip_low_degree(g, floor, causes, tag):
+def _strip_low_degree(g, floor, causes):
     """Iteratively drop vertices under the degree floor; their edges are
-    charged to E^del."""
+    charged to E^del as low-degree."""
     changed = True
     while changed:
         changed = False
         for v in sorted(g.vertices):
             if 0 < g.degree(v) < floor:
                 for u in sorted(g.neighbors(v)):
-                    causes[_key(u, v)] = tag
+                    causes[_key(u, v)] = "low-degree"
                 g.remove_vertex(v)
                 changed = True
         for v in [v for v in g.vertices if not g.neighbors(v)]:
@@ -332,7 +325,7 @@ def build_decomposition(g, cfg):
     graph."""
     report = BuildReport()
     g0 = g.copy()
-    _strip_low_degree(g0, cfg.degree_floor, report.causes, "low-degree")
+    _strip_low_degree(g0, cfg.delta, report.causes)
     clusters = []
     it = 0
     while g0.num_edges() and it < ITER_CAP:
@@ -342,7 +335,7 @@ def build_decomposition(g, cfg):
             sub = c.graph
             if not sub.superedges:
                 continue
-            if len(sub.vertices) < cfg.large_threshold:
+            if len(sub.vertices) < cfg.delta:
                 _take_out(g0, sorted(sub.superedges), report.causes, "small")
                 continue
             wc = _try_witness(len(clusters), cfg, sub)
@@ -358,7 +351,7 @@ def build_decomposition(g, cfg):
                 report.causes[e] = "fake-trim"
             _take_out(g0, sorted(sub.superedges))
             clusters.append(wc)
-        _strip_low_degree(g0, cfg.degree_floor, report.causes, "low-degree")
+        _strip_low_degree(g0, cfg.delta, report.causes)
     if g0.num_edges():
         report.degraded = True
         for e in sorted(g0.superedges):
@@ -419,7 +412,9 @@ def _repair(rd, wc, edges, report):
     dead = set(edges)
     wc.delete_copies_through(
         lambda p: any(_key(a, b) in dead for a, b in zip(p, p[1:])))
-    # cascade: vertices whose surviving path count fell too far
+    # cascade: vertices whose surviving path count fell too far.  Every
+    # path through a shed edge passes through its low endpoint, so one
+    # deletion by vertex per round also clears the shed edges' paths.
     while True:
         counts = wc.path_counts()
         low = {v for v, lam in wc.lam.items()
@@ -429,19 +424,15 @@ def _repair(rd, wc, edges, report):
             break
         shed = [e for e in sorted(wc.graph.superedges)
                 if e[0] in low or e[1] in low]
-        if not shed and not wc.delete_copies_through(
-                lambda p: any(v in low for v in p)):
+        removed = wc.delete_copies_through(lambda p: any(v in low for v in p))
+        if not shed and not removed:
             break
         for e in shed:
             wc.graph.remove_edge(*e)
             rd.e_del.add(e)
             report.charge("cascade")
-            dead.add(e)
         for v in low:
             wc.lam.pop(v, None)
-        wc.delete_copies_through(
-            lambda p: any(v in low for v in p)
-            or any(_key(a, b) in dead for a, b in zip(p, p[1:])))
     try:
         dropped = wc.rebuild(wc.graph)
     except ValueError:

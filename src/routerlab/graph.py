@@ -158,10 +158,6 @@ class Demand:
             s.add(b)
         return s
 
-    def total_at(self, v):
-        return sum((val for (a, b), val in self.values.items() if v == a or v == b),
-                   Fraction(0))
-
     def scaled(self, factor):
         factor = Fraction(factor)
         d = Demand()

@@ -80,6 +80,15 @@ class PruningConfig:
         return self
 
     @classmethod
+    def preset(cls, name, k):
+        """The named budget preset, "paper" or "relaxed", for k."""
+        if name == "paper":
+            return cls.paper(k)
+        if name == "relaxed":
+            return cls.relaxed(k)
+        raise ValueError("unknown pruning preset %r" % (name,))
+
+    @classmethod
     def paper(cls, k):
         """Literal budget fractions.  The cluster keep fraction is capped by
         what k+1 survival phases can actually guarantee, which for small k
@@ -494,24 +503,6 @@ class PrunedRouter:
                     count = a.count(1, lo, lo + size)
                     if count < floor:
                         viol.append(("P4-thin-cluster", i, c, count))
-        return CheckReport(viol)
-
-    def check_invariants(self):
-        """Per-phase invariants on the live counters (I1..I3)."""
-        t = self.t
-        viol = []
-        for (i, leaf), n in self.n_edge.items():
-            if self.in_u(leaf, i) and n > self.edge_budget:
-                viol.append(("I1", i, leaf, n))
-        for (i, s), n in self.n_star.items():
-            if self.in_u(t.star_center(i, s), i) and n > self.star_budget:
-                viol.append(("I2", i, s, n))
-        for (lv, c), hn in self.hn.items():
-            vs = t.cluster_vertices(lv, c)
-            if any(self.in_u(x, 1) for x in vs):
-                left = t.N ** lv - self.n2.get((lv, c), 0)
-                if left < _ceil_mul(self.cfg.cluster_survival_frac, hn):
-                    viol.append(("I3", lv, c, left, hn))
         return CheckReport(viol)
 
 

@@ -1,6 +1,6 @@
 """Consumers of a router decomposition: the sparse spanner H', its
-low-congestion embedding, fault-tolerant distance checks, connectivity
-certificates and length bucketing.
+low-congestion embedding, fault-tolerant distance checks and
+connectivity certificates.
 
 A router decomposition splits the host into edge-disjoint clusters, each
 carrying a witness and a sparsified subgraph C'.  H' is the union of the
@@ -264,18 +264,3 @@ def connectivity_certificate_check(g, h, faults):
             return False
     return len(set(rep.values())) == len(rep)
 
-
-def length_buckets(edges, L):
-    """Partition (edge, length) pairs into buckets by power of two:
-    bucket i holds lengths in [2^i, 2^(i+1))."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    top = max(0, math.ceil(math.log2(L))) if L > 1 else 0
-    buckets = [[] for _ in range(top + 1)]
-    for e, ell in edges:
-        if not 1 <= ell <= L:
-            raise ValueError("length %r of edge %r outside [1, %d]"
-                             % (ell, e, L))
-        i = int(ell).bit_length() - 1
-        buckets[i].append((e, ell))
-    return buckets

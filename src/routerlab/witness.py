@@ -107,20 +107,6 @@ class WitnessReport:
         return self.ok
 
 
-def identity_witness(s):
-    """Witness for the pruned router embedded into its own realization:
-    every surviving copy maps to itself."""
-    host = s.current_graph()
-    t = s.t
-    vm = {v: v for v in host.vertices}
-    paths = {}
-    for (i, leaf), copies in sorted(s.live_bundles().items()):
-        center = t.level_center(i, leaf)
-        for c in range(copies):
-            paths[(i, leaf, c)] = (leaf, center)
-    return RouterWitness(host, s, Embedding(vm, paths, host))
-
-
 def validate_witness(w):
     checks = []
     host, emb, s = w.host, w.emb, w.pruned
@@ -619,7 +605,7 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor):
     return out
 
 
-def witness_route(w, demand, restriction=None):
+def witness_route(w, demand):
     """Route a degree-restricted host demand through the witness.
 
     The result verifies with length at most 22*d*(k^2) and congestion at
@@ -629,9 +615,7 @@ def witness_route(w, demand, restriction=None):
     if not rep:
         raise ValueError("invalid witness: %r" %
                          [c for c in rep.checks if not c[1]])
-    if restriction is None:
-        restriction = Weighting.degrees(w.host)
-    if not is_restricted(demand, restriction):
+    if not is_restricted(demand, Weighting.degrees(w.host)):
         raise ValueError("demand exceeds the degree restriction")
     s = w.pruned
     t = s.t

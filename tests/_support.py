@@ -1,16 +1,26 @@
-"""Independent cross-checks: exact small-instance oracles and an
-approximate concurrent-flow feasibility test.
+"""Helpers only the tests use: independent cross-check oracles and
+small accessors the library itself never needs.
 
-The feasibility test packs flow on the explicit path system produced by
-enum_paths, using the usual multiplicative-weights scheme.  It is only
-approximate, so negative guarantees elsewhere always go through the
-exact verifier; here the contract is one-sided: a demand that some
-verified routing realizes must never be called infeasible.
+- dist_matrix / enum_paths: exact small-instance oracles.
+- approx_feasible / router_probe: an approximate concurrent-flow
+  feasibility test and an adversarial search over restricted demands.
+  The feasibility test packs flow on the explicit path system produced
+  by enum_paths, using the usual multiplicative-weights scheme.  It is
+  only approximate, so negative guarantees elsewhere always go through
+  the exact verifier; here the contract is one-sided: a demand that
+  some verified routing realizes must never be called infeasible.
+- identity_witness, length_buckets, total_at, check_invariants.
+
+Test modules import these with `from _support import ...`; pytest puts
+this directory on sys.path.
 """
 
+import math
 from fractions import Fraction
 
-from .graph import Demand, _key, hop_dist
+from routerlab.graph import Demand, _key, hop_dist
+from routerlab.pruning import CheckReport, _ceil_mul
+from routerlab.witness import Embedding, RouterWitness
 
 
 class CapExceeded(ValueError):
@@ -181,3 +191,58 @@ def router_probe(g, w, d, eta, eps=Fraction(1, 20)):
     name, dem, rep = worst
     return {"demand": dem, "kind": name, "feasible": rep.feasible,
             "ratio": rep.ratio, "dual": rep.dual}
+
+
+def identity_witness(s):
+    """Witness for the pruned router embedded into its own realization:
+    every surviving copy maps to itself."""
+    host = s.current_graph()
+    t = s.t
+    vm = {v: v for v in host.vertices}
+    paths = {}
+    for (i, leaf), copies in sorted(s.live_bundles().items()):
+        center = t.level_center(i, leaf)
+        for c in range(copies):
+            paths[(i, leaf, c)] = (leaf, center)
+    return RouterWitness(host, s, Embedding(vm, paths, host))
+
+
+def length_buckets(edges, L):
+    """Partition (edge, length) pairs into buckets by power of two:
+    bucket i holds lengths in [2^i, 2^(i+1))."""
+    if L < 1:
+        raise ValueError("L must be at least 1")
+    top = max(0, math.ceil(math.log2(L))) if L > 1 else 0
+    buckets = [[] for _ in range(top + 1)]
+    for e, ell in edges:
+        if not 1 <= ell <= L:
+            raise ValueError("length %r of edge %r outside [1, %d]"
+                             % (ell, e, L))
+        i = int(ell).bit_length() - 1
+        buckets[i].append((e, ell))
+    return buckets
+
+
+def total_at(d, v):
+    """Sum of demand d's values on the pairs that have v as an endpoint."""
+    return sum((val for (a, b), val in d.values.items() if v == a or v == b),
+               Fraction(0))
+
+
+def check_invariants(s):
+    """Per-phase invariants on pruned router s's live counters (I1..I3)."""
+    t = s.t
+    viol = []
+    for (i, leaf), n in s.n_edge.items():
+        if s.in_u(leaf, i) and n > s.edge_budget:
+            viol.append(("I1", i, leaf, n))
+    for (i, st), n in s.n_star.items():
+        if s.in_u(t.star_center(i, st), i) and n > s.star_budget:
+            viol.append(("I2", i, st, n))
+    for (lv, c), hn in s.hn.items():
+        vs = t.cluster_vertices(lv, c)
+        if any(s.in_u(x, 1) for x in vs):
+            left = t.N ** lv - s.n2.get((lv, c), 0)
+            if left < _ceil_mul(s.cfg.cluster_survival_frac, hn):
+                viol.append(("I3", lv, c, left, hn))
+    return CheckReport(viol)

@@ -16,17 +16,18 @@ from routerlab.router_template import build, realize
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.routing import route_demand
 from routerlab.clustering import Cluster, eligible_index, init_clustering
-from routerlab.witness import (identity_witness, lower_degrees, sparsify,
-                               sparsified_route, validate_witness,
-                               witness_route)
+from routerlab.witness import (lower_degrees, sparsify, sparsified_route,
+                               validate_witness, witness_route)
 from routerlab.resilience import FaultSet, FdReport, fd_route, integral_round
 from routerlab.decompose import (PipelineConfig, build_decomposition,
                                  process_batch)
 from routerlab.spanner import (connectivity_certificate_check,
                                extract_spanner, fd_spanner_check, lc_embed,
-                               length_buckets, stretch_check)
-from routerlab.oracle import approx_feasible, router_probe
+                               stretch_check)
 from routerlab import cli
+
+from _support import (approx_feasible, identity_witness, length_buckets,
+                      router_probe)
 
 
 class Budget:

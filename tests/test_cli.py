@@ -228,6 +228,29 @@ def test_fault_count_below_one_is_usage_error(host_file, tmp_path, capsys,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,line,msg", [
+    ("prune", "DEL 1 0 0", "deletion count 0 is below 1"),
+    ("prune", "DEL 2 0 -5", "deletion count -5 is below 1"),
+    ("batch", "INS 0 9 0", "insertion mult and len must be at least 1"),
+    ("batch", "INS 0 9 1 0", "insertion mult and len must be at least 1"),
+    ("batch", "INS 0 9 -2 1", "insertion mult and len must be at least 1"),
+])
+def test_trace_count_below_one_is_usage_error(host_file, tmp_path, capsys,
+                                              cmd, line, msg):
+    tr = tmp_path / "trace.txt"
+    tr.write_text("# one bad count\n%s\n" % line)
+    if cmd == "prune":
+        man = tmp_path / "router.json"
+        assert main(["build-router", "--N", "4", "--k", "2", "--delta", "32",
+                     "--out", str(man)]) == 0
+        capsys.readouterr()
+        argv = ["prune", "--template", str(man), "--trace", str(tr)]
+    else:
+        argv = decomp_argv("batch", host_file, "--trace", str(tr))
+    assert main(argv) == 2
+    assert "%s:2: %s" % (tr, msg) in capsys.readouterr().err
+
+
 def test_verify_command_exit_codes(tmp_path, capsys):
     g = tmp_path / "g.graph"
     g.write_text("0 1\n1 2\n0 2\n")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from routerlab.graph import MultiGraph
+from routerlab.pruning import PruningConfig
 from routerlab.router_template import build, realize
 from routerlab import decompose
 from routerlab.decompose import (PipelineConfig, build_decomposition,
@@ -26,6 +27,20 @@ def test_config_validates():
     template_cfg()
     with pytest.raises(ValueError):
         PipelineConfig(k=2, delta=4, delta_star=2, d_cap=2)
+
+
+def test_preset_names():
+    """Both names give their preset's budgets; any other name is an
+    error, not a silent fall back to the relaxed budgets."""
+    for name in ("paper", "relaxed"):
+        want = getattr(PruningConfig, name)(4)
+        assert vars(PruningConfig.preset(name, 4)) == vars(want)
+        assert vars(template_cfg(preset=name).pruning_cfg()) == vars(want)
+    for bad in ("papre", "Paper", ""):
+        with pytest.raises(ValueError, match="unknown pruning preset"):
+            PruningConfig.preset(bad, 4)
+        with pytest.raises(ValueError, match="unknown pruning preset"):
+            template_cfg(preset=bad)
 
 
 def test_template_host_becomes_one_cluster():

@@ -6,8 +6,9 @@ import pytest
 from routerlab.graph import (Demand, MultiGraph, Routing, Weighting,
                              verify_routing)
 from routerlab.router_template import build, realize
-from routerlab.oracle import (CapExceeded, approx_feasible, dist_matrix,
-                              enum_paths, router_probe)
+
+from _support import (CapExceeded, approx_feasible, dist_matrix, enum_paths,
+                      router_probe)
 
 
 def triangle():

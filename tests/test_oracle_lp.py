@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from routerlab.graph import Demand, MultiGraph, _key
-from routerlab.oracle import approx_feasible, enum_paths
+
+from _support import approx_feasible, enum_paths
 
 optimize = pytest.importorskip("scipy.optimize")
 

@@ -9,6 +9,8 @@ from routerlab.router_template import build
 from routerlab.pruning import (DIRECT, PruningConfig, _ceil_mul,
                                _floor_mul, new_pruned)
 
+from _support import check_invariants
+
 
 def fresh(N=4, k=2, delta=32, preset="relaxed"):
     t = build(N, k, delta)
@@ -36,7 +38,7 @@ def test_bad_config_rejected():
 def test_fresh_router_is_properly_pruned():
     _t, s = fresh()
     assert s.is_properly_pruned().ok
-    assert s.check_invariants().ok
+    assert check_invariants(s).ok
 
 
 def test_narrow_star_keep_rejected():

@@ -28,8 +28,9 @@ from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.resilience import integral_round
 from routerlab.router_template import build, realize
 from routerlab.routing import route_demand, route_level, route_u1_to_uk
-from routerlab.witness import (identity_witness, sparsified_route, sparsify,
-                               witness_route)
+from routerlab.witness import sparsified_route, sparsify, witness_route
+
+from _support import identity_witness
 
 VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4),
           Fraction(1), Fraction(5, 6)]

@@ -4,9 +4,11 @@ from routerlab.decompose import PipelineConfig, build_decomposition
 from routerlab.resilience import FaultSet
 from routerlab.spanner import (connectivity_certificate_check,
                                extract_spanner, fd_spanner_check, lc_embed,
-                               length_buckets, stretch_check)
+                               stretch_check)
 
 import pytest
+
+from _support import length_buckets
 
 
 def make_rd():
