@@ -61,8 +61,9 @@ def parse_graph(path):
                            path, no)
         if u == v:
             raise CliError("self loops are not allowed", path, no)
-        # a repeated pair adds its multiplicity and takes this line's length
-        g.add_edge(u, v, mult, length)
+        # len is checked but unused: every distance is a hop count.  A
+        # repeated pair adds its multiplicity.
+        g.add_edge(u, v, mult)
     return g
 
 
@@ -85,7 +86,8 @@ def parse_demand(path):
 
 def parse_trace(path, allow_ins=False):
     """List of phases; each phase is a list of ops
-    ('del', u, v, count) / ('deact', cid) / ('ins', u, v, mult, len)."""
+    ('del', u, v, count) / ('deact', cid) / ('ins', u, v, mult).  An
+    INS line's len is checked like a graph line's and then dropped."""
     phases = [[]]
     for no, tok in _lines(path):
         op = tok[0].upper()
@@ -120,7 +122,7 @@ def parse_trace(path, allow_ins=False):
                 if mult < 1 or length < 1:
                     raise CliError("insertion mult and len must be at least 1",
                                    path, no)
-                phases[-1].append(("ins", u, v, mult, length))
+                phases[-1].append(("ins", u, v, mult))
             else:
                 raise CliError("unknown trace op %r" % (tok[0],), path, no)
         except ValueError:
@@ -328,10 +330,8 @@ def _pipeline_cfg(args):
                           batch_bound=args.batch_bound, preset=args.preset)
 
 
-def _build_rd(args, rep):
-    g = parse_graph(args.graph)
-    cfg = _pipeline_cfg(args)
-    rd = build_decomposition(g, cfg)
+def _build_rd(args, rep, g):
+    rd = build_decomposition(g, _pipeline_cfg(args))
     rep.extra["clusters"] = len(rd.clusters)
     rep.extra["e_del"] = len(rd.e_del)
     rep.extra["e_del_causes"] = rd.report.cause_counts()
@@ -343,7 +343,7 @@ def _build_rd(args, rep):
 
 def cmd_decompose(args):
     rep = Report("decompose", _decomp_params(args))
-    rd = _build_rd(args, rep)
+    rd = _build_rd(args, rep, parse_graph(args.graph))
     rep.extra["cluster_sizes"] = [len(c.graph.vertices)
                                   for c in rd.clusters]
     return rep.emit(args.json)
@@ -351,11 +351,12 @@ def cmd_decompose(args):
 
 def cmd_batch(args):
     rep = Report("batch", _decomp_params(args, trace=args.trace))
-    rd = _build_rd(args, rep)
+    g = parse_graph(args.graph)
     phases = parse_trace(args.trace, allow_ins=True)
+    rd = _build_rd(args, rep, g)
     for ops in phases:
         dels = [(op[1], op[2]) for op in ops if op[0] == "del"]
-        ins = [(op[1], op[2], op[3], op[4]) for op in ops if op[0] == "ins"]
+        ins = [op[1:] for op in ops if op[0] == "ins"]
         try:
             process_batch(rd, dels, ins)
         except AssertionError as e:
@@ -368,7 +369,7 @@ def cmd_batch(args):
 
 def cmd_spanner(args):
     rep = Report("spanner", _decomp_params(args))
-    rd = _build_rd(args, rep)
+    rd = _build_rd(args, rep, parse_graph(args.graph))
     h = extract_spanner(rd)
     st, pair = stretch_check(rd.host, h)
     rep.extra["spanner_edges"] = h.num_edges()
@@ -379,7 +380,7 @@ def cmd_spanner(args):
 
 def cmd_lc_embed(args):
     rep = Report("lc-embed", _decomp_params(args))
-    rd = _build_rd(args, rep)
+    rd = _build_rd(args, rep, parse_graph(args.graph))
     try:
         emb = lc_embed(rd, seed=args.seed)
         rep.check("embed-bounds", rd.d_t, {"d": emb.d, "eta": emb.eta}, True)
@@ -390,8 +391,9 @@ def cmd_lc_embed(args):
 
 def cmd_fd_check(args):
     rep = Report("fd-check", _decomp_params(args, faults=args.faults))
-    rd = _build_rd(args, rep)
-    faults = _parse_faults(args.faults, rd.host)
+    g = parse_graph(args.graph)
+    faults = _parse_faults(args.faults, g)
+    rd = _build_rd(args, rep, g)
     out = fd_spanner_check(rd, faults, args.k, seed=args.seed)
     rep.check("fd-detour", out["bound"], out["max_detour"], out["ok"])
     rep.extra["checked"] = out["checked"]

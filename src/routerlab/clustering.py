@@ -111,7 +111,7 @@ def _induced(g, verts):
         sub.add_vertex(v)
     for (a, b), m in g.superedges.items():
         if a in verts and b in verts:
-            sub.add_edge(a, b, m, g.lengths.get((a, b)))
+            sub.add_edge(a, b, m)
     return sub
 
 

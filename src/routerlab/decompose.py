@@ -65,6 +65,12 @@ class PipelineConfig:
     def validate(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if self.delta < 1:
+            raise ValueError("delta must be at least 1")
+        if self.template_n is not None and self.template_n < 2:
+            raise ValueError("template_n must be at least 2")
+        if self.batch_bound < 1:
+            raise ValueError("batch_bound must be at least 1")
         if self.d_cap < 1:
             raise ValueError("d_cap must be at least 1")
         if self.delta_star < 2 * self.k_hat * self.d_cap:
@@ -210,8 +216,7 @@ class _WitnessedCluster:
         for e in sorted(covered):
             if not source_graph.has_edge(*e):
                 raise ValueError("embedding path uses a dead edge")
-            host.add_edge(e[0], e[1], source_graph.multiplicity(*e),
-                          source_graph.lengths.get(e))
+            host.add_edge(e[0], e[1], source_graph.multiplicity(*e))
         dropped = [e for e in source_graph.superedges if e not in covered]
         paths = {}
         for (i, leaf) in sorted(self.bundles):
@@ -458,7 +463,7 @@ def _recourse_per_edge(n, k):
 
 def process_batch(rd, deletions, insertions=()):
     """Apply one batch of host edge deletions (and optional insertions,
-    which land in E^del) to a built decomposition.
+    (u, v, mult) triples that land in E^del) to a built decomposition.
 
     The batch is checked before anything changes: every deleted edge
     must be a host edge, listed once, every insertion a valid edge, and
@@ -477,8 +482,8 @@ def process_batch(rd, deletions, insertions=()):
         if e in owner:
             raise ValueError("edge %r deleted twice in one batch" % (e,))
         owner[e] = _cluster_of(rd, e)
-    for (u, v, *rest) in insertions:
-        MultiGraph().add_edge(u, v, *rest)  # rejects loops, bad mult/len
+    for (u, v, mult) in insertions:
+        MultiGraph().add_edge(u, v, mult)  # rejects loops and mult < 1
         e = _key(u, v)
         if e not in owner and _cluster_of(rd, e) is not None:
             raise ValueError("insertion onto cluster edge %r" % (e,))
@@ -497,10 +502,8 @@ def process_batch(rd, deletions, insertions=()):
                 and not _repair(rd, wc, per_cluster[wc.id], report)):
             _dissolve(rd, wc, report)
 
-    for (u, v, *rest) in insertions:
-        mult = rest[0] if rest else 1
-        length = rest[1] if len(rest) > 1 else None
-        rd.host.add_edge(u, v, mult, length)
+    for (u, v, mult) in insertions:
+        rd.host.add_edge(u, v, mult)
         rd.e_del.add(_key(u, v))
         rd.report.causes[_key(u, v)] = "insert"
         report.charge("insert")

@@ -1,7 +1,8 @@
 """Undirected multigraphs, demands, and exact flow verification.
 
 Parallel edges are stored as a single superedge (u,v) with an integer
-multiplicity, never materialized individually.  Flow is exact and no
+multiplicity, never materialized individually.  Edges have no length:
+every distance in the library is a hop count.  Flow is exact and no
 float ever enters the accounting.  Demand and Routing values are
 Fractions; code that sums or compares many of them first rescales them
 with flow_units to integers in units of 1/L, L the lcm of their
@@ -39,7 +40,6 @@ class MultiGraph:
     def __init__(self):
         self.vertices = set()
         self.superedges = {}     # (u,v) u<v -> multiplicity
-        self.lengths = {}        # (u,v) -> positive int, absent means 1
         self.adj = {}            # v -> set of neighbors
 
     def add_vertex(self, v):
@@ -47,7 +47,7 @@ class MultiGraph:
             self.vertices.add(v)
             self.adj[v] = set()
 
-    def add_edge(self, u, v, mult=1, length=None):
+    def add_edge(self, u, v, mult=1):
         if u == v:
             raise ValueError("self-loop rejected: %r" % (u,))
         if mult < 1:
@@ -58,10 +58,6 @@ class MultiGraph:
         self.superedges[k] = self.superedges.get(k, 0) + mult
         self.adj[u].add(v)
         self.adj[v].add(u)
-        if length is not None:
-            if length < 1:
-                raise ValueError("length must be >= 1")
-            self.lengths[k] = length
 
     def remove_copies(self, u, v, count=1):
         k = _key(u, v)
@@ -80,15 +76,12 @@ class MultiGraph:
         """Remove the superedge (u,v) with all its copies."""
         k = _key(u, v)
         del self.superedges[k]
-        self.lengths.pop(k, None)
         self.adj[u].discard(v)
         self.adj[v].discard(u)
 
     def remove_vertex(self, v):
         for u in list(self.adj.get(v, ())):
-            k = _key(u, v)
-            del self.superedges[k]
-            self.lengths.pop(k, None)
+            del self.superedges[_key(u, v)]
             self.adj[u].discard(v)
         self.adj.pop(v, None)
         self.vertices.discard(v)
@@ -98,9 +91,6 @@ class MultiGraph:
 
     def has_edge(self, u, v):
         return _key(u, v) in self.superedges
-
-    def length(self, u, v):
-        return self.lengths.get(_key(u, v), 1)
 
     def degree(self, v):
         return sum(self.superedges[_key(v, u)] for u in self.adj.get(v, ()))
@@ -116,7 +106,6 @@ class MultiGraph:
         g = MultiGraph()
         g.vertices = set(self.vertices)
         g.superedges = dict(self.superedges)
-        g.lengths = dict(self.lengths)
         g.adj = {v: set(s) for v, s in self.adj.items()}
         return g
 
@@ -170,35 +159,6 @@ class Demand:
 
     def __len__(self):
         return len(self.values)
-
-
-class Weighting:
-    """Per-vertex weight: uniform constant, degrees of a graph, or explicit map."""
-
-    def __init__(self, kind, payload):
-        self.kind = kind
-        self.payload = payload
-
-    @classmethod
-    def uniform(cls, delta):
-        return cls("uniform", Fraction(delta))
-
-    @classmethod
-    def degrees(cls, g):
-        return cls("degrees", g)
-
-    @classmethod
-    def explicit(cls, mapping):
-        return cls("explicit", {v: Fraction(w) for v, w in mapping.items()})
-
-    def of(self, v):
-        if self.kind == "uniform":
-            return self.payload
-        if self.kind == "degrees":
-            return Fraction(self.payload.degree(v))
-        if v not in self.payload:
-            raise KeyError("no weight for vertex %r" % (v,))
-        return self.payload[v]
 
 
 class Routing:
@@ -274,17 +234,17 @@ def ball(g, v, d):
     return set().union(*bfs_layers(g, v, d))
 
 
-def is_restricted(d, w):
-    """True iff every vertex's total incident demand is at most its weight.
-    Totals are summed in units of 1/L and compared with each weight by
-    cross-multiplication."""
+def is_restricted(d, weight):
+    """True iff every vertex v's total incident demand is at most
+    weight(v), an int or a Fraction.  Totals are summed in units of 1/L
+    and compared with each weight by cross-multiplication."""
     lcm, units = flow_units(d.values.values())
     totals = {}
     for (a, b), u in zip(d.values, units):
         totals[a] = totals.get(a, 0) + u
         totals[b] = totals.get(b, 0) + u
     for v, tot in totals.items():
-        wv = w.of(v)
+        wv = weight(v)
         if tot * wv.denominator > wv.numerator * lcm:
             return False
     return True

@@ -33,7 +33,7 @@ become Fractions again only in the Routing each function returns.
 
 from fractions import Fraction
 
-from .graph import Routing, Weighting, flow_units, is_restricted
+from .graph import Routing, flow_units, is_restricted
 
 
 class RoutingError(ValueError):
@@ -131,7 +131,8 @@ def route_level(s, i, d, scale=1):
     for v in d.support():
         if not s.in_u(v, i):
             raise RoutingError("support vertex %r not in U_%d" % (v, i))
-    if not is_restricted(d, Weighting.uniform(_r(s, i, scale))):
+    cap = _r(s, i, scale)
+    if not is_restricted(d, lambda v: cap):
         raise RoutingError("demand is not r_i-restricted")
     if i < t.k:
         for (a, b), _ in d.values.items():
@@ -220,7 +221,7 @@ def route_demand(s, d):
     t = s.t
     k = t.k
     cap = Fraction(t.delta, k ** (4 * k))
-    if not is_restricted(d, Weighting.uniform(cap)):
+    if not is_restricted(d, lambda v: cap):
         raise RoutingError("demand is not Delta/k^4k-restricted")
     for v in d.support():
         if not s.in_u(v, 1):

@@ -8,7 +8,6 @@ deleted edges and all the C'; every cluster edge then has a short detour
 inside its own C', which is what all the checks below lean on.
 """
 
-import heapq
 import math
 import random
 from fractions import Fraction
@@ -73,11 +72,11 @@ def extract_spanner(rd):
     for v in rd.host.vertices:
         h.add_vertex(v)
     for (a, b) in sorted(rd.e_del):
-        h.add_edge(a, b, 1, rd.host.lengths.get((a, b)))
+        h.add_edge(a, b)
     for c in rd.clusters:
         for (a, b) in sorted(c.sparse.cprime.superedges):
             if not h.has_edge(a, b):
-                h.add_edge(a, b, 1, c.sparse.cprime.lengths.get((a, b)))
+                h.add_edge(a, b)
     # clusters are edge-disjoint, C' subsets its cluster and E^del holds
     # no cluster edge, so the union must not merge any two edges
     expected = len(rd.e_del) + sum(len(c.sparse.cprime.superedges)
@@ -85,27 +84,6 @@ def extract_spanner(rd):
     if h.num_edges() != expected:
         raise AssertionError("spanner size accounting broken")
     return h
-
-
-def _weighted_dist_from(g, src, targets=None):
-    """Integer length distances from src, as far as targets needs."""
-    dist = {src: 0}
-    heap = [(0, src)]
-    want = set(targets) if targets is not None else None
-    done = set()
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        if want is not None and want <= done:
-            break
-        for u in g.neighbors(v):
-            nd = dv + g.length(v, u)
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist
 
 
 def _partners(edges):
@@ -116,8 +94,8 @@ def _partners(edges):
     return out
 
 
-def stretch_check(g, h, weighted=False):
-    """Max stretch of H over the edges of g, with a witness pair.
+def stretch_check(g, h):
+    """Max hop stretch of H over the edges of g, with a witness pair.
 
     Checking edges suffices for subgraph spanners: any g-path expands
     edge by edge into H-paths, so pair stretch never exceeds the worst
@@ -125,21 +103,16 @@ def stretch_check(g, h, weighted=False):
     Each source u is searched only until the distances to its partners
     {v : (u, v) in g, u < v} are final, not over the whole of H.
     """
-    worst = 0 if not weighted else Fraction(0)
+    worst = 0
     pair = None
     for u, vs in _partners(g.superedges).items():
-        dist = (_weighted_dist_from(h, u, vs) if weighted
-                else hop_dist(h, u, vs))
+        dist = hop_dist(h, u, vs)
         for v in vs:
             dh = dist.get(v)
             if dh is None:
                 return math.inf, (u, v)
-            if weighted:
-                ratio = Fraction(dh, g.length(u, v))
-            else:
-                ratio = dh
-            if ratio > worst:
-                worst = ratio
+            if dh > worst:
+                worst = dh
                 pair = (u, v)
     return worst, pair
 

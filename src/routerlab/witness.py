@@ -19,7 +19,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .graph import (MultiGraph, Demand, Routing, Weighting, _key,
+from .graph import (MultiGraph, Demand, Routing, _key,
                     bfs_layers, flow_units, hop_dist, is_restricted)
 from .routing import route_demand
 
@@ -615,7 +615,7 @@ def witness_route(w, demand):
     if not rep:
         raise ValueError("invalid witness: %r" %
                          [c for c in rep.checks if not c[1]])
-    if not is_restricted(demand, Weighting.degrees(w.host)):
+    if not is_restricted(demand, w.host.degree):
         raise ValueError("demand exceeds the degree restriction")
     s = w.pruned
     t = s.t
@@ -718,7 +718,7 @@ def sparsify(w, delta_star):
     def add_path(p):
         for a, b in zip(p, p[1:]):
             if not cprime.has_edge(a, b):
-                cprime.add_edge(a, b, 1, w.host.lengths.get(_key(a, b)))
+                cprime.add_edge(a, b)
 
     for entries in qsets.values():
         for key, _sub in entries:
@@ -736,7 +736,7 @@ def sparsified_route(sp, w, demand):
     """Route a Delta*-restricted host demand inside the sparsified
     subgraph; verifies with length 22*d*(k^2) and congestion
     8*gamma*(d*)^2*eta**k^(4k+1)."""
-    if not is_restricted(demand, Weighting.uniform(sp.delta_star)):
+    if not is_restricted(demand, lambda v: sp.delta_star):
         raise ValueError("demand is not delta_star-restricted")
     k = sp.thinned.t.k
     path_sets = {}

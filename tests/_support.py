@@ -9,13 +9,12 @@ small accessors the library itself never needs.
   only approximate, so negative guarantees elsewhere always go through
   the exact verifier; here the contract is one-sided: a demand that
   some verified routing realizes must never be called infeasible.
-- identity_witness, length_buckets, total_at, check_invariants.
+- identity_witness, total_at, check_invariants.
 
 Test modules import these with `from _support import ...`; pytest puts
 this directory on sys.path.
 """
 
-import math
 from fractions import Fraction
 
 from routerlab.graph import Demand, _key, hop_dist
@@ -130,13 +129,15 @@ def approx_feasible(g, demand, d, eta, eps=Fraction(1, 20), iters=None,
 
 
 def _restricted_value(w, a, b, used):
-    room_a = w.of(a) - used.get(a, Fraction(0))
-    room_b = w.of(b) - used.get(b, Fraction(0))
+    room_a = w[a] - used.get(a, Fraction(0))
+    room_b = w[b] - used.get(b, Fraction(0))
     return min(room_a, room_b)
 
 
-def _candidate_demands(g, w):
+def _candidate_demands(g, weight):
     verts = sorted(g.vertices)
+    # exact, since the star demand divides weights
+    w = {v: Fraction(weight(v)) for v in verts}
     out = []
     # greedy matching over vertex pairs
     d = Demand()
@@ -150,13 +151,13 @@ def _candidate_demands(g, w):
     if len(d):
         out.append(("matching", d))
     # star-concentrated on the max-weight vertex
-    c = max(verts, key=lambda v: (w.of(v), v))
+    c = max(verts, key=lambda v: (w[v], v))
     d = Demand()
     others = [v for v in verts if v != c]
     if others:
-        share = w.of(c) / len(others)
+        share = w[c] / len(others)
         for v in others:
-            val = min(share, w.of(v))
+            val = min(share, w[v])
             if val > 0:
                 d.add(c, v, val)
         if len(d):
@@ -178,8 +179,9 @@ def _candidate_demands(g, w):
 
 
 def router_probe(g, w, d, eta, eps=Fraction(1, 20)):
-    """Adversarial search over extremal restricted demands; reports the
-    hardest one found for the (d, eta) routing definition."""
+    """Adversarial search over extremal restricted demands, each vertex
+    v's total at most w(v); reports the hardest one found for the
+    (d, eta) routing definition."""
     worst = None
     for name, dem in _candidate_demands(g, w):
         rep = approx_feasible(g, dem, d, eta, eps)
@@ -205,22 +207,6 @@ def identity_witness(s):
         for c in range(copies):
             paths[(i, leaf, c)] = (leaf, center)
     return RouterWitness(host, s, Embedding(vm, paths, host))
-
-
-def length_buckets(edges, L):
-    """Partition (edge, length) pairs into buckets by power of two:
-    bucket i holds lengths in [2^i, 2^(i+1))."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    top = max(0, math.ceil(math.log2(L))) if L > 1 else 0
-    buckets = [[] for _ in range(top + 1)]
-    for e, ell in edges:
-        if not 1 <= ell <= L:
-            raise ValueError("length %r of edge %r outside [1, %d]"
-                             % (ell, e, L))
-        i = int(ell).bit_length() - 1
-        buckets[i].append((e, ell))
-    return buckets
 
 
 def total_at(d, v):

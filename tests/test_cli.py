@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -374,17 +375,25 @@ def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     assert doc["command"] == cmd
 
 
-@pytest.mark.parametrize("extra,rc", [([], 0), (["--delta-star", "3"], 2),
-                                      (["--d-cap", "0"], 2)],
-                         ids=["defaults", "delta-star-below-2k2", "d-cap-0"])
-def test_decompose_defaults_agree(extra, rc, capsys):
+@pytest.mark.parametrize("extra,rc,msg", [
+    ([], 0, None),
+    (["--delta-star", "3"], 2, "d_cap must be at least 1"),
+    (["--d-cap", "0"], 2, "d_cap must be at least 1"),
+    (["--delta", "0"], 2, "delta must be at least 1"),
+    (["--template-n", "1"], 2, "template_n must be at least 2"),
+    (["--batch-bound", "0"], 2, "batch_bound must be at least 1"),
+    (["--batch-bound", "-3"], 2, "batch_bound must be at least 1"),
+], ids=["defaults", "delta-star-below-2k2", "d-cap-0", "delta-0",
+        "template-n-1", "batch-bound-0", "batch-bound-negative"])
+def test_decompose_defaults_agree(extra, rc, msg, capsys):
     """Without --d-cap, d_cap is the largest value --delta-star admits,
-    so the default flags run; a d_cap below 1 is a usage error."""
+    so the default flags run; a d_cap, delta or batch bound below 1 and
+    a template below 2 leaves per star are usage errors."""
     argv = ["decompose", "--graph", os.path.join(DATA, "golden_host.graph"),
             "--k", "2", "--delta", "4"] + extra
     assert main(argv) == rc
-    if rc == 2:
-        assert "d_cap must be at least 1" in capsys.readouterr().err
+    if msg is not None:
+        assert msg in capsys.readouterr().err
 
 
 def test_batch_insert_onto_cluster_edge_is_usage_error(tmp_path, capsys):
@@ -463,3 +472,71 @@ def test_repeated_graph_lines_add_multiplicities(tmp_path, capsys):
         assert doc["params"].pop("graph") == path
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_len_field_is_checked_and_unused(tmp_path, capsys):
+    """Every golden host line with a random len appended gives the same
+    decompose-family reports as the plain file, and so does an INS line
+    with a len; a len of 0 is a usage error naming the line."""
+    golden = os.path.join(DATA, "golden_host.graph")
+    with open(golden) as f:
+        lines = f.read().splitlines()
+    rng = random.Random(11)
+    host = tmp_path / "len.graph"
+    host.write_text("\n".join(
+        line if line.startswith("#") else "%s %d" % (line, rng.randint(1, 9))
+        for line in lines) + "\n")
+    plain_tr, len_tr = tmp_path / "plain.txt", tmp_path / "len.txt"
+    plain_tr.write_text("DEL 1 0\nPHASE 1\nINS 0 200 1\n")
+    len_tr.write_text("DEL 1 0\nPHASE 1\nINS 0 200 1 7\n")
+    faults = ["--faults", os.path.join(DATA, "golden_faults.txt")]
+    runs = {"decompose": ([], []), "spanner": ([], []), "lc-embed": ([], []),
+            "fd-check": (faults, faults),
+            "batch": (["--trace", str(plain_tr)], ["--trace", str(len_tr)])}
+    for cmd, sides in runs.items():
+        docs = []
+        for path, extra in zip((golden, str(host)), sides):
+            out = str(tmp_path / "report.json")
+            argv = ["--seed", "11"] + decomp_argv(cmd, path, *extra,
+                                                  json_out=out)
+            assert main(argv) == 0, cmd
+            doc = json.loads(strip_timings(out))
+            assert doc["params"].pop("graph") == path
+            doc["params"].pop("trace", None)
+            docs.append(doc)
+        assert docs[0] == docs[1], cmd
+
+    host.write_text("0 1 4 1\n0 2 4 0\n")
+    assert main(decomp_argv("decompose", str(host))) == 2
+    assert "%s:2: " % host in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,flag,text,msg", [
+    ("batch", "--trace", "DEL 0 1 0\n", ":1: deletion count 0 is below 1"),
+    ("batch", "--trace", None, "No such file or directory"),
+    ("fd-check", "--faults", "0 1 0\n", ":1: fault count 0 is below 1"),
+    ("fd-check", "--faults", None, "No such file or directory"),
+], ids=["bad-trace", "missing-trace", "bad-faults", "missing-faults"])
+def test_input_files_are_parsed_before_the_build(host_file, tmp_path,
+                                                 monkeypatch, capsys, cmd,
+                                                 flag, text, msg):
+    """batch and fd-check reject a bad or missing trace or fault file
+    without building the decomposition."""
+    from routerlab import cli
+    builds = []
+    real = cli.build_decomposition
+
+    def counted(g, cfg):
+        builds.append(cfg)
+        return real(g, cfg)
+
+    monkeypatch.setattr(cli, "build_decomposition", counted)
+    f = tmp_path / "input.txt"
+    if text is not None:
+        f.write_text(text)
+    assert main(decomp_argv(cmd, host_file, flag, str(f))) == 2
+    err = capsys.readouterr().err
+    assert msg in err
+    if text is not None:
+        assert str(f) + msg in err
+    assert builds == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routerlab.graph import (MultiGraph, Demand, Routing, Weighting, _key,
+from routerlab.graph import (MultiGraph, Demand, Routing, _key,
                              ball, bfs_layers, hop_dist, is_restricted,
                              verify_routing)
 
@@ -71,11 +71,11 @@ def test_demand_normalizes_pairs():
 
 def test_is_restricted():
     d = Demand([(0, 1, 2), (0, 2, 1)])
-    assert is_restricted(d, Weighting.uniform(3))
-    assert not is_restricted(d, Weighting.uniform(2))
+    assert is_restricted(d, lambda v: 3)
+    assert not is_restricted(d, lambda v: 2)
     g = triangle()
-    assert is_restricted(d, Weighting.explicit({0: 3, 1: 2, 2: 1}))
-    assert not is_restricted(d, Weighting.degrees(g))
+    assert is_restricted(d, {0: 3, 1: 2, 2: 1}.__getitem__)
+    assert not is_restricted(d, g.degree)
 
 
 def test_ball():
@@ -189,5 +189,5 @@ def test_restriction_monotone_in_weight(pairs, cap):
     for a, b, val in pairs:
         if a != b and d.value(a, b) == 0:
             d.add(a, b, val)
-    if is_restricted(d, Weighting.uniform(cap)):
-        assert is_restricted(d, Weighting.uniform(cap * 2))
+    if is_restricted(d, lambda v: cap):
+        assert is_restricted(d, lambda v: cap * 2)

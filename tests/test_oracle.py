@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from routerlab.graph import (Demand, MultiGraph, Routing, Weighting,
-                             verify_routing)
+from routerlab.graph import Demand, MultiGraph, Routing, verify_routing
 from routerlab.router_template import build, realize
 
 from _support import (CapExceeded, approx_feasible, dist_matrix, enum_paths,
@@ -140,7 +139,7 @@ def test_oracle_never_rejects_verified_routing_fuzz():
 
 def test_router_probe_realized_router():
     g = realize(build(4, 1, 8))
-    pr = router_probe(g, Weighting.uniform(1), 2, 2)
+    pr = router_probe(g, lambda v: 1, 2, 2)
     assert pr["feasible"], pr
     assert pr["kind"] in ("matching", "star", "bisection")
 
@@ -151,6 +150,6 @@ def test_router_probe_flags_broken_router():
     for c in sorted(g.adj[1]):
         g.remove_copies(1, c, g.multiplicity(1, c))
     g.add_edge(1, 2)
-    pr = router_probe(g, Weighting.degrees(g), 2, 1)
+    pr = router_probe(g, g.degree, 2, 1)
     assert not pr["feasible"]
     assert pr["demand"] is not None

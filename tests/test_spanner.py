@@ -8,8 +8,6 @@ from routerlab.spanner import (connectivity_certificate_check,
 
 import pytest
 
-from _support import length_buckets
-
 
 def make_rd():
     t = build(3, 4, 4)
@@ -68,29 +66,3 @@ def test_connectivity_certificate_fails_on_broken_sub():
     for v in h.vertices:
         h2.add_vertex(v)
     assert not connectivity_certificate_check(G, h2, FaultSet(G, []))
-
-
-def test_length_buckets():
-    b = length_buckets([("a", 1), ("b", 5), ("c", 8)], 8)
-    assert ("a", 1) in b[0]
-    assert ("b", 5) in b[2]
-    assert ("c", 8) in b[3]
-    assert sum(len(v) for v in b) == 3
-    with pytest.raises(ValueError):
-        length_buckets([("x", 0)], 8)
-    with pytest.raises(ValueError):
-        length_buckets([("x", 9)], 8)
-
-
-def test_stretch_check_weighted():
-    g = MultiGraph()
-    g.add_edge(0, 1, 1, 4)
-    g.add_edge(1, 2, 1, 1)
-    g.add_edge(0, 2, 1, 1)
-    h = g.copy()
-    h.remove_copies(0, 1, 1)
-    st, pair = stretch_check(g, h, weighted=True)
-    # 0-1 edge of length 4 replaced by a 2-hop path of length 2
-    assert st == 1
-    st2, _ = stretch_check(g, h, weighted=False)
-    assert st2 == 2

@@ -4,7 +4,6 @@ and subgraphs."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,7 @@ def _random_graph(rng, n, m):
     while g.num_edges() < m:
         a, b = rng.sample(range(n), 2)
         if not g.has_edge(a, b):
-            g.add_edge(a, b, rng.randint(1, 3), rng.randint(1, 5))
+            g.add_edge(a, b, rng.randint(1, 3))
     return g
 
 
@@ -34,7 +33,7 @@ def _subgraph(rng, g, keep):
         h.add_vertex(v)
     for (a, b), m in g.superedges.items():
         if rng.random() < keep:
-            h.add_edge(a, b, m, g.lengths.get((a, b)))
+            h.add_edge(a, b, m)
     return h
 
 
@@ -42,26 +41,21 @@ def _to_nx(h):
     x = nx.Graph()
     x.add_nodes_from(h.vertices)
     for (a, b) in h.superedges:
-        x.add_edge(a, b, length=h.length(a, b))
+        x.add_edge(a, b)
     return x
 
 
-def _nx_stretch(g, h, weighted):
-    """Worst edge stretch and the first edge (in sorted order) that
+def _nx_stretch(g, h):
+    """Worst edge hop stretch and the first edge (in sorted order) that
     attains it; (inf, first disconnected edge) if any is cut off."""
     x = _to_nx(h)
     worst, pair = 0, None
     for (u, v) in sorted(g.superedges):
-        if weighted:
-            dist = nx.single_source_dijkstra_path_length(x, u,
-                                                         weight="length")
-        else:
-            dist = nx.single_source_shortest_path_length(x, u)
+        dist = nx.single_source_shortest_path_length(x, u)
         if v not in dist:
             return math.inf, (u, v)
-        ratio = Fraction(dist[v], g.length(u, v)) if weighted else dist[v]
-        if ratio > worst:
-            worst, pair = ratio, (u, v)
+        if dist[v] > worst:
+            worst, pair = dist[v], (u, v)
     return worst, pair
 
 
@@ -77,14 +71,12 @@ def _cases():
 def test_stretch_check_matches_networkx():
     seen_inf = seen_finite = 0
     for trial, g, h in _cases():
-        for weighted in (False, True):
-            want = _nx_stretch(g, h, weighted)
-            assert stretch_check(g, h, weighted=weighted) == want, \
-                (trial, weighted)
-            if want[0] == math.inf:
-                seen_inf += 1
-            elif want[0] > 1:
-                seen_finite += 1
+        want = _nx_stretch(g, h)
+        assert stretch_check(g, h) == want, trial
+        if want[0] == math.inf:
+            seen_inf += 1
+        elif want[0] > 1:
+            seen_finite += 1
     assert seen_inf >= 10 and seen_finite >= 10, (seen_inf, seen_finite)
 
 
@@ -95,8 +87,7 @@ def test_stretch_check_disconnected_subgraph():
     h = g.without_edges([(2, 5)])        # H splits into {0..4} and {5, 6}
     assert not nx.has_path(_to_nx(h), 2, 5)
     assert stretch_check(g, h) == (math.inf, (2, 5))
-    assert stretch_check(g, h, weighted=True) == (math.inf, (2, 5))
-    assert _nx_stretch(g, h, False) == (math.inf, (2, 5))
+    assert _nx_stretch(g, h) == (math.inf, (2, 5))
 
 
 def test_fd_spanner_check_matches_networkx(monkeypatch):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from routerlab.graph import (MultiGraph, Demand, Weighting, ball,
-                             is_restricted, verify_routing)
+from routerlab.graph import (MultiGraph, Demand, ball, is_restricted,
+                             verify_routing)
 from routerlab.router_template import build, realize
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.witness import (ScatteredCert, greedy_embed, lower_degrees,
@@ -70,7 +70,7 @@ def test_sparsified_route_within_bounds():
     sp = sparsify(w, 2 * K * 1 * 8)
     leaves = [v for v in sorted(w.host.vertices) if not t.is_center(v)]
     d = Demand([(leaves[0], leaves[5], Fraction(1, 2))])
-    assert is_restricted(d, Weighting.uniform(sp.delta_star))
+    assert is_restricted(d, lambda v: sp.delta_star)
     r = sparsified_route(sp, w, d)
     mc = 8 * sp.gamma * w.emb.d_star ** 2 * w.emb.eta_star * K ** (4 * K + 1)
     vr = verify_routing(sp.cprime, d, r, 22 * w.emb.d_star * K * K, mc)
