@@ -9,6 +9,7 @@ inputs and seed give byte-identical reports apart from the timings.
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -84,13 +85,24 @@ def parse_demand(path):
     return d
 
 
-def parse_trace(path, allow_ins=False):
+# The ops each command reads from a trace, besides PHASE.  Only pruning
+# reads a DEL count: batch and cluster delete whole edges.
+PRUNE_OPS = frozenset({"DEL"})              # prune, route
+CLUSTER_OPS = frozenset({"DEL", "DEACT"})
+BATCH_OPS = frozenset({"DEL", "INS"})
+
+
+def parse_trace(path, ops=PRUNE_OPS):
     """List of phases; each phase is a list of ops
-    ('del', u, v, count) / ('deact', cid) / ('ins', u, v, mult).  An
-    INS line's len is checked like a graph line's and then dropped."""
+    ('del', u, v, count) / ('deact', cid) / ('ins', u, v, mult), of the
+    kinds in ops.  An INS line's len is checked like a graph line's and
+    then dropped."""
     phases = [[]]
     for no, tok in _lines(path):
         op = tok[0].upper()
+        if op != "PHASE" and op not in ops:
+            raise CliError("trace op %r is not valid here (valid: %s)" % (
+                tok[0], ", ".join(sorted(ops | {"PHASE"}))), path, no)
         try:
             if op == "PHASE":
                 if len(tok) != 2 or int(tok[1]) != len(phases):
@@ -105,15 +117,15 @@ def parse_trace(path, allow_ins=False):
                 if count < 1:
                     raise CliError("deletion count %d is below 1" % count,
                                    path, no)
+                if count != 1 and ops != PRUNE_OPS:
+                    raise CliError("deletion count %d: this command deletes "
+                                   "whole edges" % count, path, no)
                 phases[-1].append(("del", u, v, count))
             elif op == "DEACT":
                 if len(tok) != 2:
                     raise CliError("expected 'DEACT cluster_id'", path, no)
                 phases[-1].append(("deact", int(tok[1])))
-            elif op == "INS":
-                if not allow_ins:
-                    raise CliError("INS is only valid for batch",
-                                   path, no)
+            else:                                       # INS
                 if len(tok) not in (3, 4, 5):
                     raise CliError("expected 'INS u v [mult] [len]'", path, no)
                 u, v = int(tok[1]), int(tok[2])
@@ -123,8 +135,6 @@ def parse_trace(path, allow_ins=False):
                     raise CliError("insertion mult and len must be at least 1",
                                    path, no)
                 phases[-1].append(("ins", u, v, mult))
-            else:
-                raise CliError("unknown trace op %r" % (tok[0],), path, no)
         except ValueError:
             raise CliError("non-integer field", path, no)
     return phases
@@ -164,8 +174,8 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, float) and x != x:
-        return "nan"
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)                   # "inf", "-inf" or "nan"
     return x
 
 
@@ -193,7 +203,7 @@ class Report:
                "timings_ms": round((time.perf_counter() - self._t0) * 1000,
                                    3)}
         doc.update(_jsonable(self.extra))
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
         if out_path:
             with open(out_path, "w", encoding="utf-8") as f:
                 f.write(text + "\n")
@@ -223,10 +233,7 @@ def _apply_prune_trace(s, phases, rep=None):
     for pi, ops in enumerate(phases):
         if pi > 0:
             s.begin_phase()
-        for op in ops:
-            if op[0] != "del":
-                raise CliError("only DEL ops are valid in pruning traces")
-            _tag, u, v, count = op
+        for _tag, u, v, count in ops:
             for _ in range(count):
                 s.delete_edge(u, v)
                 deletes += 1
@@ -307,11 +314,10 @@ def cmd_cluster(args):
     rep = Report("cluster", {"graph": args.graph, "k": args.k,
                              "trace": args.trace, "seed": args.seed})
     cs = init_clustering(g, args.k)
-    phases = parse_trace(args.trace) if args.trace else [[]]
+    phases = parse_trace(args.trace, CLUSTER_OPS) if args.trace else [[]]
     bad = []
     for ops in phases:
-        dels = [(u, v) for tag, u, v, *_rest in
-                [op for op in ops if op[0] == "del"]]
+        dels = [op[1:3] for op in ops if op[0] == "del"]
         deact = [op[1] for op in ops if op[0] == "deact"]
         cs.run_phase(dels, deact)
         bad.extend(cs.check_valid())
@@ -352,7 +358,7 @@ def cmd_decompose(args):
 def cmd_batch(args):
     rep = Report("batch", _decomp_params(args, trace=args.trace))
     g = parse_graph(args.graph)
-    phases = parse_trace(args.trace, allow_ins=True)
+    phases = parse_trace(args.trace, BATCH_OPS)
     rd = _build_rd(args, rep, g)
     for ops in phases:
         dels = [(op[1], op[2]) for op in ops if op[0] == "del"]

@@ -50,9 +50,6 @@ class Cluster:
     def num_vertices(self):
         return len(self.graph.vertices)
 
-    def num_edges(self):
-        return self.graph.num_edges()
-
 
 def is_settled(c, k, n):
     nv = c.num_vertices()
@@ -245,11 +242,9 @@ class ClusteringState:
     def total_n_v(self):
         return sum(self.n_v.values())
 
-    def check_valid(self, host=None):
+    def check_valid(self):
         """Exact edge partition against the host plus settled actives
         and the lifetime-counter budget.  Returns a list of violations."""
-        if host is None:
-            host = self.host
         errs = []
         seen = {}
         for i in sorted(self.clusters):
@@ -257,11 +252,11 @@ class ClusteringState:
                 if e in seen:
                     errs.append(("edge-in-two-clusters", e))
                 seen[e] = m
-        for e, m in host.superedges.items():
+        for e, m in self.host.superedges.items():
             if seen.get(e) != m:
                 errs.append(("edge-not-covered", e, seen.get(e), m))
         for e in seen:
-            if e not in host.superedges:
+            if e not in self.host.superedges:
                 errs.append(("stale-edge", e))
         for c in self.active_clusters():
             if not is_settled(c, self.k, self.n):

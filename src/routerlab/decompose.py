@@ -186,15 +186,14 @@ class _WitnessedCluster:
         removed = 0
         for key in sorted(self.bundles):
             keep = []
-            for p in self.bundles.get(key, ()):
+            for p in self.bundles[key]:
                 if pred(p):
                     i, leaf = key
                     self.s.delete_edge(leaf, t.level_center(i, leaf))
                     removed += 1
                 else:
                     keep.append(p)
-            if key in self.bundles:
-                self.bundles[key] = keep
+            self.bundles[key] = keep
         self._sync_pruning()
         return removed
 
@@ -289,21 +288,17 @@ def _try_witness(cid, cfg, sub):
     if got is None:
         return None
     emb, fakes = got
-    try:
-        s = new_pruned(t, cfg.pruning_cfg(n_c))
-    except ValueError:
-        return None
+    s = new_pruned(t, cfg.pruning_cfg(n_c))
     for (i, leaf, _c) in sorted(fakes):
         s.delete_edge(leaf, t.level_center(i, leaf))
     if not s.is_properly_pruned():
         return None
     bundles = {}
-    for (i, leaf), copies in sorted(s.live_bundles().items()):
-        alive = [emb.paths[(i, leaf, c)] for c in range(t.delta)
-                 if (i, leaf, c) not in fakes]
-        if len(alive) < copies:
-            return None
-        bundles[(i, leaf)] = alive[:copies]
+    # a live bundle holds delta copies less one per fake, so its
+    # surviving paths are exactly its non-fake copies
+    for (i, leaf) in sorted(s.live_bundles()):
+        bundles[(i, leaf)] = [emb.paths[(i, leaf, c)] for c in range(t.delta)
+                              if (i, leaf, c) not in fakes]
     wc = _WitnessedCluster(cid, cfg, s, emb.vertex_map, bundles)
 
     # trim under-covered host vertices until stable

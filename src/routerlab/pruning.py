@@ -154,12 +154,22 @@ class PrunedRouter:
         self.t = template
         self.cfg = cfg
         k, N, delta = template.k, template.N, template.delta
-        if N - 1 < cfg.star_keep_frac * N:
-            raise ValueError("star keep fraction unattainable: a fresh star "
-                             "has N-1 leaves, need N*(1-star_keep_frac) >= 1")
         # integer budgets: n > frac * size iff n > floor(frac * size)
         self.edge_budget = _floor_mul(cfg.edge_budget_frac, delta)
         self.star_budget = _floor_mul(cfg.star_budget_frac, N)
+        if N - 1 < cfg.star_keep_frac * N:
+            raise ValueError("star keep fraction unattainable: a fresh star "
+                             "has N-1 leaves, need N*(1-star_keep_frac) >= 1")
+        # V(W) = U_1 after every drain.  A U_1 leaf loses its level-1
+        # bundle only when it or its center leaves U_1, and a leaving
+        # center's star is destroyed, ejecting every member.  A center
+        # loses level-1 edges only as leaves leave U_1: a type-1 leave
+        # counts in n_star, one over star_budget in a phase destroys the
+        # star, and a type-3 flush takes whole level-1 stars.  So while
+        # a center stays, at most phases * star_budget leaves leave.
+        if cfg.phases * self.star_budget >= N - 1:
+            raise ValueError("star budgets can strip a level-1 star of every "
+                             "leaf: need phases*star_budget < N-1")
         # checker floors: count < keep * size iff count < ceil(keep * size)
         self._bundle_floor = _ceil_mul(cfg.min_bundle_frac, delta)
         self._star_floor = _ceil_mul(cfg.star_keep_frac, N)
@@ -279,22 +289,20 @@ class PrunedRouter:
         self._seq += 1
         heapq.heappush(heap, (i, typ, self._seq, obj, None))
 
-    def _remove_bundle(self, i, leaf, touched):
-        if self.in_w.get((i, leaf)):
-            self.in_w[(i, leaf)] = False
-            n = self.rem[(i, leaf)]
-            self.phase_log[self.tau]["edges_deleted_from_w"] += n
-            touched.add(leaf)
-            touched.add(self.t.level_center(i, leaf))
+    def _remove_bundle(self, i, leaf):
+        key = (i, leaf)
+        if self.in_w.get(key):
+            self.in_w[key] = False
+            self.phase_log[self.tau]["edges_deleted_from_w"] += self.rem[key]
 
-    def _remove_incident(self, i, v, touched):
+    def _remove_incident(self, i, v):
         """Drop all level-i bundles of v from W."""
         if self.t.is_center(v):
             for m in self.t.star_members(i, self.t.star_id(i, v)):
                 if m != v:
-                    self._remove_bundle(i, m, touched)
+                    self._remove_bundle(i, m)
         else:
-            self._remove_bundle(i, v, touched)
+            self._remove_bundle(i, v)
 
     def _record_removal(self, i, v, tag, rpt):
         st = self.phase_log[self.tau]
@@ -307,7 +315,6 @@ class PrunedRouter:
         self._memo.clear()
         t, cfg = self.t, self.cfg
         N, k = t.N, t.k
-        touched = set()
         while heap:
             i, typ, _seq, obj, tag = heapq.heappop(heap)
             if typ == 1:
@@ -317,7 +324,7 @@ class PrunedRouter:
                     continue
                 self.mask[v] &= ~(1 << i)
                 self._record_removal(i, v, tag, rpt)
-                self._remove_incident(i, v, touched)
+                self._remove_incident(i, v)
                 if i < k:
                     self._push1(heap, pending, i + 1, v, DIRECT)
                 s = t.star_id(i, v)
@@ -359,38 +366,16 @@ class PrunedRouter:
                         if self.in_u(x, j):
                             self.mask[x] &= ~(1 << j)
                             self._record_removal(j, x, CASCADE, rpt)
-                            self._remove_incident(j, x, touched)
+                            self._remove_incident(j, x)
                     if self.in_u(x, i):
                         self._push1(heap, pending, i, x, INDIRECT)
                 self.cluster_destroyed.add(cl)
-        self._sweep_isolated(touched, rpt)
         for v in rpt.removed_levels_vertices():
             if not self._is_prefix(self.mask[v]):
                 raise AssertionError("non-prefix mask after drain")
 
     def _is_prefix(self, m):
         return m in self._prefixes
-
-    def _has_w_edge(self, v):
-        for i in range(1, self.t.k + 1):
-            if not self.in_u(v, i):
-                break
-            if self.t.is_center(v):
-                if any(self.in_w.get((i, m))
-                       for m in self.t.star_members(i, self.t.star_id(i, v)) if m != v):
-                    return True
-            elif self.in_w.get((i, v)):
-                return True
-        return False
-
-    def _sweep_isolated(self, touched, rpt):
-        """Safety net keeping V(W) = U_1: in-budget traces never need it."""
-        for v in sorted(touched):
-            if self.in_u(v, 1) and not self._has_w_edge(v):
-                for j in range(1, self.t.k + 1):
-                    if self.in_u(v, j):
-                        self.mask[v] &= ~(1 << j)
-                        self._record_removal(j, v, CASCADE, rpt)
 
     def live_bundles(self):
         """{(level, leaf): copies} for every bundle still in W with at
@@ -436,15 +421,16 @@ class PrunedRouter:
         Level i's pass reads one alive byte per vertex (bit i of its
         mask).  Level-1 stars and all clusters are id ranges, counted
         with bytes.count; stars of higher levels are counted through the
-        template's per-star getters (star_getters).  P3 comes from the
+        per-star getters of the template's tables.  P3 comes from the
         P1 pass: a bundle in W marks its leaf and its center at level i
         when that vertex's membership run (bits 1..i of its mask all
         set) reaches i, so a vertex is isolated iff it is in U_1 and
-        unmarked.  This is the rule of _has_w_edge, which stops at the
-        first gap of a mask that is not a prefix.  Each keep fraction f
-        is compared as count < ceil(f * size), which for an integer
-        count is count < f * size; the floors are computed once per
-        router."""
+        unmarked (a mask that is not a prefix counts only the levels
+        below its first gap).  V(W) = U_1 holds by construction (see
+        __init__), so P3 fires only on a corrupted state.  Each keep
+        fraction f is compared as count < ceil(f * size), which for an
+        integer count is count < f * size; the floors are computed once
+        per router."""
         t = self.t
         N, k, n = t.N, t.k, t.num_vertices()
         tab = t.tables
@@ -484,7 +470,7 @@ class PrunedRouter:
             if i == 1:
                 counts = [a.count(1, lo, lo + N) for lo in range(0, n, N)]
             else:
-                counts = [sum(get(a)) for get in t.star_getters[i]]
+                counts = [sum(get(a)) for get in tab.getters[i]]
             for s, (center, count) in enumerate(zip(lv.star_center, counts)):
                 if a[center]:
                     if count - 1 < star_floor:

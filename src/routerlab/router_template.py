@@ -23,16 +23,16 @@ _star_members on top of them) runs once per (N, k): _tables turns it
 into lookup tables, shared by every template with those N and k
 whatever its Delta.  Per level they hold the star id and the level
 center of every vertex, and the center and the member tuple of every
-star; one leaf tuple serves all levels.  star_id, star_center,
-star_members, level_center, superedges and superedge_level read the
-tables.  The pruning checker scans them directly, one pass per level:
-it walks the leaf tuple and the level-center column for its bundle
-checks.  It counts each star's members in U_i with _star_getters, one
-operator.itemgetter per star above level 1, built once per (N, k) next
-to the tables and applied to a byte string of alive flags; level-1
-stars, being id ranges, are counted with bytes.count.  The tables store
-no superedge tuples and no pair index: superedges() yields its pairs on
-the fly, and superedge_level tries the k level-center columns.
+star, and one operator.itemgetter per star above level 1 (its getter);
+one leaf tuple serves all levels.  star_id, star_center, star_members,
+level_center, superedges and superedge_level read the tables.  The
+pruning checker scans them directly, one pass per level: it walks the
+leaf tuple and the level-center column for its bundle checks, and
+counts each star's members in U_i by applying its getter to a byte
+string of alive flags; level-1 stars, being id ranges, are counted
+with bytes.count.  The tables store no superedge tuples and no pair
+index: superedges() yields its pairs on the fly, and superedge_level
+tries the k level-center columns.
 """
 
 import functools
@@ -89,7 +89,9 @@ LevelTables = namedtuple("LevelTables",
                          "star_id level_center star_center star_members")
 
 # levels[i] for i in 1..k (levels[0] is None); leaves ascending.
-Tables = namedtuple("Tables", "leaves levels")
+# getters[i][s](seq) is the tuple of seq's items at the members of
+# level-i star s for i >= 2; getters[0] and getters[1] are None.
+Tables = namedtuple("Tables", "leaves levels getters")
 
 
 @functools.cache
@@ -111,20 +113,10 @@ def _tables(N, k):
         levels.append(LevelTables(
             star_id, tuple(star_center[s] for s in star_id),
             tuple(star_center), tuple(star_members)))
-    return Tables(tuple(v for v in ids if v % N), tuple(levels))
-
-
-@functools.cache
-def _star_getters(N, k):
-    """getters[i][s](seq) is the tuple of seq's items at the members of
-    level-i star s, for i = 2..k; built once per (N, k) from _tables,
-    apart from them so that templates that are only realized never
-    build them.  Level-1 stars are the id ranges [s*N, (s+1)*N), so
-    getters[1] (and getters[0]) is None."""
-    levels = _tables(N, k).levels
-    return (None, None) + tuple(
+    getters = (None, None) + tuple(
         tuple(operator.itemgetter(*m) for m in levels[i].star_members)
         for i in range(2, k + 1))
+    return Tables(tuple(v for v in ids if v % N), tuple(levels), getters)
 
 
 class RouterTemplate:
@@ -137,11 +129,6 @@ class RouterTemplate:
     def tables(self):
         """_tables(N, k), looked up on first use."""
         return _tables(self.N, self.k)
-
-    @functools.cached_property
-    def star_getters(self):
-        """_star_getters(N, k), looked up on first use."""
-        return _star_getters(self.N, self.k)
 
     def _level(self, level):
         if not 1 <= level <= self.k:

@@ -15,11 +15,20 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from routerlab.decompose import PipelineConfig
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.router_template import build
 from routerlab.routing import route_u1_to_uk
 
 PRESETS = ["paper", "relaxed"]
+
+# The sampled configs: (N, k, pruning config), both presets on three
+# shapes, plus the pipeline's narrow-template config on build(3, 4, .),
+# whose relaxed leaf floor and zero edge budget drain on every deletion.
+CONFIGS = {"%s-%dx%d" % (p, N, k): (N, k, getattr(PruningConfig, p)(k))
+           for (N, k) in [(4, 2), (3, 3), (5, 2)] for p in PRESETS}
+CONFIGS["narrow-3x4"] = (3, 4, PipelineConfig(2, 4, 16, template_n=3)
+                         .pruning_cfg(3))
 
 
 def _has_w_edge(s, v):
@@ -137,22 +146,26 @@ def _cross_check(s):
     return got
 
 
+def _isolated(violations):
+    return [v for v in violations if v[0] == "P3-isolated"]
+
+
 @settings(max_examples=120, deadline=None)
-@given(shape=st.sampled_from([(4, 2), (3, 3), (5, 2)]),
-       preset=st.sampled_from(PRESETS),
+@given(config=st.sampled_from(sorted(CONFIGS)),
        seed=st.integers(0, 2 ** 32 - 1),
        deletions=st.integers(0, 60),
        hot=st.integers(1, 4),
        n_mask=st.integers(0, 12), n_in_w=st.integers(0, 12),
        n_rem=st.integers(0, 12), n_star=st.integers(0, 4),
        n_cut=st.integers(0, 6))
-def test_checker_matches_reference(shape, preset, seed, deletions, hot,
+def test_checker_matches_reference(config, seed, deletions, hot,
                                    n_mask, n_in_w, n_rem, n_star, n_cut):
-    N, k = shape
-    s = new_pruned(build(N, k, 8), getattr(PruningConfig, preset)(k))
+    N, k, cfg = CONFIGS[config]
+    s = new_pruned(build(N, k, 8), cfg)
     rng = random.Random(seed)
     _drive(s, rng, deletions, hot)
-    _cross_check(s)
+    # V(W) = U_1 holds by construction: only corruption makes P3 fire
+    assert _isolated(_cross_check(s)) == []
     route_u1_to_uk(s)
     _corrupt(s, rng, min(n_mask, N ** k), n_in_w, n_rem, n_star, n_cut)
     _cross_check(s)
@@ -160,7 +173,8 @@ def test_checker_matches_reference(shape, preset, seed, deletions, hot,
 
 def test_drained_traces_are_exercised():
     """The hypothesis traces' generator does reach _drain and corrupts
-    into non-prefix masks on these templates."""
+    into non-prefix masks on these templates, and its traces drain the
+    narrow-template config too, leaving no vertex isolated."""
     drained = nonprefix = 0
     for seed in range(20):
         s = new_pruned(build(4, 2, 8), PruningConfig.paper(2))
@@ -171,6 +185,14 @@ def test_drained_traces_are_exercised():
         got = _cross_check(s)
         nonprefix += any(v[0] == "prefix" for v in got)
     assert drained and nonprefix
+    N, k, cfg = CONFIGS["narrow-3x4"]
+    narrow = 0
+    for seed in range(20):
+        s = new_pruned(build(N, k, 8), cfg)
+        _drive(s, random.Random(seed), 20, 2)
+        narrow += any(m != s.full_mask for m in s.mask.values())
+        assert _isolated(_cross_check(s)) == []
+    assert narrow == 20
 
 
 def test_checker_matches_reference_large():

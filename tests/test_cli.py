@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 
@@ -232,6 +233,8 @@ def test_fault_count_below_one_is_usage_error(host_file, tmp_path, capsys,
 @pytest.mark.parametrize("cmd,line,msg", [
     ("prune", "DEL 1 0 0", "deletion count 0 is below 1"),
     ("prune", "DEL 2 0 -5", "deletion count -5 is below 1"),
+    ("batch", "DEL 1 0 0", "deletion count 0 is below 1"),
+    ("batch", "DEL 1 0 -2", "deletion count -2 is below 1"),
     ("batch", "INS 0 9 0", "insertion mult and len must be at least 1"),
     ("batch", "INS 0 9 1 0", "insertion mult and len must be at least 1"),
     ("batch", "INS 0 9 -2 1", "insertion mult and len must be at least 1"),
@@ -250,6 +253,107 @@ def test_trace_count_below_one_is_usage_error(host_file, tmp_path, capsys,
         argv = decomp_argv("batch", host_file, "--trace", str(tr))
     assert main(argv) == 2
     assert "%s:2: %s" % (tr, msg) in capsys.readouterr().err
+
+
+def _router_manifest(tmp_path, capsys, delta):
+    man = tmp_path / "router.json"
+    assert main(["build-router", "--N", "4", "--k", "2", "--delta",
+                 str(delta), "--out", str(man)]) == 0
+    capsys.readouterr()
+    return str(man)
+
+
+@pytest.mark.parametrize("cmd,line,msg", [
+    ("prune", "DEACT 0", "trace op 'DEACT' is not valid here "
+                         "(valid: DEL, PHASE)"),
+    ("prune", "INS 0 9", "trace op 'INS' is not valid here "
+                         "(valid: DEL, PHASE)"),
+    ("prune", "MOVE 1 0", "trace op 'MOVE' is not valid here"),
+    ("route", "DEACT 0", "trace op 'DEACT' is not valid here "
+                         "(valid: DEL, PHASE)"),
+    ("cluster", "INS 0 9", "trace op 'INS' is not valid here "
+                           "(valid: DEACT, DEL, PHASE)"),
+    ("cluster", "DEL 1 0 2", "deletion count 2: this command deletes "
+                             "whole edges"),
+    ("batch", "DEACT 0", "trace op 'DEACT' is not valid here "
+                         "(valid: DEL, INS, PHASE)"),
+    ("batch", "DEL 1 0 7", "deletion count 7: this command deletes "
+                           "whole edges"),
+], ids=["prune-deact", "prune-ins", "prune-unknown", "route-deact",
+        "cluster-ins", "cluster-count", "batch-deact", "batch-count"])
+def test_trace_ops_are_checked_per_command(host_file, tmp_path, capsys,
+                                           cmd, line, msg):
+    """Each command reads only its own trace ops, and only pruning reads
+    a DEL count; anything else exits 2 naming the file and line."""
+    tr = tmp_path / "trace.txt"
+    tr.write_text("DEL 1 0\nPHASE 1\n%s\n" % line)
+    if cmd in ("prune", "route"):
+        man = _router_manifest(tmp_path, capsys, 4096)
+        dm = tmp_path / "demand.txt"
+        dm.write_text("1 2 1\n")
+        argv = [cmd, "--template", man, "--trace", str(tr)]
+        if cmd == "route":
+            argv += ["--demand", str(dm)]
+    elif cmd == "cluster":
+        argv = ["cluster", "--graph", host_file, "--k", "2",
+                "--trace", str(tr)]
+    else:
+        argv = decomp_argv("batch", host_file, "--trace", str(tr))
+    assert main(argv) == 2
+    assert "%s:3: %s" % (tr, msg) in capsys.readouterr().err
+
+
+def test_route_with_trace(tmp_path, capsys):
+    """route applies its trace before routing.  A few deletions leave
+    the demand routable; deleting every copy of leaf 1's level-1 bundle
+    takes 1 out of V(W), and the demand from 1 is a usage error."""
+    man = _router_manifest(tmp_path, capsys, 4096)
+    dm = tmp_path / "demand.txt"
+    dm.write_text("1 2 1\n5 6 1/2\n")
+    tr = tmp_path / "trace.txt"
+    tr.write_text("DEL 1 0 2\nPHASE 1\nDEL 2 0\n")
+    argv = ["route", "--template", man, "--demand", str(dm),
+            "--trace", str(tr)]
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    assert doc["params"]["trace"] == str(tr) and doc["pairs"] == 2
+    assert all(a["ok"] for a in doc["assertions"])
+    tr.write_text("DEL 1 0 4096\n")
+    assert main(argv) == 2
+    assert "support vertex 1 not in V(W)" in capsys.readouterr().err
+
+
+def test_cluster_trace_deactivates(tmp_path, capsys):
+    """A DEACT line deactivates the golden host's one cluster."""
+    argv = ["cluster", "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", "2"]
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0 and doc["clusters"] == 1
+    tr = tmp_path / "trace.txt"
+    tr.write_text("DEACT 0\n")
+    rc, doc = run_json(capsys, argv + ["--trace", str(tr)])
+    assert rc == 0 and doc["clusters"] == 0
+    assert all(a["ok"] for a in doc["assertions"])
+
+
+def test_reports_are_strict_json(monkeypatch, capsys):
+    """An infinite stretch is reported as the string "inf": the report
+    has no bare Infinity or NaN, which JSON does not allow."""
+    from routerlab import cli
+    monkeypatch.setattr(cli, "stretch_check", lambda g, h: (math.inf, (0, 1)))
+    argv = ["spanner", "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", "2", "--delta", "4", "--delta-star", "16", "--d-cap", "2",
+            "--template-n", "3"]
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+
+    doc = json.loads(text, parse_constant=reject)
+    stretch = next(a for a in doc["assertions"] if a["name"] == "stretch")
+    assert stretch["observed"] == "inf" and not stretch["ok"]
+    assert doc["worst_pair"] == [0, 1]
 
 
 def test_verify_command_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from routerlab.decompose import PipelineConfig
 from routerlab.graph import _key
 from routerlab.router_template import build
 from routerlab.pruning import (DIRECT, PruningConfig, _ceil_mul,
@@ -46,6 +47,53 @@ def test_narrow_star_keep_rejected():
     t = build(2, 4, 8)
     with pytest.raises(ValueError):
         new_pruned(t, PruningConfig.relaxed(4))
+
+
+def test_star_budget_that_can_empty_a_star_rejected():
+    """A router needs phases * star_budget < N - 1, so that a level-1
+    star that keeps its center keeps a leaf.  With a star budget of 4 on
+    N = 4, center 0 could lose all three leaves' bundles and stay in U_1
+    with no W edge."""
+    cfg = PruningConfig(1, 0, 1, Fraction(1, 4), 0, 0, Fraction(1, 4))
+    assert _floor_mul(cfg.star_budget_frac, 4) == 4
+    with pytest.raises(ValueError, match="phases\\*star_budget < N-1"):
+        new_pruned(build(4, 1, 1), cfg)
+    # at phases * star_budget = N - 2 the router builds
+    half = PruningConfig(1, 0, Fraction(1, 2), Fraction(1, 4), 0, 0,
+                         Fraction(1, 4))
+    assert new_pruned(build(4, 1, 1), half).star_budget == 2
+
+
+def _cli_and_pipeline_configs(N):
+    """(k, cfg) for every config the CLI (a preset for the template's k)
+    and the pipeline (pruning_cfg(N) at k_hat = k^2) make, k_hat <= 16."""
+    for preset in ("paper", "relaxed"):
+        for k in range(1, 17):
+            yield k, PruningConfig.preset(preset, k)
+        for k in (2, 3, 4):
+            pc = PipelineConfig(k, 4, 2 * k * k, preset=preset)
+            yield pc.k_hat, pc.pruning_cfg(N)
+
+
+def test_cli_and_pipeline_configs_keep_a_leaf_per_star():
+    """Both presets for k = 1..16 and the pipeline's narrow-template
+    override satisfy phases * star_budget < N - 1 for N = 2..80, and a
+    router builds wherever N^k <= 4096 unless its leaf floor is
+    unattainable, which the star keep check rejects on its own."""
+    built = 0
+    for N in range(2, 81):
+        for k, cfg in _cli_and_pipeline_configs(N):
+            star_budget = math.floor(cfg.star_budget_frac * N)
+            assert cfg.phases * star_budget < N - 1, (N, k)
+            if N ** k > 4096:
+                continue
+            if N - 1 < cfg.star_keep_frac * N:
+                with pytest.raises(ValueError, match="star keep fraction"):
+                    new_pruned(build(N, k, 1), cfg)
+            else:
+                new_pruned(build(N, k, 1), cfg)
+                built += 1
+    assert built > 300
 
 
 def test_delete_edge_noop_on_dead_bundle():

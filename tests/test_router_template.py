@@ -141,6 +141,10 @@ def test_tables_match_closed_forms(N, k):
             assert t.star_center(i, s) == _ref_star_center(N, i, s)
         assert list(t.superedges(i)) == \
             [(v, _ref_level_center(N, i, v)) for v in range(n) if v % N]
+        if i >= 2:
+            assert [get(range(n)) for get in t.tables.getters[i]] == \
+                [t.star_members(i, s) for s in range(t.num_stars(i))]
+    assert t.tables.getters[:2] == (None, None)
     for u in range(n):
         others = {_ref_level_center(N, i, u) for i in range(1, k + 1)}
         others |= {rng.randrange(n) for _ in range(4)}

@@ -61,7 +61,7 @@ def _nx_stretch(g, h):
 
 def _cases():
     rng = random.Random(4242)
-    for trial in range(60):
+    for trial in range(120):
         n = rng.randint(4, 24)
         g = _random_graph(rng, n, rng.randint(n, min(3 * n, n * (n - 1) // 2)))
         keep = rng.choice([0.5, 0.7, 0.9, 1.0])
