@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .graph import MultiGraph, Demand, Routing, verify_routing
+from .graph import MultiGraph, Demand, Routing, _key, verify_routing
 from .router_template import build
 from .pruning import PruningConfig, new_pruned
 from .routing import route_demand
@@ -92,11 +92,13 @@ CLUSTER_OPS = frozenset({"DEL", "DEACT"})
 BATCH_OPS = frozenset({"DEL", "INS"})
 
 
-def parse_trace(path, ops=PRUNE_OPS):
+def parse_trace(path, ops=PRUNE_OPS, max_phases=None):
     """List of phases; each phase is a list of ops
-    ('del', u, v, count) / ('deact', cid) / ('ins', u, v, mult), of the
-    kinds in ops.  An INS line's len is checked like a graph line's and
-    then dropped."""
+    ('del', u, v, count, line) / ('deact', cid, line) /
+    ('ins', u, v, mult, line), of the kinds in ops, each ending with its
+    line number.  An INS line's len is checked like a graph line's and
+    then dropped.  With max_phases, a PHASE line that opens phase
+    max_phases + 1 or later is an error."""
     phases = [[]]
     for no, tok in _lines(path):
         op = tok[0].upper()
@@ -107,6 +109,10 @@ def parse_trace(path, ops=PRUNE_OPS):
             if op == "PHASE":
                 if len(tok) != 2 or int(tok[1]) != len(phases):
                     raise CliError("PHASE numbers must be sequential from 1",
+                                   path, no)
+                if max_phases is not None and len(phases) >= max_phases:
+                    raise CliError("PHASE %d is past the preset's last "
+                                   "phase, %d" % (len(phases), max_phases - 1),
                                    path, no)
                 phases.append([])
             elif op == "DEL":
@@ -120,11 +126,11 @@ def parse_trace(path, ops=PRUNE_OPS):
                 if count != 1 and ops != PRUNE_OPS:
                     raise CliError("deletion count %d: this command deletes "
                                    "whole edges" % count, path, no)
-                phases[-1].append(("del", u, v, count))
+                phases[-1].append(("del", u, v, count, no))
             elif op == "DEACT":
                 if len(tok) != 2:
                     raise CliError("expected 'DEACT cluster_id'", path, no)
-                phases[-1].append(("deact", int(tok[1])))
+                phases[-1].append(("deact", int(tok[1]), no))
             else:                                       # INS
                 if len(tok) not in (3, 4, 5):
                     raise CliError("expected 'INS u v [mult] [len]'", path, no)
@@ -134,7 +140,7 @@ def parse_trace(path, ops=PRUNE_OPS):
                 if mult < 1 or length < 1:
                     raise CliError("insertion mult and len must be at least 1",
                                    path, no)
-                phases[-1].append(("ins", u, v, mult))
+                phases[-1].append(("ins", u, v, mult, no))
         except ValueError:
             raise CliError("non-integer field", path, no)
     return phases
@@ -225,6 +231,18 @@ def _check_verify(rep, vr, max_len, max_cong):
     rep.check("verify-demand", 0, demand, not demand)
 
 
+def _prune_trace(path, s):
+    """Parse a prune trace for pruned router s and check it whole before
+    any of it is applied: a PHASE past the preset's phases, or a DEL of
+    a pair that is no bundle of the template, exits 2 naming its line."""
+    phases = parse_trace(path, PRUNE_OPS, s.cfg.phases)
+    for ops in phases:
+        for _tag, u, v, _count, no in ops:
+            if s.t.superedge_level(u, v) is None:
+                raise CliError("(%r,%r) is not a bundle" % (u, v), path, no)
+    return phases
+
+
 def _apply_prune_trace(s, phases, rep=None):
     """Run a parsed trace against a pruned router, checking proper
     pruning after every single deletion."""
@@ -233,7 +251,7 @@ def _apply_prune_trace(s, phases, rep=None):
     for pi, ops in enumerate(phases):
         if pi > 0:
             s.begin_phase()
-        for _tag, u, v, count in ops:
+        for _tag, u, v, count, _no in ops:
             for _ in range(count):
                 s.delete_edge(u, v)
                 deletes += 1
@@ -283,7 +301,7 @@ def cmd_prune(args):
     rep = Report("prune", {"template": args.template, "trace": args.trace,
                            "preset": args.preset, "seed": args.seed})
     s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
-    phases = parse_trace(args.trace) if args.trace else [[]]
+    phases = _prune_trace(args.trace, s) if args.trace else [[]]
     _apply_prune_trace(s, phases, rep)
     final = s.is_properly_pruned()
     rep.check("properly-pruned-final", True, bool(final), bool(final))
@@ -297,7 +315,7 @@ def cmd_route(args):
                            "seed": args.seed})
     s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
     if args.trace:
-        _apply_prune_trace(s, parse_trace(args.trace))
+        _apply_prune_trace(s, _prune_trace(args.trace, s))
     d = parse_demand(args.demand)
     rep.extra["pairs"] = len(d)
     r = route_demand(s, d)
@@ -309,6 +327,29 @@ def cmd_route(args):
     return rep.emit(args.json)
 
 
+def _check_cluster_phase(cs, ops, path):
+    """Check one phase of a cluster trace against the clustering as the
+    phase starts: every DEACT names an active cluster, and every DEL an
+    edge of one, deleted once in the phase.  A line that fails exits 2
+    naming it."""
+    deleted = set()
+    for op in ops:
+        if op[0] == "deact":
+            c = cs.clusters.get(op[1])
+            if c is None or not c.active:
+                raise CliError("cluster %d is not active" % op[1], path, op[2])
+            continue
+        _tag, u, v, _count, no = op
+        c = cs.find_cluster_of_edge(u, v)
+        if c is None or not c.active:
+            raise CliError("(%d,%d) is no edge of an active cluster" % (u, v),
+                           path, no)
+        if _key(u, v) in deleted:
+            raise CliError("(%d,%d) is deleted twice in one phase" % (u, v),
+                           path, no)
+        deleted.add(_key(u, v))
+
+
 def cmd_cluster(args):
     g = parse_graph(args.graph)
     rep = Report("cluster", {"graph": args.graph, "k": args.k,
@@ -317,6 +358,7 @@ def cmd_cluster(args):
     phases = parse_trace(args.trace, CLUSTER_OPS) if args.trace else [[]]
     bad = []
     for ops in phases:
+        _check_cluster_phase(cs, ops, args.trace)
         dels = [op[1:3] for op in ops if op[0] == "del"]
         deact = [op[1] for op in ops if op[0] == "deact"]
         cs.run_phase(dels, deact)
@@ -362,7 +404,7 @@ def cmd_batch(args):
     rd = _build_rd(args, rep, g)
     for ops in phases:
         dels = [(op[1], op[2]) for op in ops if op[0] == "del"]
-        ins = [op[1:] for op in ops if op[0] == "ins"]
+        ins = [op[1:4] for op in ops if op[0] == "ins"]
         try:
             process_batch(rd, dels, ins)
         except AssertionError as e:

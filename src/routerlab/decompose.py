@@ -95,26 +95,22 @@ class PipelineConfig:
         if self.template_n is not None:
             return self.template_n
         kh = self.k_hat
-        # floor(nv^(p/q)) with p/q = 1/kh - 1/kh^2 exactly
+        # floor(nv^(p/q)) with p/q = 1/kh - 1/kh^2 exactly: the largest n
+        # with n^q <= nv^p, one below the least g with g^q > nv^p
         exp = Fraction(1, kh) - Fraction(1, kh * kh)
         p, q = exp.numerator, exp.denominator
-        n = 1
-        while (n + 1) ** q <= nv ** p:
-            n += 1
-        return n
+        return _iroot_ceil(nv ** p + 1, q) - 1
 
     def path_floor_at(self, n):
-        """Smallest integer t with t * n^(4/k_hat) >= delta."""
+        """Smallest integer t >= 1 with t * n^(4/k_hat) >= delta, that is
+        with t^k_hat >= delta^k_hat / n^4."""
         kh = self.k_hat
-        t = 1
-        while t ** kh * n ** 4 < self.delta ** kh:
-            t += 1
-        return t
+        return _iroot_ceil(-(-self.delta ** kh // n ** 4), kh)
 
 
 class BuildReport:
     def __init__(self):
-        self.causes = {}            # host superedge -> cause tag
+        self.causes = {}            # E^del edge -> cause tag, through batches
         self.degraded = False
 
     def cause_counts(self):
@@ -385,11 +381,18 @@ def _cluster_of(rd, e):
     return None
 
 
+def _charge(rd, report, e, cause):
+    """Move host edge e into E^del, recording its cause in rd.report
+    and charging it to the batch."""
+    rd.e_del.add(e)
+    rd.report.causes[e] = cause
+    report.charge(cause)
+
+
 def _dissolve(rd, wc, report):
     """Charge a cluster's remaining edges to E^del and drop it."""
     for e in sorted(wc.graph.superedges):
-        rd.e_del.add(e)
-        report.charge("dissolve")
+        _charge(rd, report, e, "dissolve")
     report.dissolved.append(wc.id)
     report.recourse += wc.sparse.cprime.num_edges()
     rd.clusters.remove(wc)
@@ -429,8 +432,7 @@ def _repair(rd, wc, edges, report):
             break
         for e in shed:
             wc.graph.remove_edge(*e)
-            rd.e_del.add(e)
-            report.charge("cascade")
+            _charge(rd, report, e, "cascade")
         for v in low:
             wc.lam.pop(v, None)
     try:
@@ -438,8 +440,7 @@ def _repair(rd, wc, edges, report):
     except ValueError:
         return False
     for e in dropped:
-        rd.e_del.add(e)
-        report.charge("cascade")
+        _charge(rd, report, e, "cascade")
     after_sparse = set(wc.sparse.cprime.superedges)
     report.recourse += len(before_sparse ^ after_sparse)
     added = report.charged() - e_del_before
@@ -489,6 +490,7 @@ def process_batch(rd, deletions, insertions=()):
         report.deleted += 1
         if wc is None:
             rd.e_del.discard(e)
+            rd.report.causes.pop(e, None)
         else:
             wc.graph.remove_edge(*e)
             per_cluster.setdefault(wc.id, []).append(e)
@@ -499,9 +501,7 @@ def process_batch(rd, deletions, insertions=()):
 
     for (u, v, mult) in insertions:
         rd.host.add_edge(u, v, mult)
-        rd.e_del.add(_key(u, v))
-        rd.report.causes[_key(u, v)] = "insert"
-        report.charge("insert")
+        _charge(rd, report, _key(u, v), "insert")
         report.inserted += 1
     bad = rd.check_valid(witnesses=False)
     if bad:

@@ -18,17 +18,16 @@ a deletion changes its masks.
 
 Every demand pair keeps its identity through the recursion and ends up
 on exactly one flow-path, so integral demands produce integral flows.
-Restriction thresholds r_i = Delta/32^i may be scaled by a configurable
-multiplier; proxy demands are scaled down by the exact realized
-restriction ratio rather than the worst-case constant.
+Proxy demands are scaled down by the exact realized restriction ratio
+rather than the worst-case constant.
 
-Flow values stay exact but are not Fractions inside the stack: each
-entry point rescales its demand values to integers in units of 1/L (L
-the lcm of their denominators, see graph.flow_units), and proxy loads,
-vertex totals and admissibility tests are integer sums and comparisons.
-Instead of scaling every value down by the restriction ratio, the
-thresholds are scaled up by it, which keeps every comparison.  Values
-become Fractions again only in the Routing each function returns.
+Flow values stay exact but are not Fractions inside the stack: it
+routes keyed integer entries in units of 1/L, so proxy loads, vertex
+totals and admissibility tests are integer sums and comparisons.
+route_level and route_demand turn a Demand into entries (see
+graph.flow_units) and back; witness routing calls route_demand's core,
+_route_units, with its own entries.  Instead of scaling every value
+down by the restriction ratio, the thresholds are scaled up by it.
 """
 
 from fractions import Fraction
@@ -40,17 +39,11 @@ class RoutingError(ValueError):
     pass
 
 
-def _r(s, i, scale):
-    return Fraction(s.t.delta, 32 ** i) * Fraction(scale)
-
-
 def _star_path(a, target, center):
     """Walk from a to target inside one level-i star, through the center."""
     if a == target:
         return (a,)
-    if a == center:
-        return (a, target)
-    if target == center:
+    if center in (a, target):
         return (a, target)
     return (a, center, target)
 
@@ -62,17 +55,10 @@ def _route_entries(s, i, entries, r0):
     units is the entry's integer flow in units of 1/L, and r0 is r_0 in
     the same units, scaled up by the demand's scale-down factor, so the
     admissibility threshold r_{i-1} is r0 / 32^(i-1).  An integer load
-    is at most that iff it is at most its floor."""
+    is at most that iff it is at most its floor.  At level 1 every pair
+    must share a star."""
     t = s.t
     out = {}
-    if i == 1:
-        for a, b, _val, key in entries:
-            center = t.star_center(1, t.star_id(1, a))
-            if t.star_id(1, a) != t.star_id(1, b):
-                raise RoutingError("level-1 pair spans two stars")
-            out[key] = _star_path(a, b, center)
-        return out
-
     loads = {}          # proxy vertex -> units routed through it
     r_prev = r0.numerator // (r0.denominator * 32 ** (i - 1))
     sub = {}            # child cluster id -> entries
@@ -80,9 +66,10 @@ def _route_entries(s, i, entries, r0):
     for a, b, val, key in entries:
         sa, sb = t.star_id(i, a), t.star_id(i, b)
         if sa == sb:
-            center = t.star_center(i, sa)
-            out[key] = _star_path(a, b, center)
+            out[key] = _star_path(a, b, t.star_center(i, sa))
             continue
+        if i == 1:
+            raise RoutingError("level-1 pair spans two stars")
         ca, cb = t.star_center(i, sa), t.star_center(i, sb)
         # the j-th member of a level-i star lies in the cluster's j-th
         # child, so candidates pair up by position, in child order
@@ -123,29 +110,37 @@ def _scaled_r0(s, i, entries, lcm):
     return max(s.t.delta * lcm, max(totals.values()) * 32 ** i)
 
 
-def route_level(s, i, d, scale=1):
-    """Route an r_i-restricted demand on U_i via paths of length <= 4i."""
+def _route_pairs(d, route):
+    """Route a Demand by route(entries, lcm) -> {key: path}, one entry
+    (a, b, units, (a, b)) per pair in sorted order."""
+    items = sorted(d.values.items())
+    lcm, units = flow_units(val for _pair, val in items)
+    entries = [(a, b, u, (a, b)) for ((a, b), _v), u in zip(items, units)]
+    paths = route(entries, lcm)
+    r = Routing()
+    for pair, val in items:
+        r.add(paths[pair], pair, val)
+    return r
+
+
+def route_level(s, i, d):
+    """Route an r_i-restricted demand on U_i via paths of length <= 4i,
+    r_i = Delta/32^i."""
     t = s.t
     if not 1 <= i <= t.k:
         raise RoutingError("level out of range")
     for v in d.support():
         if not s.in_u(v, i):
             raise RoutingError("support vertex %r not in U_%d" % (v, i))
-    cap = _r(s, i, scale)
+    cap = Fraction(t.delta, 32 ** i)
     if not is_restricted(d, lambda v: cap):
         raise RoutingError("demand is not r_i-restricted")
     if i < t.k:
         for (a, b), _ in d.values.items():
             if t.cluster_id(i, a) != t.cluster_id(i, b):
                 raise RoutingError("pair spans distinct level-%d clusters" % i)
-    items = sorted(d.values.items())
-    lcm, units = flow_units(val for _pair, val in items)
-    entries = [(a, b, u, (a, b)) for ((a, b), _val), u in zip(items, units)]
-    paths = _route_entries(s, i, entries, t.delta * Fraction(scale) * lcm)
-    r = Routing()
-    for (a, b), val in items:
-        r.add(paths[(a, b)], (a, b), val)
-    return r
+    return _route_pairs(
+        d, lambda entries, lcm: _route_entries(s, i, entries, t.delta * lcm))
 
 
 def _u1_to_ui(s, i, cluster):
@@ -215,39 +210,39 @@ def route_u1_to_uk(s):
     return r, paths
 
 
-def route_demand(s, d):
-    """Route a (Delta/k^4k)-restricted demand on V(W) = U_1 via paths of
-    length <= 20k^2 with no edge-congestion."""
-    t = s.t
-    k = t.k
-    cap = Fraction(t.delta, k ** (4 * k))
-    if not is_restricted(d, lambda v: cap):
+def _route_units(s, entries, lcm):
+    """Route keyed entries (a, b, units, key) on V(W) = U_1, each worth
+    units/lcm for an int or Fraction lcm, and return {key: path}.  The
+    entries must be (Delta/k^4k)-restricted: every vertex total t has
+    t * k^4k <= Delta * lcm.  Paths run source -> sink -> target."""
+    k = s.t.k
+    totals = {}
+    for a, b, u, _key in entries:
+        totals[a] = totals.get(a, 0) + u
+        totals[b] = totals.get(b, 0) + u
+    cap, scale = s.t.delta * lcm, k ** (4 * k)
+    if any(tot * scale > cap for tot in totals.values()):
         raise RoutingError("demand is not Delta/k^4k-restricted")
-    for v in d.support():
+    for v in totals:
         if not s.in_u(v, 1):
             raise RoutingError("support vertex %r not in V(W)" % (v,))
     paths, sigma = s.memo("sinks", _sinks)
 
-    items = sorted(d.values.items())
-    lcm, units = flow_units(val for _pair, val in items)
-    entries = []
-    direct = {}
-    for ((a, b), _val), u in zip(items, units):
+    via = {}            # key -> sink-to-sink path
+    mid_entries = []
+    for a, b, u, key in entries:
         if sigma[a] == sigma[b]:
-            direct[(a, b)] = tuple(paths[a]) + tuple(reversed(paths[b]))[1:]
+            via[key] = (sigma[a],)
         else:
-            entries.append((sigma[a], sigma[b], u, (a, b)))
-    if entries:
-        mids = _route_entries(s, k, entries, _scaled_r0(s, k, entries, lcm))
-    else:
-        mids = {}
+            mid_entries.append((sigma[a], sigma[b], u, key))
+    if mid_entries:
+        via.update(_route_entries(s, k, mid_entries,
+                                  _scaled_r0(s, k, mid_entries, lcm)))
+    return {key: paths[a] + via[key][1:] + tuple(reversed(paths[b]))[1:]
+            for a, b, _u, key in entries}
 
-    r = Routing()
-    for (a, b), val in items:
-        if (a, b) in direct:
-            r.add(direct[(a, b)], (a, b), val)
-        else:
-            mid = mids[(a, b)]
-            full = tuple(paths[a]) + tuple(mid[1:]) + tuple(reversed(paths[b]))[1:]
-            r.add(full, (a, b), val)
-    return r
+
+def route_demand(s, d):
+    """Route a (Delta/k^4k)-restricted demand on V(W) = U_1 via paths of
+    length <= 20k^2 with no edge-congestion."""
+    return _route_pairs(d, lambda entries, lcm: _route_units(s, entries, lcm))

@@ -19,9 +19,9 @@ import heapq
 import math
 from fractions import Fraction
 
-from .graph import (MultiGraph, Demand, Routing, _key,
+from .graph import (MultiGraph, Routing, _key,
                     bfs_layers, flow_units, hop_dist, is_restricted)
-from .routing import route_demand
+from .routing import _route_units
 
 
 class Embedding:
@@ -524,21 +524,25 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
 def _proxy_route(pruned, emb, path_sets, width, demand, factor):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
-    back through the embedding.  path_sets gives each demand vertex at
-    least width (path key, sub-path) entries of a RouterWitness's index;
-    the j-th unit of a pair goes from the leaf of its endpoints' j-th
+    back through the embedding.  path_sets must give each demand vertex
+    width (path key, sub-path) entries of a RouterWitness's index; the
+    j-th unit of a pair goes from the leaf of its endpoints' j-th
     entries.  Translation spreads each live bundle (level, leaf) of
     pruned over its first pruned.live_bundles()[bundle] copies.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
     lcm of the unit denominators, so they stay integers; a uniform scale
-    keeps every comparison and the first-minimum tie-break.  Fractions
-    appear only in the proxy Demand handed to route_demand and in the
-    returned Routing."""
+    keeps every comparison and the first-minimum tie-break.  The router
+    gets the proxy demand in units of 1/(L*factor), scaled down by
+    factor.  Fractions appear only in the returned Routing."""
     t = pruned.t
     copies = pruned.live_bundles()
     items = sorted(demand.values.items())
+    for v in sorted(demand.support()):
+        if len(path_sets[v]) < width:
+            raise ValueError("vertex %r lies on fewer than %d of the given "
+                             "paths" % (v, width))
     units = [val / width for _pair, val in items]
     unit_lcm, scaled = flow_units(units)
     proxy = {}           # proxy pair -> summed units * L
@@ -553,18 +557,11 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor):
                 key = _key(a_leaf, b_leaf)
                 proxy[key] = proxy.get(key, 0) + n
     # partial-flow congestion along the handoff subpaths stays within
-    # d* * eta* * (per-path demand cap); checked by callers' verify
-    if proxy:
-        dprime = Demand()
-        den = unit_lcm * Fraction(factor)
-        for (x, y), n in proxy.items():
-            dprime.values[(x, y)] = n / den
-        mid = route_demand(pruned, dprime)
-        mid_paths = {}
-        for path, pair, _val in mid.flow_paths:
-            mid_paths[_key(*pair)] = path
-    else:
-        mid_paths = {}
+    # d* * eta* * (per-path demand cap); checked by callers' verify.
+    # With no proxy pair the router is not asked, so no sinks are built.
+    mid_paths = _route_units(
+        pruned, [(x, y, n, (x, y)) for (x, y), n in sorted(proxy.items())],
+        unit_lcm * factor) if proxy else {}
 
     copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
     bundle_of = {}       # router edge (x, y) -> its (level, leaf)
@@ -617,16 +614,9 @@ def witness_route(w, demand):
                          [c for c in rep.checks if not c[1]])
     if not is_restricted(demand, w.host.degree):
         raise ValueError("demand exceeds the degree restriction")
-    s = w.pruned
-    t = s.t
-    k = t.k
-    q = w.q
-    trimmed = {v: lst[:q] for v, lst in w.path_sets.items()}
-    for v in demand.support():
-        if len(trimmed[v]) < q:
-            raise ValueError("vertex %r lies on fewer than q paths" % (v,))
+    k = w.pruned.t.k
     factor = w.alpha * w.beta * (k ** (4 * k + 1)) * w.emb.d_star
-    return _proxy_route(s, w.emb, trimmed, q, demand, factor)
+    return _proxy_route(w.pruned, w.emb, w.path_sets, w.q, demand, factor)
 
 
 class SparsifiedRouter:
@@ -647,15 +637,18 @@ class SparsifiedRouter:
 
 
 def _iroot_ceil(x, r):
-    """Smallest integer g with g**r >= x."""
+    """Smallest integer g >= 1 with g**r >= x, with no float: one more
+    than the floor r-th root of x - 1, by integer Newton steps from
+    2**ceil(bits/r), which is above that root."""
     if x <= 1:
         return 1
-    g = int(round(x ** (1.0 / r)))
-    while g ** r >= x:
-        g -= 1
-    while g ** r < x:
-        g += 1
-    return g
+    n = x - 1
+    g = 1 << -(-n.bit_length() // r)
+    while True:
+        h = ((r - 1) * g + n // g ** (r - 1)) // r
+        if h >= g:
+            return g + 1
+        g = h
 
 
 def sparsify(w, delta_star):
@@ -739,12 +732,7 @@ def sparsified_route(sp, w, demand):
     if not is_restricted(demand, lambda v: sp.delta_star):
         raise ValueError("demand is not delta_star-restricted")
     k = sp.thinned.t.k
-    path_sets = {}
-    for v in demand.support():
-        if len(sp.qsets[v]) < sp.delta_prime:
-            raise ValueError("vertex %r has too few selected paths" % (v,))
-        path_sets[v] = sp.qsets[v][:sp.delta_prime]
     factor = 4 * sp.gamma * w.emb.d_star * (k ** (4 * k + 1))
     # translation uses only the thinned router's delta_prime copies
-    return _proxy_route(sp.thinned, w.emb, path_sets, sp.delta_prime,
+    return _proxy_route(sp.thinned, w.emb, sp.qsets, sp.delta_prime,
                         demand, factor)

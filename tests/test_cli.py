@@ -114,7 +114,7 @@ def test_prune_rejects_non_bundles(tmp_path, capsys, u, v):
     tr.write_text("DEL %d %d\n" % (u, v))
     assert main(["prune", "--template", str(man), "--trace", str(tr)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: (%d,%d) is not a bundle\n" % (u, v)
+    assert err == "error: %s:1: (%d,%d) is not a bundle\n" % (tr, u, v)
 
 
 def test_route_empty_demand_ok(tmp_path, capsys):
@@ -301,6 +301,37 @@ def test_trace_ops_are_checked_per_command(host_file, tmp_path, capsys,
         argv = decomp_argv("batch", host_file, "--trace", str(tr))
     assert main(argv) == 2
     assert "%s:3: %s" % (tr, msg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,trace,line,msg", [
+    ("cluster", "DEL 1 0\nDEACT 7\n", 2, "cluster 7 is not active"),
+    ("cluster", "DEL 0 40\n", 1, "(0,40) is no edge of an active cluster"),
+    ("cluster", "DEL 1 0\nPHASE 1\nDEL 2 0\nDEL 0 2\n", 4,
+     "(0,2) is deleted twice in one phase"),
+    ("prune", "PHASE 1\nPHASE 2\nPHASE 3\nDEL 1 0\nPHASE 4\n", 5,
+     "PHASE 4 is past the preset's last phase, 3"),
+    ("prune", "DEL 1 0\nDEL 24 0\n", 2, "(24,0) is not a bundle"),
+], ids=["cluster-deact-unknown", "cluster-del-non-edge", "cluster-del-twice",
+        "prune-phases-exhausted", "prune-del-non-bundle"])
+def test_trace_errors_name_their_line(tmp_path, capsys, cmd, trace, line,
+                                      msg):
+    """Trace lines that name nothing, or a phase the preset does not
+    have, exit 2 naming the file and line before anything is applied:
+    cluster on the golden host, prune on build(3, 3, 9), whose presets
+    have four phases."""
+    tr = tmp_path / "trace.txt"
+    tr.write_text(trace)
+    if cmd == "cluster":
+        argv = ["cluster", "--graph", os.path.join(DATA, "golden_host.graph"),
+                "--k", "2", "--trace", str(tr)]
+    else:
+        man = tmp_path / "router.json"
+        assert main(["build-router", "--N", "3", "--k", "3", "--delta", "9",
+                     "--out", str(man)]) == 0
+        argv = ["prune", "--template", str(man), "--trace", str(tr)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s:%d: %s\n" % (tr, line, msg)
 
 
 def test_route_with_trace(tmp_path, capsys):

@@ -140,11 +140,56 @@ def test_recourse_accounted():
     assert rep.recourse >= 0
 
 
+def test_causes_follow_e_del_through_batches():
+    """A batch keeps rd.report.causes keyed by exactly E^del: the edges
+    it charges as cascade enter it, and a deleted E^del edge leaves it,
+    while the batch's own tally counts the cascade."""
+    rd = build_decomposition(template_host(), template_cfg())
+    built = rd.report.cause_counts()
+    rep = process_batch(rd, [(1, 3)])
+    assert rep.to_e_del == {"cascade": 25}
+    assert set(rd.report.causes) == rd.e_del
+    assert rd.report.cause_counts() == dict(built, cascade=25)
+    gone = min(rd.e_del)
+    process_batch(rd, [gone])
+    assert gone not in rd.report.causes
+    assert set(rd.report.causes) == rd.e_del
+
+
 def test_recourse_bound_is_exact():
     # ceil(7044 ** 3.25) in floating point reads one too low
     pi = decompose._recourse_per_edge(7044, 2)
     assert pi == 3201937708096
     assert (pi - 1) ** 4 < 7044 ** 13 <= pi ** 4
+
+
+def _template_size_scan(cfg, nv):
+    """The linear scan template_size ran before it took an integer root."""
+    exp = Fraction(1, cfg.k_hat) - Fraction(1, cfg.k_hat ** 2)
+    p, q = exp.numerator, exp.denominator
+    n = 1
+    while (n + 1) ** q <= nv ** p:
+        n += 1
+    return n
+
+
+def _path_floor_scan(cfg, n):
+    """The linear scan path_floor_at ran before it took an integer root."""
+    kh = cfg.k_hat
+    t = 1
+    while t ** kh * n ** 4 < cfg.delta ** kh:
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_config_roots_match_scans(k):
+    for delta in (1, 4, 12, 100, 4096):
+        cfg = PipelineConfig(k=k, delta=delta, delta_star=2 * k * k, d_cap=1)
+        for n in range(1, 400):
+            assert cfg.path_floor_at(n) == _path_floor_scan(cfg, n), (delta, n)
+    for nv in range(2, 3000):
+        assert cfg.template_size(nv) == _template_size_scan(cfg, nv), nv
 
 
 def test_witness_validated_once_per_build(monkeypatch):

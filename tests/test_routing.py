@@ -149,6 +149,24 @@ def test_route_demand_rejects_unrestricted():
         route_demand(s, Demand([(1, 2, cap + 1)]))
 
 
+def test_restriction_boundary_in_units():
+    """The Delta/k^4k check is exact on integer totals: a heaviest vertex
+    total of exactly Delta/k^4k = 16 routes and 1/L more does not, for a
+    Demand (L = 3) and for the core's own entries in units of 1/lcm with
+    a Fraction lcm, as witness routing calls it."""
+    t, s = pruned(4, 2, 4096)
+    cap = Fraction(t.delta, 2 ** 8)
+    third = Fraction(1, 3)
+    route_demand(s, Demand([(1, 2, cap - third), (1, 3, third)]))
+    with pytest.raises(RoutingError, match="restricted"):
+        route_demand(s, Demand([(1, 2, cap - third), (1, 3, 2 * third)]))
+    lcm = Fraction(7, 2)                     # 56 units make 16
+    paths = routing._route_units(s, [(1, 2, 40, "a"), (1, 3, 16, "b")], lcm)
+    assert set(paths) == {"a", "b"}
+    with pytest.raises(RoutingError, match="restricted"):
+        routing._route_units(s, [(1, 2, 40, "a"), (1, 3, 17, "b")], lcm)
+
+
 def _flows(r):
     return [(p, pair, val) for p, pair, val in r.flow_paths]
 

@@ -8,6 +8,12 @@ route_demand under both pruning presets, witness_route,
 sparsified_route, integral_round and lc_embed.  The demands carry
 non-unit rational values, so flow in units of 1/L needs L > 1.
 
+witness-route and sparsified-route run on an identity witness, where
+d* = eta* = 1; host-witness-route and host-sparsified-route run on the
+cluster witness of K_82 at Delta = 12, a real embedding with d* = 2
+and eta* = 4, so the proxy handoff and the translation through the
+embedding are pinned too.
+
 "level-tight" is built so that the admissibility test of the proxy
 router is met with equality: in build(32, 2, 1024) every member of one
 level-2 star sends its full r_2 = 1 to members of another star, so the
@@ -15,6 +21,7 @@ shared proxy of the first child ends at load exactly r_1 = 32.  A strict
 comparison there sends the last pair through another child.
 """
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -23,7 +30,7 @@ import pytest
 
 from routerlab import spanner
 from routerlab.decompose import PipelineConfig, build_decomposition
-from routerlab.graph import Demand, Routing
+from routerlab.graph import Demand, MultiGraph, Routing, verify_routing
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.resilience import integral_round
 from routerlab.router_template import build, realize
@@ -78,10 +85,8 @@ def level_random():
     t, s = _pruned(4, 2, 4096, "relaxed", 3, 20)
     rng = random.Random(5)
     u2 = sorted(s.u_set(2))
-    out = []
-    for scale in (1, Fraction(3, 2)):
-        d = _demand(rng, u2, Fraction(t.delta, 32 ** 2) * scale, 14)
-        out.append(_flows(route_level(s, 2, d, scale)))
+    d = _demand(rng, u2, Fraction(t.delta, 32 ** 2), 14)
+    out = [_flows(route_level(s, 2, d))]
     u1 = [v for v in sorted(s.u_set(1)) if t.cluster_id(1, v) == 2]
     d1 = _demand(rng, u1, Fraction(t.delta, 32), 4)
     out.append(_flows(route_level(s, 1, d1)))
@@ -176,6 +181,51 @@ def rounding():
     return out
 
 
+def _complete(n):
+    g = MultiGraph()
+    for a in range(n):
+        for b in range(a + 1, n):
+            g.add_edge(a, b)
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _k82():
+    """The one cluster witness and sparsifier that K_82 at Delta = 12
+    decomposes into: d* = 2, eta* = 4, q = 12 and delta' = 1."""
+    cfg = PipelineConfig(2, 12, 16, d_cap=2, template_n=3)
+    wc = build_decomposition(_complete(82), cfg).clusters[0]
+    return wc.witness, wc.sparse
+
+
+def _matching(rng, verts, cap, pairs):
+    """Random matching of `pairs` pairs on verts, each valued a random
+    share of cap."""
+    verts = list(verts)
+    rng.shuffle(verts)
+    return Demand([(a, b, rng.choice(VALUES) * cap)
+                   for a, b in zip(verts[:pairs], verts[pairs:2 * pairs])])
+
+
+def _host_demands(seed, cap):
+    w, _sp = _k82()
+    rng = random.Random(seed)
+    return [_matching(rng, sorted(w.host.vertices), cap, 8) for _ in range(3)]
+
+
+def host_witness():
+    w, _sp = _k82()
+    return [_flows(witness_route(w, d))
+            for d in _host_demands(31, min(w.host.degree(v)
+                                           for v in w.host.vertices))]
+
+
+def host_sparsified():
+    w, sp = _k82()
+    return [_flows(sparsified_route(sp, w, d))
+            for d in _host_demands(32, sp.delta_star)]
+
+
 def lc_embed():
     cfg = PipelineConfig(k=2, delta=4, delta_star=16, d_cap=2, template_n=3)
     rd = build_decomposition(realize(build(3, 4, 4)), cfg)
@@ -193,10 +243,15 @@ CASES = {
     "sparsified-route": sparsified,
     "integral-round": rounding,
     "lc-embed": lc_embed,
+    "host-witness-route": host_witness,
+    "host-sparsified-route": host_sparsified,
 }
 
 # sha256 of each case's repr, recorded before routing moved to integer
-# flow units
+# flow units; level-random (re-recorded without its scaled draw when
+# route_level lost its scale option) and the two host cases were
+# recorded before witness routing handed its proxy demand to the routing
+# core directly
 GOLDEN = {
     "demand-paper":
         "f0ac793ac9a5e2cc3872d365eab8aa327ef9ccc753c5f06304f47a23936e161a",
@@ -207,7 +262,7 @@ GOLDEN = {
     "lc-embed":
         "a8fa41496ce265e82e9488dcc3b6af992a57d630350498954b5e28b1b3407425",
     "level-random":
-        "015960b006c10b6a18517ab7da89c83b1e08b725046fa3d0307361fb781a0ecc",
+        "31de14e42b1aa50dd0bc432a14a0e1fde84f2e82aea47a428cb6661e98adfdb3",
     "level-tight":
         "6a1ee582ae76fd9dc1ffdb62611b70e9cfb0e4b80a2fc602155f0105b9dbf4f7",
     "sparsified-route":
@@ -216,7 +271,38 @@ GOLDEN = {
         "359f6e3691e98d6ab335ddf5f59bc7adb501e336d34a38844bb86b7f20e47775",
     "witness-route":
         "cdcf4c06387cdb4b92c1d1c0271682bda8e8d7a28854509c1fceaa42248b855d",
+    "host-sparsified-route":
+        "c3f24a1ce5886e60ed50dcb6672dd76c276fd816fb92e5079b4effa61fd405b4",
+    "host-witness-route":
+        "8ab33fec46a5c58e29f4ec34a1c34f953910cf239c2310d7923b2a0ea0356124",
 }
+
+
+def test_host_routes_within_bounds():
+    """The K_82 routings verify against the stated bounds, and are not
+    vacuous: some proxy pair joins two leaves, so the router routes and
+    its paths are translated, and some path has more than two hops."""
+    w, sp = _k82()
+    kh, d_star, eta = w.pruned.t.k, w.emb.d_star, w.emb.eta_star
+    max_len = 22 * d_star * kh * kh
+    runs = [
+        (witness_route, (w,), w.host, w.path_sets, w.q,
+         2 * w.alpha * w.beta * kh ** (4 * kh + 1) * d_star * eta,
+         _host_demands(31, min(w.host.degree(v) for v in w.host.vertices))),
+        (sparsified_route, (sp, w), sp.cprime, sp.qsets, sp.delta_prime,
+         8 * sp.gamma * d_star ** 2 * eta * kh ** (4 * kh + 1),
+         _host_demands(32, sp.delta_star)),
+    ]
+    for route, args, host, entries, width, max_cong, demands in runs:
+        routed = longest = 0
+        for d in demands:
+            r = route(*args, d)
+            vr = verify_routing(host, d, r, max_len, max_cong)
+            assert vr.ok, vr.violations[:5]
+            longest = max(longest, vr.worst_length)
+            routed += sum(entries[a][j][0][1] != entries[b][j][0][1]
+                          for a, b in d.values for j in range(width))
+        assert routed > 0 and longest > 2, (route.__name__, routed, longest)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from routerlab.graph import (MultiGraph, Demand, ball, is_restricted,
                              verify_routing)
 from routerlab.router_template import build, realize
 from routerlab.pruning import PruningConfig, new_pruned
-from routerlab.witness import (ScatteredCert, greedy_embed, lower_degrees,
+from routerlab.witness import (ScatteredCert, _iroot_ceil, greedy_embed,
+                               lower_degrees,
                                scattered_or_ball, sparsify, sparsified_route,
                                validate_witness, witness_route)
 
@@ -75,6 +77,40 @@ def test_sparsified_route_within_bounds():
     mc = 8 * sp.gamma * w.emb.d_star ** 2 * w.emb.eta_star * K ** (4 * K + 1)
     vr = verify_routing(sp.cprime, d, r, 22 * w.emb.d_star * K * K, mc)
     assert vr.ok, vr.violations[:5]
+
+
+def test_sparsified_route_needs_delta_prime_entries():
+    """A demand vertex with fewer than delta' selected paths is named in
+    the one width error of the proxy routing."""
+    t, _s, w = setup_identity()
+    sp = sparsify(w, 2 * K * 1 * 8)
+    leaves = [v for v in sorted(w.host.vertices) if not t.is_center(v)]
+    a, b = leaves[0], leaves[5]
+    sp.qsets[b] = sp.qsets[b][:sp.delta_prime - 1]
+    with pytest.raises(ValueError, match=r"^vertex %r lies on fewer than %d "
+                       % (b, sp.delta_prime)):
+        sparsified_route(sp, w, Demand([(a, b, Fraction(1, 2))]))
+
+
+def test_iroot_ceil_is_exact():
+    """The least g with g^r >= x, with no float: on seeded x < 10^200
+    and r < 40, on exact powers and their neighbours, on 3^1000 (too
+    large for a float) and on 10^120 + 12345 (whose float root is far
+    off)."""
+    rng = random.Random(17)
+    cases = [(rng.randrange(1, 10 ** rng.randrange(1, 201)),
+              rng.randrange(1, 40)) for _ in range(2000)]
+    for _ in range(300):
+        g, r = rng.randrange(1, 10 ** 20), rng.randrange(1, 40)
+        cases += [(g ** r - 1, r), (g ** r, r), (g ** r + 1, r)]
+    for x, r in cases:
+        g = _iroot_ceil(x, r)
+        assert g ** r >= x > (g - 1) ** r, (x, r, g)
+    assert _iroot_ceil(3 ** 1000, 5) == 3 ** 200
+    x = 10 ** 120 + 12345
+    assert _iroot_ceil(x, 2) == math.isqrt(x - 1) + 1
+    assert ([_iroot_ceil(x, 3) for x in (-5, 0, 1, 2, 8, 9)]
+            == [1, 1, 1, 2, 2, 3])
 
 
 def test_identity_witness_survives_pruning():
