@@ -28,8 +28,7 @@ from .router_template import build
 from .pruning import PruningConfig, new_pruned
 from .clustering import init_clustering
 from .witness import (Embedding, RouterWitness, greedy_embed, sparsify,
-                      scattered_or_ball, ScatteredCert, validate_witness,
-                      _iroot_ceil)
+                      scattered_or_ball, ScatteredCert, _iroot_ceil)
 from .spanner import RouterDecomposition
 
 
@@ -197,10 +196,11 @@ class _WitnessedCluster:
         """Recompute graph, witness and sparsifier from the surviving
         paths, and take lam from their path counts.  source_graph
         supplies edge multiplicities; its edges not covered by any path
-        are returned as dropped.  validate_witness checks, among the
-        rest, that the router is still properly pruned.  Nothing is
-        assigned until sparsify returns, so a rebuild that raises
-        leaves the old graph for the caller to charge."""
+        are returned as dropped.  The new RouterWitness validates
+        itself, checking among the rest that the router is still
+        properly pruned.  Nothing is assigned until sparsify returns, so
+        a rebuild that raises leaves the old graph for the caller to
+        charge."""
         covered = {}
         for _key2, p in self.paths_iter():
             for a, b in zip(p, p[1:]):
@@ -218,10 +218,6 @@ class _WitnessedCluster:
             for c, p in enumerate(self.bundles[(i, leaf)]):
                 paths[(i, leaf, c)] = p
         w = RouterWitness(host, self.s, Embedding(self.vm, paths, host))
-        rep = validate_witness(w)
-        if not rep:
-            raise ValueError("witness invalid: %r" %
-                             [c[0] for c in rep.checks if not c[1]])
         sp = sparsify(w, self.cfg.delta_star)
         self.graph, self.witness, self.sparse = host, w, sp
         self.lam = {v: len(lst) for v, lst in w.path_sets.items()}

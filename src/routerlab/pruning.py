@@ -24,12 +24,11 @@ level is still queued), so membership is stored as a bitmask per vertex;
 between operations it is always a prefix.
 
 PrunedRouter owns this state: other modules read the surviving bundles
-through live_bundles() and the router with thinner bundles through
-thinned(delta_prime), never through its internal fields.  It also owns
-the memo of values derived from the membership sets (memo(name,
-compute), used for routing's sink paths): the memo is cleared wherever
-mask changes, at the top of _drain and in thinned(), so a memoized
-value is computed once per membership change.
+through live_bundles(), never through its internal fields.  It also
+owns the memo of values derived from the membership sets (memo(name,
+compute), used for routing's sink paths): mask changes only in _drain,
+which clears the memo first, so a memoized value is computed once per
+membership change.
 """
 
 import heapq
@@ -38,7 +37,6 @@ import operator
 from fractions import Fraction
 
 from .graph import MultiGraph
-from .router_template import build
 
 
 def _floor_mul(f, x):
@@ -216,9 +214,6 @@ class PrunedRouter:
     def in_u(self, v, i):
         return bool(self.mask[v] & (1 << i))
 
-    def u_set(self, i):
-        return {v for v in self.t.vertices() if self.in_u(v, i)}
-
     def memo(self, name, compute):
         """compute(self), stored under name until the next membership
         change.  A compute that raises stores nothing."""
@@ -392,24 +387,6 @@ class PrunedRouter:
         for (i, leaf), copies in self.live_bundles().items():
             g.add_edge(leaf, self.t.level_center(i, leaf), copies)
         return g
-
-    def thinned(self, delta_prime):
-        """A new router over the template with bundles of delta_prime
-        copies, carrying this router's membership sets and destroyed
-        marks, in which every live bundle holds delta_prime copies and
-        every other bundle is out of W.  This router is left unchanged."""
-        t = self.t
-        view = PrunedRouter(build(t.N, t.k, delta_prime), self.cfg)
-        view.mask = dict(self.mask)
-        view._memo.clear()
-        view.star_destroyed = set(self.star_destroyed)
-        view.cluster_destroyed = set(self.cluster_destroyed)
-        view.n2 = dict(self.n2)
-        live = self.live_bundles()
-        for key in view.in_w:
-            view.in_w[key] = key in live
-            view.rem[key] = delta_prime if key in live else 0
-        return view
 
     # -- checkers ---------------------------------------------------------
 

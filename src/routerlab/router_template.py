@@ -159,9 +159,6 @@ class RouterTemplate:
         size = self.N ** level
         return range(c * size, (c + 1) * size)
 
-    def num_stars(self, level):
-        return self.N ** (self.k - 1)
-
     def star_id(self, level, v):
         """Global id of the level-`level` star containing v."""
         return self._level(level).star_id[v]

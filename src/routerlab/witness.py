@@ -72,7 +72,11 @@ class RouterWitness:
     a cluster's rebuild takes its path counts from them.
 
     alpha = max(max degree / Delta, 1).  beta = max(1, Delta / fewest
-    paths through a host vertex), or 1 when that count is 0."""
+    paths through a host vertex), or 1 when that count is 0.
+
+    Construction runs validate_witness once and raises ValueError naming
+    the failed checks.  Pruning the router later makes the witness
+    stale: build a new one."""
 
     def __init__(self, host, pruned, emb):
         self.host = host
@@ -92,6 +96,10 @@ class RouterWitness:
         self.alpha = max(Fraction(max_deg, delta), Fraction(1))
         self.beta = (max(Fraction(1), Fraction(delta, fewest)) if fewest
                      else Fraction(1))
+        rep = validate_witness(self)
+        if not rep:
+            raise ValueError("invalid witness: %r" %
+                             [c[0] for c in rep.checks if not c[1]])
 
     @property
     def q(self):
@@ -460,6 +468,11 @@ def scattered_or_ball(g, d, eps):
         scattered |= s1
 
 
+def _log_rounds(n):
+    """max(1, ceil(log2 n)): lower_degrees' round cap on n left vertices."""
+    return max(1, (n - 1).bit_length())
+
+
 def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     """Pick ceil(delta_hat) incident edges per left vertex of a bipartite
     graph so that no right vertex is overused.
@@ -489,7 +502,7 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     for y, dy in ydeg.items():
         if dy > cap:
             raise ValueError("right vertex %r exceeds gamma'*z*delta_hat" % (y,))
-    rounds_cap = max(1, (len(xs) - 1).bit_length()) if len(xs) > 1 else 1
+    rounds_cap = _log_rounds(len(xs))
     r = r_hat / rounds_cap
     if r <= 4 * gamma_p:
         raise ValueError("r_hat too small: r_hat/ceil(log|X|) must exceed "
@@ -521,14 +534,14 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     return out
 
 
-def _proxy_route(pruned, emb, path_sets, width, demand, factor):
+def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
     back through the embedding.  path_sets must give each demand vertex
     width (path key, sub-path) entries of a RouterWitness's index; the
     j-th unit of a pair goes from the leaf of its endpoints' j-th
-    entries.  Translation spreads each live bundle (level, leaf) of
-    pruned over its first pruned.live_bundles()[bundle] copies.
+    entries.  Translation spreads each bundle (level, leaf) a router
+    path uses over its first copies[bundle] copies.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
@@ -537,7 +550,6 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor):
     gets the proxy demand in units of 1/(L*factor), scaled down by
     factor.  Fractions appear only in the returned Routing."""
     t = pruned.t
-    copies = pruned.live_bundles()
     items = sorted(demand.values.items())
     for v in sorted(demand.support()):
         if len(path_sets[v]) < width:
@@ -608,32 +620,27 @@ def witness_route(w, demand):
     The result verifies with length at most 22*d*(k^2) and congestion at
     most 2*alpha*beta*k^(4k+1)*d**eta*.
     """
-    rep = validate_witness(w)
-    if not rep:
-        raise ValueError("invalid witness: %r" %
-                         [c for c in rep.checks if not c[1]])
     if not is_restricted(demand, w.host.degree):
         raise ValueError("demand exceeds the degree restriction")
     k = w.pruned.t.k
     factor = w.alpha * w.beta * (k ** (4 * k + 1)) * w.emb.d_star
-    return _proxy_route(w.pruned, w.emb, w.path_sets, w.q, demand, factor)
+    return _proxy_route(w.pruned, w.emb, w.path_sets, w.q, demand, factor,
+                        w.pruned.live_bundles())
 
 
 class SparsifiedRouter:
     """The sparse subgraph C' of a witness and what routes inside it.
     qsets maps each host vertex to its selected entries of the witness's
-    path_sets.  The copies selected per bundle are those the thinned
-    router holds: the first thinned.live_bundles()[bundle] = delta_prime
-    copies of every bundle live when the sparsifier was built."""
+    path_sets.  The copies selected per bundle are copies
+    0 .. delta_prime-1 of every bundle live in the witness's pruned
+    router."""
 
-    def __init__(self, cprime, qsets, delta_star, delta_prime, gamma,
-                 thinned):
+    def __init__(self, cprime, qsets, delta_star, delta_prime, gamma):
         self.cprime = cprime            # simple host subgraph
         self.qsets = qsets              # host vertex -> selected entries
         self.delta_star = delta_star
         self.delta_prime = delta_prime
         self.gamma = gamma
-        self.thinned = thinned          # pruned router thinned to delta_prime
 
 
 def _iroot_ceil(x, r):
@@ -652,8 +659,10 @@ def _iroot_ceil(x, r):
 
 
 def sparsify(w, delta_star):
-    """Select delta_prime copies per bundle and delta_prime paths per
-    host vertex, and return their union as a sparse routable subgraph."""
+    """Select copies 0 .. delta_prime-1 of every live bundle of the
+    witness's pruned router and delta_prime paths per host vertex, and
+    return the union of their embedding paths as a sparse routable
+    subgraph."""
     s = w.pruned
     t = s.t
     k = t.k
@@ -679,14 +688,11 @@ def sparsify(w, delta_star):
     for lst in h.values():
         for y in lst:
             ydeg[y] = ydeg.get(y, 0) + 1
-    gamma_p = max(Fraction(1),
-                  Fraction(math.ceil(Fraction(max(ydeg.values())) /
-                                     (z * delta_prime))))
-    n_x = len(h)
-    rounds = max(1, (n_x - 1).bit_length()) if n_x > 1 else 1
+    # z * delta_prime == min_deg, so gamma' = max(1, ceil(max ydeg / min_deg))
+    gamma_p = max(1, -(-max(ydeg.values()) // min_deg))
     # gamma/rounds >= 8*gamma' clears lower_degrees' need of 4*gamma'
-    gamma = Fraction(max(_iroot_ceil(len(w.host.vertices) ** 16, k),
-                         math.ceil(8 * gamma_p * rounds)))
+    gamma = max(_iroot_ceil(len(w.host.vertices) ** 16, k),
+                8 * gamma_p * _log_rounds(len(h)))
     sel_leaves = lower_degrees(h, z, delta_prime, gamma_p, gamma)
     # convert selected leaf picks back to index entries per vertex,
     # first entries of each leaf first
@@ -703,7 +709,6 @@ def sparsify(w, delta_star):
                 chosen.append(entry)
         qsets[x] = chosen
 
-    thinned = s.thinned(delta_prime)
     cprime = MultiGraph()
     for v in w.host.vertices:
         cprime.add_vertex(v)
@@ -716,13 +721,12 @@ def sparsify(w, delta_star):
     for entries in qsets.values():
         for key, _sub in entries:
             add_path(w.emb.paths[key])
-    for (i, leaf), cnt in thinned.live_bundles().items():
-        for c in range(cnt):
+    for (i, leaf) in s.live_bundles():
+        for c in range(delta_prime):
             add_path(w.emb.paths[(i, leaf, c)])
     if cprime.num_edges() > len(w.host.vertices) * delta_star:
         raise AssertionError("sparsified edge bound violated")
-    return SparsifiedRouter(cprime, qsets, delta_star, delta_prime, gamma,
-                            thinned)
+    return SparsifiedRouter(cprime, qsets, delta_star, delta_prime, gamma)
 
 
 def sparsified_route(sp, w, demand):
@@ -731,8 +735,17 @@ def sparsified_route(sp, w, demand):
     8*gamma*(d*)^2*eta**k^(4k+1)."""
     if not is_restricted(demand, lambda v: sp.delta_star):
         raise ValueError("demand is not delta_star-restricted")
-    k = sp.thinned.t.k
+    s = w.pruned
+    k = s.t.k
     factor = 4 * sp.gamma * w.emb.d_star * (k ** (4 * k + 1))
-    # translation uses only the thinned router's delta_prime copies
-    return _proxy_route(sp.thinned, w.emb, sp.qsets, sp.delta_prime,
-                        demand, factor)
+    # Route in s itself, with lcm times delta_prime/Delta: that routes
+    # as the router with delta_prime copies per live bundle would.
+    # Routing reads Delta only in the restriction tot*k^4k <= Delta*lcm
+    # (_route_units) and in r_0 = Delta*lcm (_scaled_r0), and both see
+    # delta_prime*lcm either way.  The sink paths do not depend on
+    # Delta: _u1_to_ui gives every entry Delta units, so its
+    # comparisons all scale together.  Translation spreads each bundle
+    # over its delta_prime copies in C'.
+    return _proxy_route(s, w.emb, sp.qsets, sp.delta_prime, demand,
+                        factor * Fraction(sp.delta_prime, s.t.delta),
+                        dict.fromkeys(s.live_bundles(), sp.delta_prime))

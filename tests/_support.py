@@ -10,6 +10,9 @@ small accessors the library itself never needs.
   the exact verifier; here the contract is one-sided: a demand that
   some verified routing realizes must never be called infeasible.
 - identity_witness, total_at, check_invariants.
+- u_set, num_stars: membership and star-count accessors.
+- thinned_reference: the pruned router rebuilt with thinner bundles,
+  the reference for sparsified routing's scale identity.
 
 Test modules import these with `from _support import ...`; pytest puts
 this directory on sys.path.
@@ -18,7 +21,8 @@ this directory on sys.path.
 from fractions import Fraction
 
 from routerlab.graph import Demand, _key, hop_dist
-from routerlab.pruning import CheckReport, _ceil_mul
+from routerlab.pruning import CheckReport, PrunedRouter, _ceil_mul
+from routerlab.router_template import build
 from routerlab.witness import Embedding, RouterWitness
 
 
@@ -232,3 +236,31 @@ def check_invariants(s):
             if left < _ceil_mul(s.cfg.cluster_survival_frac, hn):
                 viol.append(("I3", lv, c, left, hn))
     return CheckReport(viol)
+
+
+def u_set(s, i):
+    """U_i of pruned router s."""
+    return {v for v in s.t.vertices() if s.in_u(v, i)}
+
+
+def num_stars(t, level):
+    """Stars per level of template t: N^(k-1) at every level."""
+    return t.N ** (t.k - 1)
+
+
+def thinned_reference(s, delta_prime):
+    """A new router over the template with bundles of delta_prime
+    copies, carrying s's membership sets and destroyed marks, in which
+    every live bundle holds delta_prime copies and every other bundle
+    is out of W.  s is left unchanged."""
+    t = s.t
+    view = PrunedRouter(build(t.N, t.k, delta_prime), s.cfg)
+    view.mask = dict(s.mask)
+    view.star_destroyed = set(s.star_destroyed)
+    view.cluster_destroyed = set(s.cluster_destroyed)
+    view.n2 = dict(s.n2)
+    live = s.live_bundles()
+    for key in view.in_w:
+        view.in_w[key] = key in live
+        view.rem[key] = delta_prime if key in live else 0
+    return view

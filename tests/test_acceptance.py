@@ -25,7 +25,7 @@ from routerlab.spanner import (connectivity_certificate_check,
                                stretch_check)
 from routerlab import cli
 
-from _support import approx_feasible, identity_witness, router_probe
+from _support import approx_feasible, identity_witness, router_probe, u_set
 
 
 class Budget:
@@ -148,7 +148,7 @@ def test_acceptance_3_routing_correctness():
             for _ in range(2):
                 s.delete_edge(*rng.choice(ses))
             assert s.is_properly_pruned().ok
-            u1 = sorted(s.u_set(1))
+            u1 = sorted(u_set(s, 1))
             cap = Fraction(t.delta, k ** (4 * k))
             d = _random_restricted_demand(rng, u1, cap)
             if not len(d):

@@ -19,6 +19,8 @@ import pytest
 from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.router_template import build
 
+from _support import num_stars, u_set
+
 KINDS = {"prefix", "P1-missing-bundle", "P1-thin-bundle", "P1-stale-bundle",
          "P2-thin-star", "P2-dead-center", "P2-destroyed-mark",
          "P3-isolated", "P4-thin-cluster"}
@@ -106,7 +108,7 @@ def _scramble(seed):
         for key in rng.sample(keys, len(keys) // 5):
             s.rem[key] = rng.randrange(t.delta + 1)
         for i in range(1, t.k + 1):
-            for sid in rng.sample(range(t.num_stars(i)), 2):
+            for sid in rng.sample(range(num_stars(t, i)), 2):
                 s.star_destroyed.add((i, sid))
     return corrupt
 
@@ -358,5 +360,5 @@ def test_trace_reports_none(N, k, preset):
                 s.begin_phase()
             s.delete_edge(*rng.choice(ses))
             assert s.is_properly_pruned().violations == []
-            partial |= len(s.u_set(k)) < len(s.u_set(1)) == t.num_vertices()
+            partial |= len(u_set(s, k)) < len(u_set(s, 1)) == t.num_vertices()
     assert partial

@@ -20,6 +20,8 @@ from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.router_template import build
 from routerlab.routing import route_u1_to_uk
 
+from _support import num_stars
+
 PRESETS = ["paper", "relaxed"]
 
 # The sampled configs: (N, k, pruning config), both presets on three
@@ -67,7 +69,7 @@ def reference_violations(s):
                     viol.append(("P1-thin-bundle", i, leaf, s.rem[key]))
             elif s.in_w.get(key):
                 viol.append(("P1-stale-bundle", i, leaf))
-        for sid in range(t.num_stars(i)):
+        for sid in range(num_stars(t, i)):
             center = t.star_center(i, sid)
             alive = sum(1 for m in t.star_members(i, sid) if masks[m] & bit)
             if masks[center] & bit:
@@ -135,7 +137,7 @@ def _corrupt(s, rng, n_mask, n_in_w, n_rem, n_star, n_cut=0):
         s.rem[key] = rng.randrange(t.delta + 1)
     for _ in range(n_star):
         i = rng.randrange(1, t.k + 1)
-        s.star_destroyed.add((i, rng.randrange(t.num_stars(i))))
+        s.star_destroyed.add((i, rng.randrange(num_stars(t, i))))
 
 
 def _cross_check(s):

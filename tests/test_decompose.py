@@ -193,17 +193,18 @@ def test_config_roots_match_scans(k):
 
 
 def test_witness_validated_once_per_build(monkeypatch):
-    """build_decomposition validates each cluster's witness once, in
-    rebuild; the public check_valid still validates every witness."""
-    from routerlab import decompose, spanner
+    """build_decomposition validates each cluster's witness once, when
+    rebuild constructs it; the public check_valid still validates every
+    witness."""
+    from routerlab import spanner, witness
     calls = []
-    real = decompose.validate_witness
+    real = witness.validate_witness
 
     def counting(w):
         calls.append(w)
         return real(w)
 
-    monkeypatch.setattr(decompose, "validate_witness", counting)
+    monkeypatch.setattr(witness, "validate_witness", counting)
     monkeypatch.setattr(spanner, "validate_witness", counting)
     rd = build_decomposition(template_host(), template_cfg())
     assert [id(w) for w in calls] == [id(c.witness) for c in rd.clusters]
@@ -278,19 +279,19 @@ def test_batch_duplicate_deletion_rejected():
 
 
 def test_witness_validated_once_per_batch(monkeypatch):
-    """A batch validates each rebuilt cluster's witness once, in rebuild,
-    and none of the untouched ones; the public check_valid still finds a
-    broken witness afterwards."""
-    from routerlab import decompose, spanner
+    """A batch validates each rebuilt cluster's witness once, when
+    rebuild constructs it, and none of the untouched ones; the public
+    check_valid still finds a broken witness afterwards."""
+    from routerlab import spanner, witness
     rd = build_decomposition(template_host(), template_cfg())
     calls = []
-    real = decompose.validate_witness
+    real = witness.validate_witness
 
     def counting(w):
         calls.append(w)
         return real(w)
 
-    monkeypatch.setattr(decompose, "validate_witness", counting)
+    monkeypatch.setattr(witness, "validate_witness", counting)
     monkeypatch.setattr(spanner, "validate_witness", counting)
     for dels in ([(1, 3)], [(0, 10)]):
         del calls[:]

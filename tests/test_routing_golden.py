@@ -37,7 +37,7 @@ from routerlab.router_template import build, realize
 from routerlab.routing import route_demand, route_level, route_u1_to_uk
 from routerlab.witness import sparsified_route, sparsify, witness_route
 
-from _support import identity_witness
+from _support import identity_witness, u_set
 
 VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4),
           Fraction(1), Fraction(5, 6)]
@@ -84,10 +84,10 @@ def _demand(rng, verts, cap, tries):
 def level_random():
     t, s = _pruned(4, 2, 4096, "relaxed", 3, 20)
     rng = random.Random(5)
-    u2 = sorted(s.u_set(2))
+    u2 = sorted(u_set(s, 2))
     d = _demand(rng, u2, Fraction(t.delta, 32 ** 2), 14)
     out = [_flows(route_level(s, 2, d))]
-    u1 = [v for v in sorted(s.u_set(1)) if t.cluster_id(1, v) == 2]
+    u1 = [v for v in sorted(u_set(s, 1)) if t.cluster_id(1, v) == 2]
     d1 = _demand(rng, u1, Fraction(t.delta, 32), 4)
     out.append(_flows(route_level(s, 1, d1)))
     return out
@@ -124,7 +124,7 @@ def demand_preset(preset):
         t, s = _pruned(N, k, delta, preset, *args[3:])
         rng = random.Random(trial)
         cap = Fraction(t.delta, k ** (4 * k))
-        d = _demand(rng, sorted(s.u_set(1)), cap, 16)
+        d = _demand(rng, sorted(u_set(s, 1)), cap, 16)
         out.append(_flows(route_demand(s, d)))
     return out
 

@@ -8,12 +8,14 @@ from routerlab.graph import (MultiGraph, Demand, ball, is_restricted,
                              verify_routing)
 from routerlab.router_template import build, realize
 from routerlab.pruning import PruningConfig, new_pruned
-from routerlab.witness import (ScatteredCert, _iroot_ceil, greedy_embed,
+from routerlab.routing import RoutingError
+from routerlab.witness import (Embedding, RouterWitness, ScatteredCert,
+                               _iroot_ceil, _proxy_route, greedy_embed,
                                lower_degrees,
                                scattered_or_ball, sparsify, sparsified_route,
                                validate_witness, witness_route)
 
-from _support import identity_witness
+from _support import identity_witness, thinned_reference
 
 K = 2
 
@@ -37,6 +39,38 @@ def test_identity_witness_validates():
     assert rep.ok, [c for c in rep.checks if not c[1]]
     assert w.emb.d_star == 1 and w.emb.eta_star == 1
     assert (w.alpha, w.beta, w.q) == (6, 1, 8)
+
+
+def test_witness_checked_once_when_built(monkeypatch):
+    """RouterWitness runs validate_witness once, when it is built, and
+    raises naming the failed checks; witness_route and sparsified_route
+    on a built witness run it no more."""
+    from routerlab import witness
+    calls = []
+    real = witness.validate_witness
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(witness, "validate_witness", counting)
+    t, s, w = setup_identity()
+    assert calls == [w]
+    sp = sparsify(w, 2 * K * 1 * 8)
+    leaves = [v for v in sorted(w.host.vertices) if not t.is_center(v)]
+    d = Demand([(leaves[0], leaves[7], Fraction(1, 2))])
+    for _ in range(3):
+        witness_route(w, d)
+        sparsified_route(sp, w, d)
+    assert calls == [w]
+    assert identity_witness(s) is calls[1] and len(calls) == 2
+
+    paths = dict(w.emb.paths)
+    del paths[min(paths)]
+    with pytest.raises(ValueError,
+                       match=r"^invalid witness: \['one-path-per-live-copy'"):
+        RouterWitness(w.host, s, Embedding(w.emb.vertex_map, paths, w.host))
+    assert len(calls) == 3
 
 
 def test_witness_route_within_bounds():
@@ -64,7 +98,7 @@ def test_sparsify_identity_gives_skeleton():
     assert set(sp.cprime.superedges) == set(w.host.superedges)
     assert all(m == 1 for m in sp.cprime.superedges.values())
     assert sp.cprime.num_edges() <= len(w.host.vertices) * sp.delta_star
-    assert sp.thinned.is_properly_pruned().ok
+    assert w.pruned.is_properly_pruned().ok
 
 
 def test_sparsified_route_within_bounds():
@@ -77,6 +111,38 @@ def test_sparsified_route_within_bounds():
     mc = 8 * sp.gamma * w.emb.d_star ** 2 * w.emb.eta_star * K ** (4 * K + 1)
     vr = verify_routing(sp.cprime, d, r, 22 * w.emb.d_star * K * K, mc)
     assert vr.ok, vr.violations[:5]
+
+
+def test_sparsified_route_matches_thinned_reference():
+    """sparsified_route, which routes in the witness's router with lcm
+    scaled by delta'/Delta, gives the paths and errors of routing in the
+    router rebuilt with delta' copies per live bundle.  gamma is swept
+    across the value where the proxy demand leaves the Delta/k^4k
+    restriction, so a wrong scale shows."""
+    t, s, w = setup_identity()
+    sp = sparsify(w, 2 * K * 1 * 4)
+    dp = sp.delta_prime
+    assert dp < t.delta
+    ref = thinned_reference(s, dp)
+    leaves = [v for v in sorted(w.host.vertices) if not t.is_center(v)]
+    d = Demand([(leaves[0], leaves[5], Fraction(1, 2))])
+    kinds = set()
+    for g in (Fraction(1, 128), Fraction(99, 6400), Fraction(1, 64),
+              Fraction(101, 6400), Fraction(1, 32), sp.gamma):
+        sp.gamma = g
+        factor = 4 * g * w.emb.d_star * K ** (4 * K + 1)
+        got, want = [], []
+        for out, route in (
+                (got, lambda: sparsified_route(sp, w, d)),
+                (want, lambda: _proxy_route(ref, w.emb, sp.qsets, dp, d,
+                                            factor, ref.live_bundles()))):
+            try:
+                out.append(route().flow_paths)
+            except RoutingError as exc:
+                out.append(str(exc))
+        assert got == want, g
+        kinds.add(type(got[0]))
+    assert kinds == {str, list}
 
 
 def test_sparsified_route_needs_delta_prime_entries():
