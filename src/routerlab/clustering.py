@@ -103,13 +103,8 @@ def eligible_index(c, v, k):
 
 
 def _induced(g, verts):
-    sub = MultiGraph()
-    for v in verts:
-        sub.add_vertex(v)
-    for (a, b), m in g.superedges.items():
-        if a in verts and b in verts:
-            sub.add_edge(a, b, m)
-    return sub
+    return MultiGraph.of(verts, {e: m for e, m in g.superedges.items()
+                                 if e[0] in verts and e[1] in verts})
 
 
 def process_cluster(c, k, next_id=0):

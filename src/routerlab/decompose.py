@@ -207,11 +207,13 @@ class _WitnessedCluster:
                 covered[_key(a, b)] = True
         if not covered:
             raise ValueError("no embedding paths survive")
-        host = MultiGraph()
+        source = source_graph.superedges
+        edges = {}
         for e in sorted(covered):
-            if not source_graph.has_edge(*e):
+            if e not in source:
                 raise ValueError("embedding path uses a dead edge")
-            host.add_edge(e[0], e[1], source_graph.multiplicity(*e))
+            edges[e] = source[e]
+        host = MultiGraph.of(dict.fromkeys(x for e in edges for x in e), edges)
         dropped = [e for e in source_graph.superedges if e not in covered]
         paths = {}
         for (i, leaf) in sorted(self.bundles):

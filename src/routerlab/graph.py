@@ -34,13 +34,47 @@ class MultiGraph:
     """Multigraph over dense integer vertex ids.
 
     superedges maps (u,v) with u<v to a positive multiplicity.  Removing
-    the last copy removes the superedge.  Self-loops are rejected.
+    the last copy removes the superedge.  Self-loops are rejected.  A
+    graph is grown by add_vertex and add_edge, or built whole by of();
+    degree is summed on demand, so the mutators keep no per-vertex
+    totals.
     """
 
     def __init__(self):
         self.vertices = set()
         self.superedges = {}     # (u,v) u<v -> multiplicity
         self.adj = {}            # v -> set of neighbors
+
+    @classmethod
+    def of(cls, vertices, superedges):
+        """The graph on the given vertices whose superedges are the dict
+        superedges, {(u,v) with u<v: multiplicity}, which the graph takes
+        over as its own.  Equal, orders included, to the graph built by
+        add_vertex on each vertex and then add_edge on each superedge in
+        dict order, but filled in one pass.  ValueError on a self-loop,
+        a multiplicity below 1, a key with u > v, or an endpoint that is
+        not among the vertices."""
+        g = cls()
+        adj = g.adj = {v: set() for v in vertices}
+        # one add at a time, as add_vertex does, so the set iterates in
+        # the same order (set(adj) would presize the table)
+        g.vertices.update(iter(adj))
+        try:
+            for (u, v), m in superedges.items():
+                if u >= v or m < 1:     # one test on the common path
+                    if u == v:
+                        raise ValueError("self-loop rejected: %r" % (u,))
+                    if m < 1:
+                        raise ValueError("multiplicity must be >= 1")
+                    raise ValueError("superedge key %r is not ordered u < v"
+                                     % ((u, v),))
+                adj[u].add(v)
+                adj[v].add(u)
+        except KeyError:
+            raise ValueError("superedge %r has an endpoint that is not a"
+                             " vertex" % ((u, v),)) from None
+        g.superedges = superedges
+        return g
 
     def add_vertex(self, v):
         if v not in self.vertices:
@@ -93,7 +127,9 @@ class MultiGraph:
         return _key(u, v) in self.superedges
 
     def degree(self, v):
-        return sum(self.superedges[_key(v, u)] for u in self.adj.get(v, ()))
+        sup = self.superedges
+        return sum([sup[v, u] if v < u else sup[u, v]
+                    for u in self.adj.get(v, ())])
 
     def neighbors(self, v):
         return self.adj.get(v, set())

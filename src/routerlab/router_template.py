@@ -39,7 +39,7 @@ import functools
 import operator
 from collections import namedtuple
 
-from .graph import MultiGraph
+from .graph import MultiGraph, _key
 
 
 def _ordering(N, level, j, p):
@@ -208,11 +208,9 @@ def build(N, k, delta, strict=False):
 
 
 def realize(t):
-    """Materialize the template as a multigraph with full bundles."""
-    g = MultiGraph()
-    for v in t.vertices():
-        g.add_vertex(v)
-    for level in range(1, t.k + 1):
-        for (leaf, center) in t.superedges(level):
-            g.add_edge(leaf, center, t.delta)
-    return g
+    """Materialize the template as a multigraph with full bundles, level
+    by level, built in one pass (every bundle is one distinct pair)."""
+    return MultiGraph.of(t.vertices(), {
+        _key(leaf, center): t.delta
+        for level in range(1, t.k + 1)
+        for (leaf, center) in t.superedges(level)})

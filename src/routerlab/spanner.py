@@ -67,23 +67,20 @@ class RouterDecomposition:
 
 def extract_spanner(rd):
     """H' = deleted edges plus the union of the sparsified clusters,
-    deduplicated to a simple graph on the host's vertex set."""
-    h = MultiGraph()
-    for v in rd.host.vertices:
-        h.add_vertex(v)
-    for (a, b) in sorted(rd.e_del):
-        h.add_edge(a, b)
+    deduplicated to a simple graph on the host's vertex set.  Edges are
+    taken in sorted order, E^del first and then each cluster's C' in
+    cluster order, and the graph is built in one pass
+    (MultiGraph.of)."""
+    edges = dict.fromkeys(sorted(rd.e_del), 1)
     for c in rd.clusters:
-        for (a, b) in sorted(c.sparse.cprime.superedges):
-            if not h.has_edge(a, b):
-                h.add_edge(a, b)
+        edges.update(dict.fromkeys(sorted(c.sparse.cprime.superedges), 1))
     # clusters are edge-disjoint, C' subsets its cluster and E^del holds
     # no cluster edge, so the union must not merge any two edges
     expected = len(rd.e_del) + sum(len(c.sparse.cprime.superedges)
                                    for c in rd.clusters)
-    if h.num_edges() != expected:
+    if len(edges) != expected:
         raise AssertionError("spanner size accounting broken")
-    return h
+    return MultiGraph.of(rd.host.vertices, edges)
 
 
 def _partners(edges):
@@ -94,21 +91,31 @@ def _partners(edges):
     return out
 
 
+def _partner_dist(h, u, vs):
+    """Hop distance in h from u to each of vs, None where there is no
+    path.  A neighbour of u is 1 hop away; only the other partners need
+    a breadth-first search, run until their distances are final, and
+    none runs when every partner is a neighbour."""
+    near = h.neighbors(u)
+    rest = [v for v in vs if v not in near]
+    dist = hop_dist(h, u, rest) if rest else {}
+    return [1 if v in near else dist.get(v) for v in vs]
+
+
 def stretch_check(g, h):
     """Max hop stretch of H over the edges of g, with a witness pair.
 
     Checking edges suffices for subgraph spanners: any g-path expands
     edge by edge into H-paths, so pair stretch never exceeds the worst
     edge stretch.  Disconnected edge pairs report stretch infinity.
-    Each source u is searched only until the distances to its partners
-    {v : (u, v) in g, u < v} are final, not over the whole of H.
+    A partner v of source u ((u, v) in g, u < v) that is adjacent in H
+    has stretch 1 with no search; u is searched only when some partner
+    is not, and only until those partners' distances are final.
     """
     worst = 0
     pair = None
     for u, vs in _partners(g.superedges).items():
-        dist = hop_dist(h, u, vs)
-        for v in vs:
-            dh = dist.get(v)
+        for v, dh in zip(vs, _partner_dist(h, u, vs)):
             if dh is None:
                 return math.inf, (u, v)
             if dh > worst:
@@ -178,13 +185,17 @@ def fd_spanner_check(rd, faults, k, seed=0):
     minus the faults, against the resilient-routing length bound
     FD_LEN_CONST * k * d_t.  faults is an iterable of edges (u, v), such
     as a FaultSet; a faulted edge is removed with all its copies, as H'
-    is simple.  Over FD_CHECK_CAP surviving edges, that many are checked,
-    sampled by seed.  Each source is searched only until the distances
-    to its partners among the checked edges are final."""
+    is simple, from a fresh H' in place.  Over FD_CHECK_CAP surviving
+    edges, that many are checked, sampled by seed.  A checked edge whose
+    endpoints are still adjacent has detour 1 with no search; a source
+    is searched only when some of its checked partners are not adjacent,
+    and only until their distances are final."""
     bound = FD_LEN_CONST * k * rd.d_t
     fe = {_key(u, v) for u, v in faults}
-    hprime = extract_spanner(rd)
-    hf = hprime.without_edges(fe)
+    hf = extract_spanner(rd)
+    for (u, v) in fe:
+        if hf.has_edge(u, v):
+            hf.remove_edge(u, v)
     check = [e for e in sorted(rd.host.superedges) if e not in fe]
     if len(check) > FD_CHECK_CAP:
         rng = random.Random(seed)
@@ -193,9 +204,7 @@ def fd_spanner_check(rd, faults, k, seed=0):
     worst_pair = None
     violations = []
     for u, vs in _partners(check).items():
-        dist = hop_dist(hf, u, vs)
-        for v in vs:
-            dh = dist.get(v)
+        for v, dh in zip(vs, _partner_dist(hf, u, vs)):
             if dh is None or dh > bound:
                 violations.append(((u, v), dh))
             if dh is not None and dh > worst:

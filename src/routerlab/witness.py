@@ -182,7 +182,8 @@ _UNUSABLE = math.inf
 def _dijkstra(adj, src, dst, weight, bound, h):
     """Least-weight path from src to dst, as (vertices, edge indices
     with the edge nearest dst first, as _trace_back gives them).
-    Vertices are the indices of adj, so g and h are lists.  Edge e
+    Vertices are the ranks 0 .. len(h) - 1, so g and h are lists, and
+    adj[v] lists v's (neighbour, edge index) pairs.  Edge e
     weighs weight[e] >= base, or _UNUSABLE at capacity, and
     h[v] = base*hop(v, dst), or _UNUSABLE when no hop path exists.  Some
     usable src->dst path must exist, of least weight W* <= bound (the
@@ -203,7 +204,7 @@ def _dijkstra(adj, src, dst, weight, bound, h):
     to the smaller vertex pops in (g, vertex) order and keeps the first
     strict improvement, so its predecessor of u is the same minimiser:
     the path is the one Dijkstra picks, whatever the order of adj."""
-    g = [_UNUSABLE] * len(adj)
+    g = [_UNUSABLE] * len(h)
     g[src] = 0
     heap = [(h[src], src)]
     while heap:
@@ -299,7 +300,13 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     keeps popping until every vertex of every least-weight path is
     settled, and traces the path back through the predecessors Dijkstra
     would record (see _dijkstra); any bound of at least W* gives that
-    path."""
+    path.
+
+    Both searches read one adjacency row per vertex they expand: its
+    (neighbour, edge) pairs sorted by neighbour.  A row is built the
+    first time a search reads it and kept for the call, so a vertex no
+    search expands costs no row, and a copy the direct edge takes reads
+    none."""
     if t.num_vertices() > len(c.vertices):
         raise ValueError("template larger than host")
     eta_max = Fraction(eta_max)
@@ -337,6 +344,23 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     return _embed_with_map(c, t, vm, d_max, eta_max, fake_budget)
 
 
+class _Rows(dict):
+    """Search adjacency by vertex rank: adj[r] is the sorted list of
+    (neighbour rank, edge index) pairs of vertex verts[r], built when a
+    search first reads it."""
+
+    def __init__(self, c, verts, rank, index):
+        super().__init__()
+        self.c, self.verts, self.rank, self.index = c, verts, rank, index
+
+    def __missing__(self, r):
+        v = self.verts[r]
+        rank, index = self.rank, self.index
+        row = self[r] = sorted((rank[u], index[_key(v, u)])
+                               for u in self.c.neighbors(v))
+        return row
+
+
 def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
     # eta_max = p/q; M = lcm of the multiplicities.  Scaling the weight
     # 1 + 4*load/(mult*eta_max) by S = p*M gives the integer
@@ -356,8 +380,7 @@ def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
     # like the vertices, so every heap tie and sorted scan is unchanged
     verts = sorted(c.vertices)
     rank = {v: r for r, v in enumerate(verts)}
-    adj = [sorted((rank[u], index[_key(v, u)]) for u in c.neighbors(v))
-           for v in verts]
+    adj = _Rows(c, verts, rank, index)
     load = [0] * len(slope)
     weight = [base] * len(slope)        # every cap is at least 1
     paths = {}
@@ -709,14 +732,12 @@ def sparsify(w, delta_star):
                 chosen.append(entry)
         qsets[x] = chosen
 
-    cprime = MultiGraph()
-    for v in w.host.vertices:
-        cprime.add_vertex(v)
+    # C' is simple: each edge of a selected path once, in order of first use
+    edges = {}
 
     def add_path(p):
         for a, b in zip(p, p[1:]):
-            if not cprime.has_edge(a, b):
-                cprime.add_edge(a, b)
+            edges[_key(a, b)] = 1
 
     for entries in qsets.values():
         for key, _sub in entries:
@@ -724,9 +745,10 @@ def sparsify(w, delta_star):
     for (i, leaf) in s.live_bundles():
         for c in range(delta_prime):
             add_path(w.emb.paths[(i, leaf, c)])
-    if cprime.num_edges() > len(w.host.vertices) * delta_star:
+    if len(edges) > len(w.host.vertices) * delta_star:
         raise AssertionError("sparsified edge bound violated")
-    return SparsifiedRouter(cprime, qsets, delta_star, delta_prime, gamma)
+    return SparsifiedRouter(MultiGraph.of(w.host.vertices, edges), qsets,
+                            delta_star, delta_prime, gamma)
 
 
 def sparsified_route(sp, w, demand):

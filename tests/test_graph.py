@@ -179,6 +179,44 @@ def test_multiplicity_accumulates(edges):
     assert g.num_edges() == sum(want.values())
 
 
+@given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200),
+                          st.integers(1, 4)), max_size=60),
+       st.lists(st.integers(0, 300), max_size=20), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_of_matches_incremental_build(edges, isolated, rnd):
+    """MultiGraph.of gives the graph add_vertex and add_edge build, in
+    the same iteration orders, isolated vertices included."""
+    sup = {}
+    for u, v, m in edges:
+        if u != v:
+            sup.setdefault(_key(u, v), m)
+    verts = [x for e in sup for x in e] + isolated
+    rnd.shuffle(verts)
+    want = MultiGraph()
+    for v in verts:
+        want.add_vertex(v)
+    for (u, v), m in sup.items():
+        want.add_edge(u, v, m)
+    got = MultiGraph.of(verts, dict(sup))
+    assert list(got.vertices) == list(want.vertices)
+    assert list(got.superedges.items()) == list(want.superedges.items())
+    assert list(got.adj) == list(want.adj)
+    assert all(list(got.adj[v]) == list(want.adj[v]) for v in want.adj)
+    assert all(got.degree(v) == want.degree(v) for v in verts)
+    assert got.num_edges() == want.num_edges()
+
+
+@pytest.mark.parametrize("verts, sup, match", [
+    ([1], {(1, 1): 1}, "self-loop"),
+    ([1, 2], {(1, 2): 0}, "multiplicity"),
+    ([1, 2], {(2, 1): 1}, "not ordered"),
+    ([1], {(1, 2): 1}, "not a vertex"),
+])
+def test_of_rejects_bad_superedges(verts, sup, match):
+    with pytest.raises(ValueError, match=match):
+        MultiGraph.of(verts, sup)
+
+
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
                           st.fractions(min_value=Fraction(1, 4),
                                        max_value=4)), max_size=10),

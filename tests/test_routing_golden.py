@@ -9,10 +9,12 @@ sparsified_route, integral_round and lc_embed.  The demands carry
 non-unit rational values, so flow in units of 1/L needs L > 1.
 
 witness-route and sparsified-route run on an identity witness, where
-d* = eta* = 1; host-witness-route and host-sparsified-route run on the
+d* = eta* = 1.  host-witness-route and host-sparsified-route run on the
 cluster witness of K_82 at Delta = 12, a real embedding with d* = 2
-and eta* = 4, so the proxy handoff and the translation through the
-embedding are pinned too.
+and eta* = 4, and ladder-witness-route and ladder-sparsified-route on
+the cluster witness of realize(build(3, 4, 4)) under the golden
+options, so the proxy handoff and the translation through the
+embeddings that build_decomposition builds are pinned too.
 
 "level-tight" is built so that the admissibility test of the proxy
 router is met with equality: in build(32, 2, 1024) every member of one
@@ -198,6 +200,15 @@ def _k82():
     return wc.witness, wc.sparse
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder():
+    """The one cluster witness and sparsifier of realize(build(3, 4, 4))
+    under the golden options: d* = eta* = 1, q = 4 and delta' = 2."""
+    cfg = PipelineConfig(k=2, delta=4, delta_star=16, d_cap=2, template_n=3)
+    wc = build_decomposition(realize(build(3, 4, 4)), cfg).clusters[0]
+    return wc.witness, wc.sparse
+
+
 def _matching(rng, verts, cap, pairs):
     """Random matching of `pairs` pairs on verts, each valued a random
     share of cap."""
@@ -207,23 +218,26 @@ def _matching(rng, verts, cap, pairs):
                    for a, b in zip(verts[:pairs], verts[pairs:2 * pairs])])
 
 
-def _host_demands(seed, cap):
-    w, _sp = _k82()
+def _host_demands(cluster, seed, cap):
+    w, _sp = cluster()
     rng = random.Random(seed)
     return [_matching(rng, sorted(w.host.vertices), cap, 8) for _ in range(3)]
 
 
-def host_witness():
-    w, _sp = _k82()
+def _min_degree(w):
+    return min(w.host.degree(v) for v in w.host.vertices)
+
+
+def host_witness(cluster):
+    w, _sp = cluster()
     return [_flows(witness_route(w, d))
-            for d in _host_demands(31, min(w.host.degree(v)
-                                           for v in w.host.vertices))]
+            for d in _host_demands(cluster, 31, _min_degree(w))]
 
 
-def host_sparsified():
-    w, sp = _k82()
+def host_sparsified(cluster):
+    w, sp = cluster()
     return [_flows(sparsified_route(sp, w, d))
-            for d in _host_demands(32, sp.delta_star)]
+            for d in _host_demands(cluster, 32, sp.delta_star)]
 
 
 def lc_embed():
@@ -243,15 +257,18 @@ CASES = {
     "sparsified-route": sparsified,
     "integral-round": rounding,
     "lc-embed": lc_embed,
-    "host-witness-route": host_witness,
-    "host-sparsified-route": host_sparsified,
+    "host-witness-route": lambda: host_witness(_k82),
+    "host-sparsified-route": lambda: host_sparsified(_k82),
+    "ladder-witness-route": lambda: host_witness(_ladder),
+    "ladder-sparsified-route": lambda: host_sparsified(_ladder),
 }
 
 # sha256 of each case's repr, recorded before routing moved to integer
 # flow units; level-random (re-recorded without its scaled draw when
 # route_level lost its scale option) and the two host cases were
 # recorded before witness routing handed its proxy demand to the routing
-# core directly
+# core directly; the two ladder cases were recorded before graphs were
+# built in one pass and the search adjacency on demand
 GOLDEN = {
     "demand-paper":
         "f0ac793ac9a5e2cc3872d365eab8aa327ef9ccc753c5f06304f47a23936e161a",
@@ -275,34 +292,42 @@ GOLDEN = {
         "c3f24a1ce5886e60ed50dcb6672dd76c276fd816fb92e5079b4effa61fd405b4",
     "host-witness-route":
         "8ab33fec46a5c58e29f4ec34a1c34f953910cf239c2310d7923b2a0ea0356124",
+    "ladder-sparsified-route":
+        "8d62a4dc998bf5b74f0f6bf4d7f7b20b25539767527ce51c7304d7f5d01d7352",
+    "ladder-witness-route":
+        "a9a1001cfa7dbfb6c6b7a1559b8f94761b4f430b88954f6f00b56c2c1de68cf6",
 }
 
 
 def test_host_routes_within_bounds():
-    """The K_82 routings verify against the stated bounds, and are not
-    vacuous: some proxy pair joins two leaves, so the router routes and
-    its paths are translated, and some path has more than two hops."""
-    w, sp = _k82()
-    kh, d_star, eta = w.pruned.t.k, w.emb.d_star, w.emb.eta_star
-    max_len = 22 * d_star * kh * kh
-    runs = [
-        (witness_route, (w,), w.host, w.path_sets, w.q,
-         2 * w.alpha * w.beta * kh ** (4 * kh + 1) * d_star * eta,
-         _host_demands(31, min(w.host.degree(v) for v in w.host.vertices))),
-        (sparsified_route, (sp, w), sp.cprime, sp.qsets, sp.delta_prime,
-         8 * sp.gamma * d_star ** 2 * eta * kh ** (4 * kh + 1),
-         _host_demands(32, sp.delta_star)),
-    ]
-    for route, args, host, entries, width, max_cong, demands in runs:
-        routed = longest = 0
-        for d in demands:
-            r = route(*args, d)
-            vr = verify_routing(host, d, r, max_len, max_cong)
-            assert vr.ok, vr.violations[:5]
-            longest = max(longest, vr.worst_length)
-            routed += sum(entries[a][j][0][1] != entries[b][j][0][1]
-                          for a, b in d.values for j in range(width))
-        assert routed > 0 and longest > 2, (route.__name__, routed, longest)
+    """The routings on the K_82 and ladder witnesses verify against the
+    stated bounds, and are not vacuous: some proxy pair joins two
+    leaves, so the router routes and its paths are translated, and some
+    path has more than two hops."""
+    for cluster in (_k82, _ladder):
+        w, sp = cluster()
+        kh, d_star, eta = w.pruned.t.k, w.emb.d_star, w.emb.eta_star
+        max_len = 22 * d_star * kh * kh
+        runs = [
+            (witness_route, (w,), w.host, w.path_sets, w.q,
+             2 * w.alpha * w.beta * kh ** (4 * kh + 1) * d_star * eta,
+             _host_demands(cluster, 31, _min_degree(w))),
+            (sparsified_route, (sp, w), sp.cprime, sp.qsets, sp.delta_prime,
+             8 * sp.gamma * d_star ** 2 * eta * kh ** (4 * kh + 1),
+             _host_demands(cluster, 32, sp.delta_star)),
+        ]
+        for route, args, host, entries, width, max_cong, demands in runs:
+            routed = longest = 0
+            for d in demands:
+                r = route(*args, d)
+                vr = verify_routing(host, d, r, max_len, max_cong)
+                assert vr.ok, vr.violations[:5]
+                longest = max(longest, vr.worst_length)
+                routed += sum(entries[a][j][0][1] != entries[b][j][0][1]
+                              for a, b in d.values for j in range(width))
+            assert routed > 0 and longest > 2, (cluster.__name__,
+                                                route.__name__, routed,
+                                                longest)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -59,6 +59,16 @@ def _nx_stretch(g, h):
     return worst, pair
 
 
+def _mixed_sources(edges, x):
+    """Sources u of the edges (u, v), u < v, with some partners v
+    adjacent to u in the networkx graph x and some not: the checks
+    give the adjacent ones distance 1 and search for the rest."""
+    partners = {}
+    for (u, v) in edges:
+        partners.setdefault(u, []).append(x.has_edge(u, v))
+    return sum(any(a) and not all(a) for a in partners.values())
+
+
 def _cases():
     rng = random.Random(4242)
     for trial in range(120):
@@ -69,7 +79,7 @@ def _cases():
 
 
 def test_stretch_check_matches_networkx():
-    seen_inf = seen_finite = 0
+    seen_inf = seen_finite = seen_mixed = 0
     for trial, g, h in _cases():
         want = _nx_stretch(g, h)
         assert stretch_check(g, h) == want, trial
@@ -77,7 +87,9 @@ def test_stretch_check_matches_networkx():
             seen_inf += 1
         elif want[0] > 1:
             seen_finite += 1
-    assert seen_inf >= 10 and seen_finite >= 10, (seen_inf, seen_finite)
+        seen_mixed += _mixed_sources(g.superedges, _to_nx(h))
+    assert seen_inf >= 10 and seen_finite >= 10 and seen_mixed >= 10, (
+        seen_inf, seen_finite, seen_mixed)
 
 
 def test_stretch_check_disconnected_subgraph():
@@ -92,7 +104,7 @@ def test_stretch_check_disconnected_subgraph():
 
 def test_fd_spanner_check_matches_networkx(monkeypatch):
     monkeypatch.setattr(spanner, "FD_LEN_CONST", 1)
-    seen_violations = seen_cut = 0
+    seen_violations = seen_cut = seen_mixed = 0
     rng = random.Random(99)
     for trial, g, h in _cases():
         edges = sorted(g.superedges)
@@ -121,8 +133,9 @@ def test_fd_spanner_check_matches_networkx(monkeypatch):
                        "violations": violations, "ok": not violations}, trial
         seen_violations += bool(violations)
         seen_cut += any(dh is None for _e, dh in violations)
-    assert seen_violations >= 10 and seen_cut >= 5, (seen_violations,
-                                                      seen_cut)
+        seen_mixed += _mixed_sources(check, x)
+    assert seen_violations >= 10 and seen_cut >= 5 and seen_mixed >= 10, (
+        seen_violations, seen_cut, seen_mixed)
 
 
 def _nx_same_components(g, h, faults):
