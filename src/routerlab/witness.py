@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .graph import (MultiGraph, Routing, _key,
-                    bfs_layers, flow_units, hop_dist, is_restricted)
+                    ball, bfs_layers, flow_units, hop_dist, is_restricted)
 from .routing import _route_units
 
 
@@ -275,19 +275,27 @@ def greedy_embed(c, t, d_max, eta_max, fake_budget):
     and M the lcm of the host's multiplicities; a uniform positive scale
     keeps every comparison and tie, so the chosen paths are those of the
     rational weights.  The search gives up, returning None, as soon as
-    |F| exceeds fake_budget.
+    |F| exceeds fake_budget, or before it starts when the copies that
+    must be fake already exceed it (the first step below).
 
     Each copy is placed by the rule: take the least-weight usable path
     (the one Dijkstra picks when heap ties go to the smaller vertex); if
     it has more than d_max hops, take the first breadth-first path of at
     most d_max hops instead; if there is none, the copy is fake.  d_max
-    must be at least 1 (ValueError otherwise).  Three steps decide it.
-    When the direct edge is usable and weighs under 2*S, it is the least
-    path and no search runs: every other path has two or more hops, and
-    every edge weighs at least S.  Otherwise the breadth-first path of
-    at most d_max hops is found first.  When there is none, no usable
-    path has at most d_max hops, so the rule ends in a fake and no
-    search runs.  Otherwise its weight is at least W*, the least weight,
+    must be at least 1 (ValueError otherwise).  Four steps decide it.
+    First, before any copy is placed: a copy whose mapped ends are more
+    than d_max hops apart in the unloaded c is fake under every load, as
+    loads only grow and an edge at capacity never becomes usable again.
+    So F holds every such copy, and when they number more than
+    fake_budget, None is returned with no search run.  Only bundles
+    without a direct host edge are tested, each against the radius-d_max
+    ball of its mapped center, computed once per center.  Then, per
+    copy: when the direct edge is usable and weighs under 2*S, it is the
+    least path and no search runs: every other path has two or more
+    hops, and every edge weighs at least S.  Otherwise the breadth-first
+    path of at most d_max hops is found first.  When there is none, no
+    usable path has at most d_max hops, so the rule ends in a fake and
+    no search runs.  Otherwise its weight is at least W*, the least weight,
     and bounds the search, whose path is taken unless it has more than
     d_max hops; then the breadth-first path is.
 
@@ -362,6 +370,19 @@ class _Rows(dict):
 
 
 def _embed_with_map(c, t, vm, d_max, eta_max, fake_budget):
+    # copies whose ends are more than d_max hops apart in the unloaded c
+    # are fake under every load (greedy_embed's first step)
+    far = 0
+    balls = {}          # center -> its radius-d_max ball
+    for i in range(1, t.k + 1):
+        for (leaf, center) in t.superedges(i):
+            a, b = vm[leaf], vm[center]
+            if not c.has_edge(a, b):
+                if b not in balls:
+                    balls[b] = ball(c, b, d_max)
+                far += a not in balls[b]
+    if far * t.delta > fake_budget:
+        return None
     # eta_max = p/q; M = lcm of the multiplicities.  Scaling the weight
     # 1 + 4*load/(mult*eta_max) by S = p*M gives the integer
     # S + 4*q*load*(M // mult), and load < eta_max*mult becomes
