@@ -183,13 +183,6 @@ class Demand:
             s.add(b)
         return s
 
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        d = Demand()
-        for (a, b), val in self.values.items():
-            d.values[(a, b)] = val * factor
-        return d
-
     def is_integral(self):
         return all(v.denominator == 1 for v in self.values.values())
 

@@ -12,6 +12,7 @@ paths misses F.  The leaf populations grow geometrically, so with
 lambda large enough the process must finish within 10k rounds.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 import itertools
 import math
@@ -92,6 +93,14 @@ def _limit_denominator(n, d, max_den):
     return p2, q2
 
 
+def _pick(prefix, num, den):
+    """Index of the first prefix sum at least (num/den) * prefix[-1],
+    the last index if there is none: y*total <= prefix[i] <=> prefix[i]
+    >= ceil(y*total), prefix sums being integers."""
+    return min(bisect_left(prefix, -(-num * prefix[-1] // den)),
+               len(prefix) - 1)
+
+
 def integral_round(g, d, base, alpha, eta, seed):
     """Round a fractional routing to one unit path per demand unit
     (Raghavan & Thompson randomized rounding).
@@ -99,39 +108,50 @@ def integral_round(g, d, base, alpha, eta, seed):
     base must route d fractionally (pair totals exact).  Per demand
     unit, a path is sampled from the pair's flow distribution; choices
     are independent given the seed.  A draw x = f*total, f the random
-    float limited to denominator 2^40, takes the first path whose
-    prefix sum of flow reaches x.  The flow values of a pair are summed
-    as integers in units of 1/L and x is compared with each prefix sum
-    by cross-multiplication.
+    float r limited to denominator 2^40, takes the first path whose
+    prefix sum of flow reaches x.  Flow values are integers in units of
+    1/L, L the lcm of all their denominators (a common scale moves no
+    pick), so the pick is the first prefix sum at least ceil(x), found
+    by bisection.
+
+    Most draws never compute f: each is bracketed first.  f lies within
+    2^-41 of r, because every j/2^40 is a candidate, the nearest one is
+    within half a step of r, and f is at least as close.  The pick can
+    only move forward as x grows, so when r - 2^-41 and r + 2^-41 pick
+    the same path, f picks it too; only otherwise does the continued-
+    fraction walk run.  Both ends are exact, over r's power-of-two
+    denominator times 2^41.  A pair with one path takes it without a
+    comparison, but its draws are still made, so later pairs see the
+    same random stream.
     """
-    by_pair = {}
-    for path, pair, val in base.flow_paths:
-        by_pair.setdefault(_key(*pair), []).append((path, val))
-    rng = random.Random(seed)
+    _lcm, scaled = flow_units(val for _p, _pair, val in base.flow_paths)
+    by_pair = {}         # pair -> (its paths, their flow in units of 1/L)
+    for (path, pair, _val), u in zip(base.flow_paths, scaled):
+        opts = by_pair.setdefault(_key(*pair), ([], []))
+        opts[0].append(path)
+        opts[1].append(u)
+    draw = random.Random(seed).random
     out = Routing()
+    add = out.flow_paths.append
     one = Fraction(1)
-    for (a, b), want in sorted(d.values.items()):
+    for pair, want in sorted(d.values.items()):
         if want.denominator != 1:
             raise ValueError("demand value %s is not integral" % (want,))
-        opts = by_pair.get((a, b))
-        if not opts:
-            raise ValueError("base routing has no flow for pair %r" % ((a, b),))
-        _lcm, units = flow_units(v for _p, v in opts)
+        if pair not in by_pair:
+            raise ValueError("base routing has no flow for pair %r" % (pair,))
+        paths, units = by_pair[pair]
         prefix = list(itertools.accumulate(units))
-        total = prefix[-1]
-        if total <= 0:
-            raise ValueError("base routing infeasible for pair %r" % ((a, b),))
+        if prefix[-1] <= 0:
+            raise ValueError("base routing infeasible for pair %r" % (pair,))
         for _unit in range(int(want)):
-            fn, fd = _limit_denominator(*rng.random().as_integer_ratio(),
-                                        1 << 40)
-            # f*total/L <= prefix/L  <=>  fn*total <= prefix*fd
-            x = fn * total
-            chosen = opts[-1][0]
-            for (p, _v), acc in zip(opts, prefix):
-                if x <= acc * fd:
-                    chosen = p
-                    break
-            out.add(chosen, (a, b), one)
+            n, den = draw().as_integer_ratio()
+            i = 0
+            if len(prefix) > 1:
+                # r -+ 2^-41 = (n*2^41 -+ den) / (den*2^41)
+                i = _pick(prefix, (n << 41) - den, den << 41)
+                if i != _pick(prefix, (n << 41) + den, den << 41):
+                    i = _pick(prefix, *_limit_denominator(n, den, 1 << 40))
+            add((paths[i], pair, one))
     return out
 
 

@@ -137,45 +137,48 @@ class LcEmbedding:
 def lc_embed(rd, seed=0):
     """Embed E(G) into H': deleted edges map to themselves; cluster
     edges route in their C' at a down-scaled value and are rounded to
-    single paths, each of which must stay inside that C'."""
+    single paths, each of which must stay inside that C'.
+
+    Each deleted edge is its own one-hop path, so the H' edge loads
+    start at 1 on E^del.  One pass over each cluster's rounded paths
+    then checks that they stay in C' and adds them to the loads and to
+    the longest path length d."""
     n = len(rd.host.vertices)
     logn = max(1, (max(n, 2) - 1).bit_length())
-    paths = {}
-    for e in sorted(rd.e_del):
-        paths[e] = e
-    dmax_g = max((rd.host.degree(v) for v in rd.host.vertices), default=1)
+    paths = {e: e for e in sorted(rd.e_del)}
+    loads = dict.fromkeys(rd.e_del, 1)
+    d_obs = 1
+    one = Fraction(1)
     for c in rd.clusters:
         edges = sorted(c.graph.superedges)
         if not edges:
             continue
         dmax = max(c.graph.degree(v) for v in c.graph.vertices)
-        d = Demand()
-        for (u, v) in edges:
-            d.add(u, v, 1)
         # unit demand per edge is dmax-restricted; scale to delta_star
-        scale = Fraction(rd.delta_star, dmax)
-        if scale > 1:
-            scale = Fraction(1)
-        frac = sparsified_route(c.sparse, c.witness, d.scaled(scale))
+        d, scaled = Demand(), Demand()
+        d.values = dict.fromkeys(edges, one)
+        scaled.values = dict.fromkeys(edges,
+                                      min(Fraction(rd.delta_star, dmax), one))
+        frac = sparsified_route(c.sparse, c.witness, scaled)
         rounded = integral_round(c.sparse.cprime, d, frac, 1, rd.eta_t,
                                  seed=seed)
         cprime = c.sparse.cprime.superedges
         for p, pr, _val in rounded.flow_paths:
-            if any(_key(a, b) not in cprime for a, b in zip(p, p[1:])):
-                raise AssertionError("embedded path leaves C'")
-            paths[_key(*pr)] = tuple(p)
-    loads = {}
-    d_obs = 1
-    for p in paths.values():
-        d_obs = max(d_obs, len(p) - 1)
-        for a, b in zip(p, p[1:]):
-            key = _key(a, b)
-            loads[key] = loads.get(key, 0) + 1
+            d_obs = max(d_obs, len(p) - 1)
+            for a, b in zip(p, p[1:]):
+                key = (a, b) if a < b else (b, a)
+                if key not in cprime:
+                    raise AssertionError("embedded path leaves C'")
+                loads[key] = loads.get(key, 0) + 1
+            paths[_key(*pr)] = p
     eta_obs = max(loads.values(), default=1)
-    bound = max(Fraction(16 * rd.eta_t * dmax_g, rd.delta_star), 16 * logn)
     if d_obs > rd.d_t:
         raise AssertionError("lc embedding length bound broken")
-    if eta_obs > bound:
+    # the bound is max(16*eta_t*dmax_g/delta_star, 16*log n); the host's
+    # degrees are summed only when eta_obs exceeds the second term
+    if eta_obs > 16 * logn and eta_obs > Fraction(
+            16 * rd.eta_t * max((rd.host.degree(v) for v in rd.host.vertices),
+                                default=1), rd.delta_star):
         raise AssertionError("lc embedding congestion bound broken")
     return LcEmbedding(paths, d_obs, eta_obs)
 

@@ -620,41 +620,44 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
         unit_lcm * factor) if proxy else {}
 
     copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
-    bundle_of = {}       # router edge (x, y) -> its (level, leaf)
+    steps = {}           # router edge (x, y) -> (bundle, copy loads, x is leaf)
 
     def translate(wpath, value):
         """Host path for a router path, one embedding path per edge,
-        least-loaded copy first."""
-        host_path = [emb.vertex_map[wpath[0]]]
+        least-loaded copy first, without its first vertex (the image
+        of wpath[0])."""
+        host_path = []
         for x, y in zip(wpath, wpath[1:]):
-            bundle = bundle_of.get((x, y))
-            if bundle is None:
+            st = steps.get((x, y))
+            if st is None:
                 leaf = x if not t.is_center(x) else y
-                bundle = bundle_of[(x, y)] = (t.superedge_level(x, y), leaf)
-            loads = copy_load.get(bundle)
-            if loads is None:
-                loads = copy_load[bundle] = [0] * copies[bundle]
+                bundle = (t.superedge_level(x, y), leaf)
+                loads = copy_load.get(bundle)
+                if loads is None:
+                    loads = copy_load[bundle] = [0] * copies[bundle]
+                st = steps[x, y] = bundle, loads, x == leaf
+            bundle, loads, forward = st
             c = loads.index(min(loads))
             loads[c] += value
             ep = emb.paths[bundle + (c,)]
-            if x != bundle[1]:
-                ep = tuple(reversed(ep))
-            host_path.extend(ep[1:])
+            host_path.extend(ep[1:] if forward else ep[-2::-1])
         return tuple(host_path)
 
+    # every unit is positive and every path a tuple, so entries go
+    # straight into the Routing
     out = Routing()
+    add = out.flow_paths.append
     for a, b, unit, n, a_leaf, r_a, b_leaf, r_b in plan:
         if a_leaf == b_leaf:
-            full = tuple(r_a) + tuple(reversed(r_b))[1:]
+            full = r_a + r_b[-2::-1]
         else:
             wpath = mid_paths[_key(a_leaf, b_leaf)]
             if wpath[0] != a_leaf:
-                wpath = tuple(reversed(wpath))
-            # r_a ends at vm[a_leaf] == mid_host[0]; mid_host ends at
-            # vm[b_leaf] == r_b's last vertex
-            mid_host = translate(wpath, n)
-            full = tuple(r_a) + tuple(mid_host[1:]) + tuple(reversed(r_b))[1:]
-        out.add(full, (a, b), unit)
+                wpath = wpath[::-1]
+            # r_a ends at vm[a_leaf], where the translated path starts;
+            # it ends at vm[b_leaf], r_b's last vertex
+            full = r_a + translate(wpath, n) + r_b[-2::-1]
+        add((full, (a, b), unit))
     return out
 
 
