@@ -5,9 +5,11 @@ Build loop: strip low-degree vertices, cluster what is left, and for
 each large cluster try to embed a recursive router template into it.  A
 successful embedding is trimmed (fake copies pruned, under-covered
 vertices dropped) and becomes a witnessed cluster with a sparsified
-subgraph.  Failures shed edges via the scattered-or-ball search and the
-residue is re-clustered.  Whatever never makes it into a cluster lands
-in E^del, tagged with the cause.
+subgraph.  A failed cluster is charged to E^del, all but at most one
+dense ball found by the scattered-or-ball search.  Only those balls go
+on to the next round: the clusters partition the round's edges, and
+every other edge has left it as a cluster edge or a charge.  Whatever
+never makes it into a cluster lands in E^del, tagged with the cause.
 
 Each cluster is one _WitnessedCluster record, and rd.clusters, in id
 order, is the only collection of them.  The record owns the cluster's
@@ -242,33 +244,28 @@ def _strip_low_degree(g, floor, causes):
             g.remove_vertex(v)
 
 
-def _take_out(g0, edges, causes=None, tag=None):
-    """Remove edges from the working graph, charging each to E^del under
-    tag unless tag is None, and drop the vertices left isolated."""
-    for e in edges:
-        if tag is not None:
-            causes[e] = tag
-        if g0.has_edge(*e):
-            g0.remove_edge(*e)
-    for v in [v for v in g0.vertices if not g0.neighbors(v)]:
-        g0.remove_vertex(v)
-
-
-def _scatter_shed(g0, sub, causes):
+def _scatter_shed(sub, causes):
     """Embedding failed: keep at most one dense ball, charge the rest to
-    E^del so re-clustering can make progress."""
-    shed = sorted(sub.superedges)
+    E^del so re-clustering can make progress.  Returns the ball's edges,
+    a superedge dict, for the next round."""
     res = scattered_or_ball(sub, SCATTER_D, SCATTER_EPS)
+    kept = {}
     if not isinstance(res, ScatteredCert):
         keep = ball(sub, res, math.ceil(4 * SCATTER_D / SCATTER_EPS))
-        shed = [e for e in shed
-                if e[0] not in keep or e[1] not in keep] or shed
-    _take_out(g0, shed, causes, "scatter")
+        kept = {e: m for e, m in sub.superedges.items()
+                if e[0] in keep and e[1] in keep}
+    if len(kept) == len(sub.superedges):
+        kept = {}                   # a ball of every edge is no progress
+    for e in sorted(sub.superedges):
+        if e not in kept:
+            causes[e] = "scatter"
+    return kept
 
 
 def _try_witness(cid, cfg, sub):
-    """Attempt the template embedding on one cluster.  Returns a
-    _WitnessedCluster (not yet rebuilt) or None."""
+    """Attempt the template embedding on one cluster.  Returns the
+    rebuilt _WitnessedCluster with the cluster edges its rebuild
+    dropped, or None."""
     nv = len(sub.vertices)
     n_c = cfg.template_size(nv)
     if n_c < 2:
@@ -307,11 +304,19 @@ def _try_witness(cid, cfg, sub):
             break
         if not wc.s.is_properly_pruned():
             return None
-    return wc
+    try:
+        return wc, wc.rebuild(sub)
+    except ValueError:
+        return None
 
 
 def build_decomposition(g, cfg):
     """Decompose g into witnessed router clusters plus E^del.
+
+    A round's clusters partition its graph's edges, and each cluster's
+    edges leave the round whole, as a witnessed cluster or charged to
+    E^del bar the one ball scatter may keep; so the next round's graph
+    is built from the kept balls' edges alone.
 
     The decomposition's host rd.host is g itself, not a copy:
     process_batch deletes and inserts edges in it in place.  Pass
@@ -324,27 +329,24 @@ def build_decomposition(g, cfg):
     it = 0
     while g0.num_edges() and it < ITER_CAP:
         it += 1
-        cs = init_clustering(g0.copy(), cfg.k)
-        for c in cs.active_clusters():
+        kept = {}
+        for c in init_clustering(g0, cfg.k).active_clusters():
             sub = c.graph
             if not sub.superedges:
                 continue
             if len(sub.vertices) < cfg.delta:
-                _take_out(g0, sorted(sub.superedges), report.causes, "small")
+                for e in sorted(sub.superedges):
+                    report.causes[e] = "small"
                 continue
-            wc = _try_witness(len(clusters), cfg, sub)
-            if wc is None:
-                _scatter_shed(g0, sub, report.causes)
+            got = _try_witness(len(clusters), cfg, sub)
+            if got is None:
+                kept.update(_scatter_shed(sub, report.causes))
                 continue
-            try:
-                dropped = wc.rebuild(sub)
-            except ValueError:
-                _scatter_shed(g0, sub, report.causes)
-                continue
+            wc, dropped = got
             for e in dropped:
                 report.causes[e] = "fake-trim"
-            _take_out(g0, sorted(sub.superedges))
             clusters.append(wc)
+        g0 = MultiGraph.of(dict.fromkeys(x for e in kept for x in e), kept)
         _strip_low_degree(g0, cfg.delta, report.causes)
     if g0.num_edges():
         report.degraded = True
@@ -358,10 +360,10 @@ def build_decomposition(g, cfg):
         eta_s = wc.witness.emb.eta_star
         eta_t = max(eta_t, 8 * wc.sparse.gamma * d_s * d_s * eta_s
                     * kh ** (4 * kh + 1))
-    # E^del is what was charged, so the partition check below compares
-    # the charges with the clusters' edges
-    rd = RouterDecomposition(g, clusters, set(report.causes), cfg.delta_star,
-                             d_t, eta_t, RHO)
+    # E^del is what was charged, a live view of the causes, so the
+    # partition check below compares the charges with the clusters' edges
+    rd = RouterDecomposition(g, clusters, report.causes.keys(),
+                             cfg.delta_star, d_t, eta_t, RHO)
     rd.cfg = cfg
     rd.report = report
     # rebuild() has just validated every cluster's witness
@@ -382,7 +384,6 @@ def _cluster_of(rd, e):
 def _charge(rd, report, e, cause):
     """Move host edge e into E^del, recording its cause in rd.report
     and charging it to the batch."""
-    rd.e_del.add(e)
     rd.report.causes[e] = cause
     report.charge(cause)
 
@@ -419,8 +420,7 @@ def _repair(rd, wc, edges, report):
     while True:
         counts = wc.path_counts()
         low = {v for v, lam in wc.lam.items()
-               if counts.get(v, 0) < lam * cfg.drop_frac
-               and (v in counts or v in wc.graph.vertices)}
+               if counts.get(v, 0) < lam * cfg.drop_frac}
         if not low:
             break
         shed = [e for e in sorted(wc.graph.superedges)
@@ -487,7 +487,6 @@ def process_batch(rd, deletions, insertions=()):
         rd.host.remove_edge(*e)
         report.deleted += 1
         if wc is None:
-            rd.e_del.discard(e)
             rd.report.causes.pop(e, None)
         else:
             wc.graph.remove_edge(*e)

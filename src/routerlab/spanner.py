@@ -26,7 +26,7 @@ class RouterDecomposition:
         # clusters in id order; each has id, graph (its edges as a
         # MultiGraph), witness and sparse
         self.clusters = clusters
-        self.e_del = set(e_del)         # host superedges in no cluster
+        self.e_del = e_del      # host edges in no cluster; may be a live view
         self.delta_star = delta_star
         self.d_t = d_t                  # length bound of sparsified_route
         self.eta_t = eta_t              # congestion bound of sparsified_route

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 from routerlab.graph import MultiGraph
@@ -66,6 +67,80 @@ def test_edge_conservation_on_disjoint_cliques():
     assert len(rd.e_del) + covered == g.num_edges()
 
 
+def cliques(*sizes, host=None):
+    """Disjoint complete graphs of the given sizes, numbered from 1000 in
+    blocks of 100, added to host (a new graph by default)."""
+    g = host if host is not None else MultiGraph()
+    for j, n in enumerate(sizes):
+        off = 1000 + 100 * j
+        for a in range(n):
+            for b in range(a + 1, n):
+                g.add_edge(off + a, off + b)
+    return g
+
+
+ROUND_HOSTS = {
+    "K9+K9": lambda: cliques(9, 9),
+    "K13+K7": lambda: cliques(13, 7),
+    "3xK7": lambda: cliques(7, 7, 7),
+    "3xK11": lambda: cliques(11, 11, 11),
+    "K25+K25": lambda: cliques(25, 25),
+    "router(3,4,4)+K9+K9": lambda: cliques(9, 9, host=template_host()),
+    "router(3,4,4)+K13+K7": lambda: cliques(13, 7, host=template_host()),
+}
+
+ROUND_CFGS = [dict(k=2, delta=4, delta_star=16, d_cap=2),
+              dict(k=2, delta=3, delta_star=16, d_cap=2),
+              dict(k=2, delta=4, delta_star=16, d_cap=2, template_n=3)]
+
+# sha256 over the three configs' builds, recorded while each round still
+# removed its clusters' edges from a working graph one at a time
+ROUND_GOLDEN = {
+    "K9+K9":
+        "7391a669b307e8917a4f1c77a8ce6c72ff866bc74b0216b85ae13d4d0d787a2a",
+    "K13+K7":
+        "d764ef18cfeb316732948fe3565b8e868c272a62a386ed904d4c8c73dfdbf7cf",
+    "3xK7":
+        "36ea28f7f89d1a645878e91c103bb2ee809243cd653d61e6415ea9c3cb683273",
+    "3xK11":
+        "84054980a6e4ade088a49f3a4d2b5d87ddfc93121a00c83861d29097f5ceaaeb",
+    "K25+K25":
+        "8fa1ad40e4659d25edde81cd7ace74962a0b7d0f269ca6feee0b6ee83bdf21da",
+    "router(3,4,4)+K9+K9":
+        "c452b252f6a6b9c189e44e23ee2dace085af98a1939bef3f4430804bde58b3f9",
+    "router(3,4,4)+K13+K7":
+        "e470dbb496cd0132e6ecb122b690d5d35b510354fc296eb9a66886fcbaa3f140",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_HOSTS))
+def test_multi_round_fingerprint(name, monkeypatch):
+    """Builds that run more than one clustering round end with the same
+    E^del, causes, clusters and stretch as when the fingerprint was
+    recorded; at least one of each host's builds runs a second round."""
+    rounds = []
+    real = decompose.init_clustering
+
+    def counting(g, k):
+        rounds[-1] += 1
+        return real(g, k)
+
+    monkeypatch.setattr(decompose, "init_clustering", counting)
+    parts = []
+    for kw in ROUND_CFGS:
+        rounds.append(0)
+        rd = build_decomposition(ROUND_HOSTS[name](), PipelineConfig(**kw))
+        assert not rd.check_valid()
+        parts.append((rounds[-1], sorted(rd.report.causes.items()),
+                      rd.report.degraded,
+                      [sorted(c.graph.superedges.items())
+                       for c in rd.clusters],
+                      stretch_check(rd.host, extract_spanner(rd))))
+    assert max(rounds) >= 2, rounds
+    got = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert got == ROUND_GOLDEN.get(name), got
+
+
 def test_low_degree_vertices_shed():
     g = template_host()
     g.add_edge(0, 999)
@@ -76,20 +151,21 @@ def test_low_degree_vertices_shed():
 
 def test_build_rejects_an_uncharged_edge(monkeypatch):
     """E^del is the set of charged edges, so the build's partition check
-    fails when an edge leaves the working graph without a charge."""
+    fails when scatter neither charges an edge nor keeps it."""
     g = realize(build(4, 4, 4))
     rd = build_decomposition(g.copy(), template_cfg())
     assert rd.report.cause_counts() == {"scatter": len(g.superedges)}
-    real = decompose._take_out
+    real = decompose._scatter_shed
     uncharged = []
 
-    def take_out(g0, edges, causes=None, tag=None):
-        real(g0, edges, causes, tag)
-        if tag == "scatter" and not uncharged:
-            uncharged.append(edges[0])
-            del causes[edges[0]]
+    def scatter_shed(sub, causes):
+        kept = real(sub, causes)
+        if not uncharged:
+            uncharged.append(min(e for e in sub.superedges if e not in kept))
+            del causes[uncharged[0]]
+        return kept
 
-    monkeypatch.setattr(decompose, "_take_out", take_out)
+    monkeypatch.setattr(decompose, "_scatter_shed", scatter_shed)
     with pytest.raises(AssertionError, match="decomposition invalid"):
         build_decomposition(g, template_cfg())
     assert uncharged
