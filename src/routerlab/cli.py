@@ -17,7 +17,7 @@ from fractions import Fraction
 from .graph import MultiGraph, Demand, Routing, _key, verify_routing
 from .router_template import build
 from .pruning import PruningConfig, new_pruned
-from .routing import route_demand
+from .routing import RoutingError, route_demand
 from .clustering import init_clustering
 from .resilience import FaultSet
 from .decompose import PipelineConfig, build_decomposition, process_batch
@@ -432,7 +432,9 @@ def cmd_lc_embed(args):
     try:
         emb = lc_embed(rd, seed=args.seed)
         rep.check("embed-bounds", rd.d_t, {"d": emb.d, "eta": emb.eta}, True)
-    except AssertionError as e:
+    except (AssertionError, RoutingError) as e:
+        # a cluster that cannot route its demand fails the embedding,
+        # on input that parsed and built: not a usage error
         rep.check("embed-bounds", rd.d_t, str(e), False)
     return rep.emit(args.json)
 

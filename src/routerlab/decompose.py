@@ -23,7 +23,9 @@ cascaded out, and the sparsifier is recomputed for the drained cluster.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .graph import MultiGraph, ball, _key
 from .router_template import build
@@ -68,8 +70,8 @@ class PipelineConfig:
             raise ValueError("k must be at least 2")
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
-        if self.template_n is not None and self.template_n < 2:
-            raise ValueError("template_n must be at least 2")
+        if self.template_n is not None and self.template_n < 3:
+            raise ValueError("template_n must be at least 3")
         if self.batch_bound < 1:
             raise ValueError("batch_bound must be at least 1")
         if self.d_cap < 1:
@@ -163,17 +165,20 @@ class _WitnessedCluster:
                 raise AssertionError(
                     "bundle path count out of sync with the router")
 
-    def paths_iter(self):
-        for key in sorted(self.bundles):
-            for p in self.bundles[key]:
-                yield key, p
+    def distinct_paths(self):
+        """Each distinct surviving embedding path with the number of
+        copies on it, in the order the paths first occur in bundle
+        order."""
+        return Counter(chain.from_iterable(
+            map(self.bundles.__getitem__, sorted(self.bundles))))
 
     def path_counts(self):
-        """Number of surviving embedding paths through each host vertex."""
+        """Number of surviving embedding paths through each host vertex,
+        walking each distinct path once, weighted by its copies."""
         counts = {}
-        for _key2, p in self.paths_iter():
+        for p, n in self.distinct_paths().items():
             for v in set(p):
-                counts[v] = counts.get(v, 0) + 1
+                counts[v] = counts.get(v, 0) + n
         return counts
 
     def delete_copies_through(self, pred):
@@ -204,7 +209,7 @@ class _WitnessedCluster:
         a rebuild that raises leaves the old graph for the caller to
         charge."""
         covered = {}
-        for _key2, p in self.paths_iter():
+        for p in self.distinct_paths():
             for a, b in zip(p, p[1:]):
                 covered[_key(a, b)] = True
         if not covered:
@@ -268,7 +273,11 @@ def _try_witness(cid, cfg, sub):
     dropped, or None."""
     nv = len(sub.vertices)
     n_c = cfg.template_size(nv)
-    if n_c < 2:
+    if n_c < 3:
+        # at N = 2 the two level-2 stars of a cluster take their centers
+        # from different children, so routing's positional pairing finds
+        # no child position that is a leaf in both: such a cluster
+        # cannot route
         return None
     t = build(n_c, cfg.k_hat, cfg.delta)
     if t.num_vertices() > nv:
@@ -293,7 +302,7 @@ def _try_witness(cid, cfg, sub):
     wc = _WitnessedCluster(cid, cfg, s, emb.vertex_map, bundles)
 
     # trim under-covered host vertices until stable
-    d_star = max(max((len(p) - 1 for _k2, p in wc.paths_iter()), default=1), 1)
+    d_star = max(max((len(p) - 1 for p in wc.distinct_paths()), default=1), 1)
     dprime = cfg.delta_star // (2 * cfg.k_hat * d_star)
     floor = max(cfg.path_floor_at(nv), 2 * dprime)
     while True:

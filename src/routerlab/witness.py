@@ -17,7 +17,10 @@ selection it relies on, and the scattered-or-large-ball search.
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .graph import (MultiGraph, Routing, _key,
                     ball, bfs_layers, flow_units, hop_dist, is_restricted)
@@ -30,32 +33,42 @@ class Embedding:
     Paths are keyed (level, leaf, copy) and stored oriented from the
     mapped leaf to the mapped center.  d_star, the longest path's hop
     count (at least 1), and eta_star, the per-copy congestion on the
-    host, are computed here once.
-    """
+    host, are computed when first read and then kept, so an embedding
+    whose paths alone are read costs neither."""
 
     def __init__(self, vertex_map, paths, host):
         self.vertex_map = dict(vertex_map)
         self.paths = {k: tuple(p) for k, p in paths.items()}
-        self.d_star = max(max((len(p) - 1 for p in self.paths.values()),
-                              default=1), 1)
-        self.eta_star = _congestion(self.edge_loads(), host)
+        self.host = host
+
+    @cached_property
+    def d_star(self):
+        return max(max(map(len, self.paths.values()), default=0) - 1, 1)
+
+    @cached_property
+    def eta_star(self):
+        return _congestion(self.edge_loads(), self.host)
 
     def edge_loads(self):
+        """Paths through each host edge: each distinct path is walked
+        once and counts as many times as copies share it."""
         loads = {}
-        for p in self.paths.values():
+        for p, n in Counter(self.paths.values()).items():
             for a, b in zip(p, p[1:]):
                 e = _key(a, b)
-                loads[e] = loads.get(e, 0) + 1
+                loads[e] = loads.get(e, 0) + n
         return loads
 
 
 def _congestion(loads, host):
-    """max(1, max load(e)/mult(e)) as a Fraction, comparing the ratios by
-    cross-multiplication."""
+    """max(1, max load(e)/mult(e)) over the host's edges as a Fraction,
+    comparing the ratios by cross-multiplication.  A loaded pair the
+    host lacks is left out: validate_witness reports it as a missing
+    host edge."""
     num, den = 1, 1
     for e, cnt in loads.items():
         mult = host.multiplicity(*e)
-        if cnt * den > num * mult:
+        if mult and cnt * den > num * mult:
             num, den = cnt, mult
     return Fraction(num, den)
 
@@ -82,17 +95,15 @@ class RouterWitness:
         self.host = host
         self.pruned = pruned
         self.emb = emb
-        self.path_sets = {v: [] for v in host.vertices}
+        self.path_sets = path_sets = {v: [] for v in host.vertices}
         for key in sorted(emb.paths):
             p = emb.paths[key]
             for idx, v in enumerate(p):
-                if v in self.path_sets and v not in p[:idx]:
-                    self.path_sets[v].append(
-                        (key, tuple(reversed(p[:idx + 1]))))
+                if v in path_sets and p.index(v) == idx:
+                    path_sets[v].append((key, p[idx::-1]))
         delta = pruned.t.delta
         max_deg = max((host.degree(v) for v in host.vertices), default=delta)
-        fewest = min((len(lst) for lst in self.path_sets.values()),
-                     default=delta)
+        fewest = min((len(lst) for lst in path_sets.values()), default=delta)
         self.alpha = max(Fraction(max_deg, delta), Fraction(1))
         self.beta = (max(Fraction(1), Fraction(delta, fewest)) if fewest
                      else Fraction(1))
@@ -116,44 +127,79 @@ class WitnessReport:
 
 
 def validate_witness(w):
+    """Check a witness in full, from its inputs alone: the embedding's
+    paths and vertex map, the host and the pruned router.  It reads
+    neither path_sets nor the embedding's cached d_star and eta_star,
+    which it recomputes and compares; RouterWitness runs it once, when
+    it is built, and RouterDecomposition.check_valid again on demand.
+
+    The checks, in this order, as (name, ok, detail) in a WitnessReport:
+    vertex-map-injective; paths-well-formed (each key's bundle is a
+    leaf-to-center superedge, its path runs from the mapped leaf to the
+    mapped center, and every step is a host edge); one-path-per-live-copy;
+    every-host-edge-covered; path-count-at-least-q (each host vertex on
+    at least q paths); degree-at-most-alpha-delta; beta-at-least-one;
+    stats-consistent (d* and eta* as recomputed); properly-pruned.
+
+    Many copies often share one host path, and what a path holds does
+    not depend on which copy it serves.  So edge loads, per-vertex path
+    counts and d* are worked out once per distinct path and weighted by
+    the number of copies on it, and host-edge membership once per
+    loaded pair; the shape is checked once per bundle, and the
+    endpoints once per copy.  Failures are still listed copy by copy,
+    in path order."""
     checks = []
     host, emb, s = w.host, w.emb, w.pruned
     t = s.t
-    images = list(emb.vertex_map.values())
+    vm = emb.vertex_map
+    images = list(vm.values())
     checks.append(("vertex-map-injective", len(set(images)) == len(images), None))
+    weights = Counter(emb.paths.values())      # distinct path -> copies
+    loads = {}
+    counts = {v: 0 for v in host.vertices}
+    for p, n in weights.items():
+        for a, b in zip(p, p[1:]):
+            e = _key(a, b)
+            loads[e] = loads.get(e, 0) + n
+        for v in set(p):
+            if v in counts:
+                counts[v] += n
+    # every step of every path is a loaded pair, so the steps that are no
+    # host edge are the loaded pairs the host lacks
+    off_host = {e for e in loads if e not in host.superedges}
     bad = []
+    ends = {}           # bundle -> (mapped leaf, mapped center, shape ok)
     for key, p in emb.paths.items():
         i, leaf, _c = key
-        center = t.level_center(i, leaf)
-        if t.is_center(leaf) or not t.is_center(center):
+        end = ends.get((i, leaf))
+        if end is None:
+            center = t.level_center(i, leaf)
+            end = ends[(i, leaf)] = (
+                vm.get(leaf), vm.get(center),
+                not t.is_center(leaf) and t.is_center(center))
+        if not end[2]:
             bad.append(("edge-shape", key))
-        if p[0] != emb.vertex_map.get(leaf) or p[-1] != emb.vertex_map.get(center):
+        if p[0] != end[0] or p[-1] != end[1]:
             bad.append(("endpoints", key))
-        for a, b in zip(p, p[1:]):
-            if not host.has_edge(a, b):
-                bad.append(("missing-host-edge", key, (a, b)))
+        if off_host:
+            bad.extend(("missing-host-edge", key, (a, b))
+                       for a, b in zip(p, p[1:]) if _key(a, b) in off_host)
     checks.append(("paths-well-formed", not bad, bad[:5]))
     want = {(i, leaf, c) for (i, leaf), copies in s.live_bundles().items()
             for c in range(copies)}
     have = set(emb.paths)
     checks.append(("one-path-per-live-copy", want == have,
                    (len(want - have), len(have - want))))
-    loads = emb.edge_loads()
     uncovered = [e for e in host.superedges if e not in loads]
     checks.append(("every-host-edge-covered", not uncovered, uncovered[:5]))
     q = w.q
-    counts = {v: 0 for v in host.vertices}
-    for p in emb.paths.values():
-        for v in set(p):
-            if v in counts:
-                counts[v] += 1
     low = [v for v, c in counts.items() if c < q]
     checks.append(("path-count-at-least-q", not low, low[:5]))
     cap = w.alpha * t.delta
     high = [v for v in host.vertices if host.degree(v) > cap]
     checks.append(("degree-at-most-alpha-delta", not high, high[:5]))
     checks.append(("beta-at-least-one", w.beta >= 1, w.beta))
-    d_star = max(max((len(p) - 1 for p in emb.paths.values()), default=1), 1)
+    d_star = max(max((len(p) - 1 for p in weights), default=1), 1)
     eta = _congestion(loads, host)
     checks.append(("stats-consistent",
                    emb.d_star == d_star and emb.eta_star == eta,
@@ -756,19 +802,18 @@ def sparsify(w, delta_star):
                 chosen.append(entry)
         qsets[x] = chosen
 
-    # C' is simple: each edge of a selected path once, in order of first use
+    # C' is simple: each edge of a selected path once, in order of first
+    # use.  Copies share paths, so each distinct path is walked once, in
+    # the order the paths first occur.
+    paths = w.emb.paths
+    used = dict.fromkeys(chain(
+        (paths[key] for entries in qsets.values() for key, _sub in entries),
+        (paths[(i, leaf, c)] for (i, leaf) in s.live_bundles()
+         for c in range(delta_prime))))
     edges = {}
-
-    def add_path(p):
+    for p in used:
         for a, b in zip(p, p[1:]):
             edges[_key(a, b)] = 1
-
-    for entries in qsets.values():
-        for key, _sub in entries:
-            add_path(w.emb.paths[key])
-    for (i, leaf) in s.live_bundles():
-        for c in range(delta_prime):
-            add_path(w.emb.paths[(i, leaf, c)])
     if len(edges) > len(w.host.vertices) * delta_star:
         raise AssertionError("sparsified edge bound violated")
     return SparsifiedRouter(MultiGraph.of(w.host.vertices, edges), qsets,

@@ -13,6 +13,10 @@ small accessors the library itself never needs.
 - u_set, num_stars: membership and star-count accessors.
 - thinned_reference: the pruned router rebuilt with thinner bundles,
   the reference for sparsified routing's scale identity.
+- validate_witness_ref, edge_loads_ref, path_sets_ref, path_counts_ref,
+  cprime_edges_ref: the witness passes as they walked every edge copy
+  before they grouped copies by distinct host path; the reference the
+  grouped passes are compared with.
 
 Test modules import these with `from _support import ...`; pytest puts
 this directory on sys.path.
@@ -23,7 +27,8 @@ from fractions import Fraction
 from routerlab.graph import Demand, _key, hop_dist
 from routerlab.pruning import CheckReport, PrunedRouter, _ceil_mul
 from routerlab.router_template import build
-from routerlab.witness import Embedding, RouterWitness
+from routerlab.witness import (Embedding, RouterWitness, WitnessReport,
+                               _congestion)
 
 
 class CapExceeded(ValueError):
@@ -264,3 +269,105 @@ def thinned_reference(s, delta_prime):
         view.in_w[key] = key in live
         view.rem[key] = delta_prime if key in live else 0
     return view
+
+
+def edge_loads_ref(emb):
+    """Paths through each host edge, summed copy by copy."""
+    loads = {}
+    for p in emb.paths.values():
+        for a, b in zip(p, p[1:]):
+            e = _key(a, b)
+            loads[e] = loads.get(e, 0) + 1
+    return loads
+
+
+def validate_witness_ref(w):
+    """validate_witness walking every copy's path: same checks, same
+    order, the loads from edge_loads_ref."""
+    checks = []
+    host, emb, s = w.host, w.emb, w.pruned
+    t = s.t
+    images = list(emb.vertex_map.values())
+    checks.append(("vertex-map-injective", len(set(images)) == len(images), None))
+    bad = []
+    for key, p in emb.paths.items():
+        i, leaf, _c = key
+        center = t.level_center(i, leaf)
+        if t.is_center(leaf) or not t.is_center(center):
+            bad.append(("edge-shape", key))
+        if p[0] != emb.vertex_map.get(leaf) or p[-1] != emb.vertex_map.get(center):
+            bad.append(("endpoints", key))
+        for a, b in zip(p, p[1:]):
+            if not host.has_edge(a, b):
+                bad.append(("missing-host-edge", key, (a, b)))
+    checks.append(("paths-well-formed", not bad, bad[:5]))
+    want = {(i, leaf, c) for (i, leaf), copies in s.live_bundles().items()
+            for c in range(copies)}
+    have = set(emb.paths)
+    checks.append(("one-path-per-live-copy", want == have,
+                   (len(want - have), len(have - want))))
+    loads = edge_loads_ref(emb)
+    uncovered = [e for e in host.superedges if e not in loads]
+    checks.append(("every-host-edge-covered", not uncovered, uncovered[:5]))
+    q = w.q
+    counts = {v: 0 for v in host.vertices}
+    for p in emb.paths.values():
+        for v in set(p):
+            if v in counts:
+                counts[v] += 1
+    low = [v for v, c in counts.items() if c < q]
+    checks.append(("path-count-at-least-q", not low, low[:5]))
+    cap = w.alpha * t.delta
+    high = [v for v in host.vertices if host.degree(v) > cap]
+    checks.append(("degree-at-most-alpha-delta", not high, high[:5]))
+    checks.append(("beta-at-least-one", w.beta >= 1, w.beta))
+    d_star = max(max((len(p) - 1 for p in emb.paths.values()), default=1), 1)
+    eta = _congestion(loads, host)
+    checks.append(("stats-consistent",
+                   emb.d_star == d_star and emb.eta_star == eta,
+                   (emb.d_star, d_star, emb.eta_star, eta)))
+    pp = s.is_properly_pruned()
+    checks.append(("properly-pruned", bool(pp), getattr(pp, "violations", None)))
+    return WitnessReport(checks)
+
+
+def path_sets_ref(host, emb):
+    """A witness's path index built copy by copy: per host vertex, one
+    (key, sub-path back to the mapped leaf) entry per path through it,
+    in key order."""
+    out = {v: [] for v in host.vertices}
+    for key in sorted(emb.paths):
+        p = emb.paths[key]
+        for idx, v in enumerate(p):
+            if v in out and v not in p[:idx]:
+                out[v].append((key, tuple(reversed(p[:idx + 1]))))
+    return out
+
+
+def path_counts_ref(wc):
+    """Surviving paths through each host vertex of a witnessed cluster,
+    counted copy by copy."""
+    counts = {}
+    for p in (p for key in sorted(wc.bundles) for p in wc.bundles[key]):
+        for v in set(p):
+            counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def cprime_edges_ref(w, sp):
+    """sparsify's C' edges in order of first use, walking the selected
+    entries' paths and then copies 0 .. delta_prime-1 of every live
+    bundle, copy by copy."""
+    edges = {}
+
+    def add_path(p):
+        for a, b in zip(p, p[1:]):
+            edges[_key(a, b)] = 1
+
+    for entries in sp.qsets.values():
+        for key, _sub in entries:
+            add_path(w.emb.paths[key])
+    for (i, leaf) in w.pruned.live_bundles():
+        for c in range(sp.delta_prime):
+            add_path(w.emb.paths[(i, leaf, c)])
+    return list(edges)

@@ -202,6 +202,40 @@ def test_lc_embed_and_fd_check(host_file, tmp_path, capsys):
     assert all(a["ok"] for a in doc2["assertions"])
 
 
+@pytest.mark.parametrize("delta", ["4", "3"])
+def test_lc_embed_on_two_k25_routes(tmp_path, capsys, delta):
+    """Two disjoint K25 under the default template size: a 25-vertex
+    cluster would get N = 2, which cannot route, so it is not
+    witnessed and lc-embed passes."""
+    g = tmp_path / "k25x2.graph"
+    g.write_text("".join("%d %d\n" % (off + a, off + b)
+                         for off in (1000, 1100)
+                         for a in range(25) for b in range(a + 1, 25)))
+    rc, doc = run_json(capsys, ["lc-embed", "--graph", str(g), "--k", "2",
+                                "--delta", delta, "--delta-star", "16"])
+    assert rc == 0
+    assert all(a["ok"] for a in doc["assertions"])
+
+
+def test_lc_embed_routing_failure_fails_assertion(host_file, tmp_path,
+                                                  monkeypatch, capsys):
+    """A cluster that cannot route is a failed embed-bounds assertion:
+    the report is written and the command exits 1, not 2."""
+    from routerlab import spanner
+    from routerlab.routing import RoutingError
+
+    def failing(sp, w, demand):
+        raise RoutingError("admissibility violated for pair (1, 9)")
+
+    monkeypatch.setattr(spanner, "sparsified_route", failing)
+    out = tmp_path / "report.json"
+    assert main(decomp_argv("lc-embed", host_file, json_out=str(out))) == 1
+    doc = json.loads(out.read_text())
+    check = next(a for a in doc["assertions"] if a["name"] == "embed-bounds")
+    assert not check["ok"]
+    assert check["observed"] == "admissibility violated for pair (1, 9)"
+
+
 def test_cert_check(tmp_path, capsys):
     g = tmp_path / "g.graph"
     g.write_text("0 1\n1 2\n0 2\n2 3\n")
@@ -515,15 +549,17 @@ def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     (["--delta-star", "3"], 2, "d_cap must be at least 1"),
     (["--d-cap", "0"], 2, "d_cap must be at least 1"),
     (["--delta", "0"], 2, "delta must be at least 1"),
-    (["--template-n", "1"], 2, "template_n must be at least 2"),
+    (["--template-n", "1"], 2, "template_n must be at least 3"),
+    (["--template-n", "2"], 2, "template_n must be at least 3"),
     (["--batch-bound", "0"], 2, "batch_bound must be at least 1"),
     (["--batch-bound", "-3"], 2, "batch_bound must be at least 1"),
 ], ids=["defaults", "delta-star-below-2k2", "d-cap-0", "delta-0",
-        "template-n-1", "batch-bound-0", "batch-bound-negative"])
+        "template-n-1", "template-n-2", "batch-bound-0",
+        "batch-bound-negative"])
 def test_decompose_defaults_agree(extra, rc, msg, capsys):
     """Without --d-cap, d_cap is the largest value --delta-star admits,
     so the default flags run; a d_cap, delta or batch bound below 1 and
-    a template below 2 leaves per star are usage errors."""
+    a template below 3 leaves per star are usage errors."""
     argv = ["decompose", "--graph", os.path.join(DATA, "golden_host.graph"),
             "--k", "2", "--delta", "4"] + extra
     assert main(argv) == rc

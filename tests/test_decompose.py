@@ -7,7 +7,7 @@ from routerlab.router_template import build, realize
 from routerlab import decompose
 from routerlab.decompose import (PipelineConfig, build_decomposition,
                                  process_batch)
-from routerlab.spanner import extract_spanner, stretch_check
+from routerlab.spanner import extract_spanner, lc_embed, stretch_check
 
 import pytest
 
@@ -94,7 +94,8 @@ ROUND_CFGS = [dict(k=2, delta=4, delta_star=16, d_cap=2),
               dict(k=2, delta=4, delta_star=16, d_cap=2, template_n=3)]
 
 # sha256 over the three configs' builds, recorded while each round still
-# removed its clusters' edges from a working graph one at a time
+# removed its clusters' edges from a working graph one at a time; K25+K25
+# re-recorded once clusters that would get N = 2 stopped being witnessed
 ROUND_GOLDEN = {
     "K9+K9":
         "7391a669b307e8917a4f1c77a8ce6c72ff866bc74b0216b85ae13d4d0d787a2a",
@@ -105,7 +106,7 @@ ROUND_GOLDEN = {
     "3xK11":
         "84054980a6e4ade088a49f3a4d2b5d87ddfc93121a00c83861d29097f5ceaaeb",
     "K25+K25":
-        "8fa1ad40e4659d25edde81cd7ace74962a0b7d0f269ca6feee0b6ee83bdf21da",
+        "2104b4083835027aff60959bd9ed114a2271d5174999736c4f9af36077aedc5f",
     "router(3,4,4)+K9+K9":
         "c452b252f6a6b9c189e44e23ee2dace085af98a1939bef3f4430804bde58b3f9",
     "router(3,4,4)+K13+K7":
@@ -139,6 +140,26 @@ def test_multi_round_fingerprint(name, monkeypatch):
     assert max(rounds) >= 2, rounds
     got = hashlib.sha256(repr(parts).encode()).hexdigest()
     assert got == ROUND_GOLDEN.get(name), got
+
+
+def test_no_cluster_gets_fewer_than_three_leaves_per_star():
+    """At N = 2 a cluster's two level-2 stars take their centers from
+    different children and routing finds no common leaf position, so
+    no build witnesses such a cluster, and template_n < 3 is rejected.
+    Two disjoint K25 form one 50-vertex cluster, which the default
+    template size gives N = 2; beside the realized router(3,4,4) the
+    clusters witnessed have N >= 3.  Every build's clusters route."""
+    assert PipelineConfig(**ROUND_CFGS[0]).template_size(50) == 2
+    with pytest.raises(ValueError, match="template_n must be at least 3"):
+        template_cfg(template_n=2)
+    seen = 0
+    for kw in ROUND_CFGS:
+        for g in (cliques(25, 25), cliques(25, 25, host=template_host())):
+            rd = build_decomposition(g, PipelineConfig(**kw))
+            assert all(c.s.t.N >= 3 for c in rd.clusters)
+            lc_embed(rd, seed=1)
+            seen += len(rd.clusters)
+    assert seen > 0
 
 
 def test_low_degree_vertices_shed():
