@@ -29,8 +29,9 @@ class CliError(Exception):
     """Usage or file format error; carries a file position when known."""
 
     def __init__(self, msg, path=None, line=None):
-        if path is not None and line is not None:
-            msg = "%s:%d: %s" % (path, line, msg)
+        if path is not None:
+            msg = ("%s: %s" % (path, msg) if line is None
+                   else "%s:%d: %s" % (path, line, msg))
         super().__init__(msg)
 
 
@@ -150,15 +151,18 @@ def parse_routing(path):
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError("bad routing file: %s" % e)
+    except (OSError, ValueError) as e:          # JSONDecodeError included
+        raise CliError("bad routing file: %s" % e, path,
+                       getattr(e, "lineno", None))
     r = Routing()
     try:
         for item in data["paths"]:
             r.add(tuple(item["path"]), tuple(item["pair"]),
                   Fraction(item["value"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError("bad routing entry: %s" % e)
+    except KeyError as e:
+        raise CliError("bad routing entry: no field %s" % e, path)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise CliError("bad routing entry: %s" % e, path)
     return r
 
 
@@ -167,8 +171,11 @@ def load_template(path):
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
         return build(int(data["N"]), int(data["k"]), int(data["delta"]))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CliError("bad template file: %s" % e)
+    except KeyError as e:
+        raise CliError("bad template file: no field %s" % e, path)
+    except (OSError, TypeError, ValueError) as e:
+        raise CliError("bad template file: %s" % e, path,
+                       getattr(e, "lineno", None))
 
 
 def _jsonable(x):
@@ -454,9 +461,9 @@ def cmd_cert_check(args):
     rep = Report("cert-check", {"graph": args.graph, "sub": args.sub,
                                 "faults": args.faults, "seed": args.seed})
     g = parse_graph(args.graph)
-    h = parse_graph(args.sub)
-    for v in g.vertices:
-        h.add_vertex(v)
+    parse_graph(args.sub)                   # the sub's format, line by line
+    h = MultiGraph.of(g.vertices, _copies_taken(args.sub, g, "subgraph edge",
+                                                "u v [mult] [len]"))
     faults = _parse_faults(args.faults, g) if args.faults else FaultSet(g, [])
     ok = connectivity_certificate_check(g, h, faults)
     rep.check("components-agree", True, ok, ok)
@@ -476,23 +483,38 @@ def cmd_verify(args):
     return rep.emit(args.json)
 
 
-def _parse_faults(path, g):
-    items = []
+def _copies_taken(path, g, what, usage):
+    """{edge: copies} that the lines of path take of g's edges, in
+    order of first use.  Each line reads as usage: a pair u v, a count
+    (default 1), then any further fields usage names.  A line that does
+    not, whose pair is no edge of g, or whose count, summed over the
+    lines so far, passes the edge's multiplicity raises CliError naming
+    the line."""
+    taken = {}
     for no, tok in _lines(path):
-        if len(tok) not in (2, 3):
-            raise CliError("expected 'u v [count]'", path, no)
+        if not 2 <= len(tok) <= len(usage.split()):
+            raise CliError("expected %r" % usage, path, no)
         try:
-            u, v = int(tok[0]), int(tok[1])
-            c = int(tok[2]) if len(tok) == 3 else 1
+            u, v, c = map(int, (tok + ["1"])[:3])
         except ValueError:
             raise CliError("non-integer field", path, no)
         if c < 1:
-            raise CliError("fault count %d is below 1" % c, path, no)
-        items.append((u, v, c))
-    try:
-        return FaultSet(g, items)
-    except (KeyError, ValueError) as e:
-        raise CliError("bad fault set: %s" % e)
+            raise CliError("%s count %d is below 1" % (what, c), path, no)
+        e = _key(u, v)
+        m = g.superedges.get(e, 0)
+        if not m:
+            raise CliError("%s %r is not a graph edge" % (what, e), path, no)
+        taken[e] = taken.get(e, 0) + c
+        if taken[e] > m:
+            raise CliError("%s count on %r reaches %d, above its "
+                           "multiplicity %d" % (what, e, taken[e], m),
+                           path, no)
+    return taken
+
+
+def _parse_faults(path, g):
+    return FaultSet(g, [(u, v, c) for (u, v), c in
+                        _copies_taken(path, g, "fault", "u v [count]").items()])
 
 
 def _decomp_params(args, **more):

@@ -37,13 +37,14 @@ class MultiGraph:
     the last copy removes the superedge.  Self-loops are rejected.  A
     graph is grown by add_vertex and add_edge, or built whole by of();
     degree is summed on demand, so the mutators keep no per-vertex
-    totals.
+    totals.  vertices is the live key view of adj, so it iterates in
+    insertion order and no mutator keeps it in step.
     """
 
     def __init__(self):
-        self.vertices = set()
         self.superedges = {}     # (u,v) u<v -> multiplicity
         self.adj = {}            # v -> set of neighbors
+        self.vertices = self.adj.keys()
 
     @classmethod
     def of(cls, vertices, superedges):
@@ -56,9 +57,7 @@ class MultiGraph:
         not among the vertices."""
         g = cls()
         adj = g.adj = {v: set() for v in vertices}
-        # one add at a time, as add_vertex does, so the set iterates in
-        # the same order (set(adj) would presize the table)
-        g.vertices.update(iter(adj))
+        g.vertices = adj.keys()
         try:
             for (u, v), m in superedges.items():
                 if u >= v or m < 1:     # one test on the common path
@@ -77,8 +76,7 @@ class MultiGraph:
         return g
 
     def add_vertex(self, v):
-        if v not in self.vertices:
-            self.vertices.add(v)
+        if v not in self.adj:
             self.adj[v] = set()
 
     def add_edge(self, u, v, mult=1):
@@ -118,7 +116,6 @@ class MultiGraph:
             del self.superedges[_key(u, v)]
             self.adj[u].discard(v)
         self.adj.pop(v, None)
-        self.vertices.discard(v)
 
     def multiplicity(self, u, v):
         return self.superedges.get(_key(u, v), 0)
@@ -140,9 +137,9 @@ class MultiGraph:
 
     def copy(self):
         g = MultiGraph()
-        g.vertices = set(self.vertices)
         g.superedges = dict(self.superedges)
         g.adj = {v: set(s) for v, s in self.adj.items()}
+        g.vertices = g.adj.keys()
         return g
 
     def without_edges(self, edges):

@@ -186,7 +186,6 @@ class PrunedRouter:
         self.star_destroyed = set()      # (level, star id)
         self.cluster_destroyed = set()   # (cluster level, cluster id)
         self.n2 = {}                     # cumulative per-cluster removals
-        self.tau = 0
         self._reset_phase_counters()
         self.phase_log = [self._fresh_stats()]
         self._seq = 0
@@ -223,10 +222,14 @@ class PrunedRouter:
 
     # -- phases -----------------------------------------------------------
 
+    @property
+    def tau(self):
+        """The current phase, counted from 0."""
+        return len(self.phase_log) - 1
+
     def begin_phase(self):
         if self.tau + 1 >= self.cfg.phases:
             raise ValueError("phases exhausted")
-        self.tau += 1
         self._reset_phase_counters()
         self.phase_log.append(self._fresh_stats())
         return self.tau
@@ -261,7 +264,7 @@ class PrunedRouter:
             rpt.noop = True
             return rpt
         self.rem[key] -= 1
-        st = self.phase_log[self.tau]
+        st = self.phase_log[-1]
         st["deleted"] += 1
         st["edges_deleted_from_w"] += 1
         self.n_edge[key] = self.n_edge.get(key, 0) + 1
@@ -288,7 +291,7 @@ class PrunedRouter:
         key = (i, leaf)
         if self.in_w.get(key):
             self.in_w[key] = False
-            self.phase_log[self.tau]["edges_deleted_from_w"] += self.rem[key]
+            self.phase_log[-1]["edges_deleted_from_w"] += self.rem[key]
 
     def _remove_incident(self, i, v):
         """Drop all level-i bundles of v from W."""
@@ -300,7 +303,7 @@ class PrunedRouter:
             self._remove_bundle(i, v)
 
     def _record_removal(self, i, v, tag, rpt):
-        st = self.phase_log[self.tau]
+        st = self.phase_log[-1]
         st["removed"][i] += 1
         bucket = {DIRECT: "R", INDIRECT: "Rp", CASCADE: "Rpp"}[tag]
         st[bucket][i] += 1

@@ -68,31 +68,6 @@ class FaultSet:
         return out
 
 
-def _limit_denominator(n, d, max_den):
-    """Fraction(n, d).limit_denominator(max_den) as a (numerator,
-    denominator) pair, for n/d in lowest terms: the closest fraction
-    with denominator at most max_den, the one with the smaller
-    denominator on a tie.  Same continued-fraction walk as the standard
-    library, with the closeness test cross-multiplied."""
-    if d <= max_den:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n0, d0 = n, d
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_den:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_den - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n0/d0| <= |p2/q2 - n0/d0|, both sides times d0*q1*q2
-    if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
 def _pick(prefix, num, den):
     """Index of the first prefix sum at least (num/den) * prefix[-1],
     the last index if there is none: y*total <= prefix[i] <=> prefix[i]
@@ -118,9 +93,9 @@ def integral_round(g, d, base, alpha, eta, seed):
     2^-41 of r, because every j/2^40 is a candidate, the nearest one is
     within half a step of r, and f is at least as close.  The pick can
     only move forward as x grows, so when r - 2^-41 and r + 2^-41 pick
-    the same path, f picks it too; only otherwise does the continued-
-    fraction walk run.  Both ends are exact, over r's power-of-two
-    denominator times 2^41.  A pair with one path takes it without a
+    the same path, f picks it too; only otherwise is f computed, by
+    Fraction.limit_denominator.  Both ends are exact, over r's power-of-
+    two denominator times 2^41.  A pair with one path takes it without a
     comparison, but its draws are still made, so later pairs see the
     same random stream.
     """
@@ -150,7 +125,8 @@ def integral_round(g, d, base, alpha, eta, seed):
                 # r -+ 2^-41 = (n*2^41 -+ den) / (den*2^41)
                 i = _pick(prefix, (n << 41) - den, den << 41)
                 if i != _pick(prefix, (n << 41) + den, den << 41):
-                    i = _pick(prefix, *_limit_denominator(n, den, 1 << 40))
+                    f = Fraction(n, den).limit_denominator(1 << 40)
+                    i = _pick(prefix, f.numerator, f.denominator)
             add((paths[i], pair, one))
     return out
 

@@ -187,10 +187,8 @@ def _u1_to_ui(s, i, cluster):
 
 
 def _sinks(s):
-    """(paths, sigma): every U_1 vertex's path to its U_k sink, and the
-    sink itself."""
-    paths = _u1_to_ui(s, s.t.k, 0)
-    return paths, {v: p[-1] for v, p in paths.items()}
+    """Every U_1 vertex's path to its U_k sink, the path's last vertex."""
+    return _u1_to_ui(s, s.t.k, 0)
 
 
 def route_u1_to_uk(s):
@@ -201,7 +199,7 @@ def route_u1_to_uk(s):
     vertices whose sink differs from themselves (self-paths carry no
     edges).
     """
-    paths = dict(s.memo("sinks", _sinks)[0])
+    paths = dict(s.memo("sinks", _sinks))
     r = Routing()
     delta = Fraction(s.t.delta)
     for v, p in sorted(paths.items()):
@@ -226,15 +224,15 @@ def _route_units(s, entries, lcm):
     for v in totals:
         if not s.in_u(v, 1):
             raise RoutingError("support vertex %r not in V(W)" % (v,))
-    paths, sigma = s.memo("sinks", _sinks)
+    paths = s.memo("sinks", _sinks)
 
     via = {}            # key -> sink-to-sink path
     mid_entries = []
     for a, b, u, key in entries:
-        if sigma[a] == sigma[b]:
-            via[key] = (sigma[a],)
+        if paths[a][-1] == paths[b][-1]:
+            via[key] = paths[a][-1:]
         else:
-            mid_entries.append((sigma[a], sigma[b], u, key))
+            mid_entries.append((paths[a][-1], paths[b][-1], u, key))
     if mid_entries:
         via.update(_route_entries(s, k, mid_entries,
                                   _scaled_r0(s, k, mid_entries, lcm)))

@@ -77,12 +77,12 @@ class RouterWitness:
     """A pruned router embedded into a host, with its path index and
     fitted parameters, all computed once here.
 
-    path_sets maps each host vertex v to one (path key, sub-path) entry
-    per embedding path through v, in key order.  The sub-path runs from
-    v back along the path to the mapped leaf, cut at v's first
-    occurrence.  witness_route hands demand pairs off along these
-    entries, sparsify selects sparsified_route's entries from them, and
-    a cluster's rebuild takes its path counts from them.
+    path_sets maps each host vertex v to one (path key, position) entry
+    per embedding path through v, in key order; the position is v's
+    first on emb.paths[key].  witness_route hands demand off from v
+    along the path's prefix up to that position, reversed, to the
+    mapped leaf; sparsify selects sparsified_route's entries from them,
+    and a cluster's rebuild takes its path counts from them.
 
     alpha = max(max degree / Delta, 1).  beta = max(1, Delta / fewest
     paths through a host vertex), or 1 when that count is 0.
@@ -100,7 +100,7 @@ class RouterWitness:
             p = emb.paths[key]
             for idx, v in enumerate(p):
                 if v in path_sets and p.index(v) == idx:
-                    path_sets[v].append((key, p[idx::-1]))
+                    path_sets[v].append((key, idx))
         delta = pruned.t.delta
         max_deg = max((host.degree(v) for v in host.vertices), default=delta)
         fewest = min((len(lst) for lst in path_sets.values()), default=delta)
@@ -628,10 +628,11 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
     back through the embedding.  path_sets must give each demand vertex
-    width (path key, sub-path) entries of a RouterWitness's index; the
+    width (path key, position) entries of a RouterWitness's index; the
     j-th unit of a pair goes from the leaf of its endpoints' j-th
-    entries.  Translation spreads each bundle (level, leaf) a router
-    path uses over its first copies[bundle] copies.
+    entries, along the path prefix up to that position, reversed.
+    Translation spreads each bundle (level, leaf) a router path uses
+    over its first copies[bundle] copies.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
@@ -651,8 +652,10 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     plan = []            # (a, b, unit, unit * L, a_leaf, r_a, b_leaf, r_b)
     for ((a, b), _val), unit, n in zip(items, units, scaled):
         for j in range(width):
-            a_key, r_a = path_sets[a][j]
-            b_key, r_b = path_sets[b][j]
+            a_key, a_idx = path_sets[a][j]
+            b_key, b_idx = path_sets[b][j]
+            r_a = emb.paths[a_key][a_idx::-1]
+            r_b = emb.paths[b_key][b_idx::-1]
             a_leaf, b_leaf = a_key[1], b_key[1]
             plan.append((a, b, unit, n, a_leaf, r_a, b_leaf, r_b))
             if a_leaf != b_leaf:
@@ -770,7 +773,7 @@ def sparsify(w, delta_star):
 
     # bipartite selection: host vertex x -> paths through x, grouped by
     # the path's distinguished leaf
-    h = {x: [key[1] for key, _sub in entries]
+    h = {x: [key[1] for key, _idx in entries]
          for x, entries in w.path_sets.items()}
     min_deg = min((len(lst) for lst in h.values()), default=0)
     if min_deg < 2 * delta_prime:
@@ -807,7 +810,7 @@ def sparsify(w, delta_star):
     # the order the paths first occur.
     paths = w.emb.paths
     used = dict.fromkeys(chain(
-        (paths[key] for entries in qsets.values() for key, _sub in entries),
+        (paths[key] for entries in qsets.values() for key, _idx in entries),
         (paths[(i, leaf, c)] for (i, leaf) in s.live_bundles()
          for c in range(delta_prime))))
     edges = {}

@@ -333,14 +333,14 @@ def validate_witness_ref(w):
 
 def path_sets_ref(host, emb):
     """A witness's path index built copy by copy: per host vertex, one
-    (key, sub-path back to the mapped leaf) entry per path through it,
-    in key order."""
+    (key, first position on the path) entry per path through it, in key
+    order."""
     out = {v: [] for v in host.vertices}
     for key in sorted(emb.paths):
         p = emb.paths[key]
         for idx, v in enumerate(p):
             if v in out and v not in p[:idx]:
-                out[v].append((key, tuple(reversed(p[:idx + 1]))))
+                out[v].append((key, idx))
     return out
 
 
@@ -365,7 +365,7 @@ def cprime_edges_ref(w, sp):
             edges[_key(a, b)] = 1
 
     for entries in sp.qsets.values():
-        for key, _sub in entries:
+        for key, _idx in entries:
             add_path(w.emb.paths[key])
     for (i, leaf) in w.pruned.live_bundles():
         for c in range(sp.delta_prime):

@@ -264,6 +264,95 @@ def test_fault_count_below_one_is_usage_error(host_file, tmp_path, capsys,
     assert where in capsys.readouterr().err
 
 
+def test_cert_check_rejects_a_sub_that_is_no_subgraph(tmp_path, capsys):
+    """A sub line whose pair is no graph edge, or whose copies summed
+    over the lines so far pass the graph's multiplicity, exits 2 at
+    that line; a subgraph that misses a connection still exits 1."""
+    g = tmp_path / "g.graph"
+    g.write_text("0 1\n1 2\n")
+    sub = tmp_path / "h.graph"
+    sub.write_text("0 1\n1 2\n0 2\n")
+    argv = ["cert-check", "--graph", str(g), "--sub", str(sub)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: %s:3: subgraph edge (0, 2) is not a graph edge\n" % sub)
+    sub.write_text("# one copy too many\n1 0\n0 1\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: %s:3: subgraph edge count on (0, 1) reaches 2, above its "
+        "multiplicity 1\n" % sub)
+    sub.write_text("0 1\n")
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("0 1\n5 6\n", ":2: fault (5, 6) is not a graph edge"),
+    ("1 0 2\n", ":1: fault count on (0, 1) reaches 2, above its "
+     "multiplicity 1"),
+    ("0 1\n1 2\n1 0\n", ":3: fault count on (0, 1) reaches 2, above its "
+     "multiplicity 1"),
+], ids=["not-an-edge", "count", "running-count"])
+def test_fault_lines_off_the_graph_name_their_line(tmp_path, capsys, text,
+                                                   msg):
+    g = tmp_path / "g.graph"
+    g.write_text("0 1\n1 2 2\n")
+    fl = tmp_path / "faults.txt"
+    fl.write_text(text)
+    assert main(["cert-check", "--graph", str(g), "--sub", str(g),
+                 "--faults", str(fl)]) == 2
+    assert capsys.readouterr().err == "error: %s%s\n" % (fl, msg)
+
+
+def test_fd_check_fault_off_the_host_names_its_line(host_file, tmp_path,
+                                                    capsys):
+    g = realize(build(3, 4, 4))
+    u, v = next((u, v) for u in sorted(g.vertices)
+                for v in sorted(g.vertices) if u < v and not g.has_edge(u, v))
+    fl = tmp_path / "faults.txt"
+    fl.write_text("# off the host\n%d %d\n" % (u, v))
+    assert main(decomp_argv("fd-check", host_file, "--faults", str(fl))) == 2
+    assert capsys.readouterr().err == (
+        "error: %s:2: fault (%d, %d) is not a graph edge\n" % (fl, u, v))
+
+
+@pytest.mark.parametrize("text,where,msg", [
+    ('{"N": 4, "k": 2}', "", "bad template file: no field 'delta'"),
+    ('{"N": 4,\n "k": 2,\n "delta": }', ":3", "bad template file: "
+     "Expecting value"),
+    ('[4, 2, 8]', "", "bad template file: list indices must be integers"),
+    ('{"N": 1, "k": 2, "delta": 8}', "", "bad template file: "),
+], ids=["missing-key", "decode", "not-an-object", "bad-shape"])
+def test_bad_template_names_the_file(tmp_path, capsys, text, where, msg):
+    man = tmp_path / "router.json"
+    man.write_text(text)
+    tr = tmp_path / "trace.txt"
+    tr.write_text("DEL 1 0\n")
+    assert main(["prune", "--template", str(man), "--trace", str(tr)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: %s%s: %s" % (man, where, msg))
+
+
+@pytest.mark.parametrize("text,where,msg", [
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1]}]}', "",
+     "bad routing entry: no field 'value'"),
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": "1/0"}]}', "",
+     "bad routing entry: "),
+    ('{"paths":\n [,]}', ":2", "bad routing file: Expecting value"),
+], ids=["missing-key", "zero-denominator", "decode"])
+def test_bad_routing_names_the_file(tmp_path, capsys, text, where, msg):
+    g = tmp_path / "g.graph"
+    g.write_text("0 1\n")
+    dm = tmp_path / "d.txt"
+    dm.write_text("0 1 1\n")
+    rt = tmp_path / "r.json"
+    rt.write_text(text)
+    assert main(["verify", "--graph", str(g), "--routing", str(rt),
+                 "--demand", str(dm), "--max-len", "1",
+                 "--max-cong", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: %s%s: %s" % (rt, where, msg))
+
+
 @pytest.mark.parametrize("cmd,line,msg", [
     ("prune", "DEL 1 0 0", "deletion count 0 is below 1"),
     ("prune", "DEL 2 0 -5", "deletion count -5 is below 1"),

@@ -206,6 +206,52 @@ def test_of_matches_incremental_build(edges, isolated, rnd):
     assert got.num_edges() == want.num_edges()
 
 
+_V = st.integers(0, 40)
+GRAPH_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add_edge"), _V, _V, st.integers(1, 3)),
+    st.tuples(st.just("add_vertex"), _V),
+    st.tuples(st.just("remove_edge"), _V, _V),
+    st.tuples(st.just("remove_copies"), _V, _V, st.integers(1, 3)),
+    st.tuples(st.just("remove_vertex"), _V),
+    st.tuples(st.just("copy"))), max_size=80)
+
+
+@given(GRAPH_OPS)
+@settings(max_examples=120, deadline=None)
+def test_vertices_follow_every_mutator(ops):
+    """vertices lists adj's keys in insertion order after any sequence
+    of mutators, and a copy's mutators leave the original's vertices as
+    they were."""
+    g = MultiGraph()
+    order = {}                  # the vertices in insertion order
+    originals = []              # (graph copied from, its vertices then)
+    for name, *args in ops:
+        if name == "copy":
+            originals.append((g, list(g.vertices)))
+            g = g.copy()
+        elif name == "add_vertex":
+            g.add_vertex(*args)
+            order.setdefault(args[0], None)
+        elif name == "remove_vertex":
+            g.remove_vertex(*args)
+            order.pop(args[0], None)
+        elif name == "add_edge":
+            u, v, m = args
+            if u != v:
+                g.add_edge(u, v, m)
+                order.setdefault(u, None)
+                order.setdefault(v, None)
+        elif g.has_edge(*args[:2]):
+            if name == "remove_edge":
+                g.remove_edge(*args)
+            else:
+                u, v, count = args
+                g.remove_copies(u, v, min(count, g.multiplicity(u, v)))
+        assert list(g.vertices) == list(g.adj) == list(order)
+    for h, seen in originals:
+        assert list(h.vertices) == list(h.adj) == seen
+
+
 @pytest.mark.parametrize("verts, sup, match", [
     ([1], {(1, 1): 1}, "self-loop"),
     ([1, 2], {(1, 2): 0}, "multiplicity"),

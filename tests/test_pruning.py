@@ -265,3 +265,24 @@ def test_integer_floor_and_ceil_are_exact(preset, k):
                 assert (n > lo) == (n > f * x)
             for n in (hi - 1, hi, hi + 1):
                 assert (n < hi) == (n < f * x)
+
+
+def test_tau_follows_begin_phase():
+    """tau is the index of the phase log's last entry: it starts at 0,
+    each begin_phase moves it and the deletions' tallies to a new entry,
+    and it stops where begin_phase reports the phases exhausted."""
+    t, s = fresh()
+    leaf = next(v for v in t.vertices() if not t.is_center(v))
+    c = t.level_center(1, leaf)
+    assert s.tau == 0
+    for tau in range(1, s.cfg.phases):
+        assert s.begin_phase() == tau == s.tau
+        assert len(s.phase_log) == tau + 1
+        s.delete_edge(leaf, c)
+        assert [s.phase_stats(p)["deleted"] for p in range(tau + 1)] == (
+            [0] + [1] * tau)
+    with pytest.raises(ValueError, match="phases exhausted"):
+        s.begin_phase()
+    assert s.tau == s.cfg.phases - 1 == len(s.phase_log) - 1
+    with pytest.raises(AttributeError):
+        s.tau = 0

@@ -4,17 +4,19 @@ every draw limited to denominator 2^40 by the standard library, the
 pair's flow summed in Fractions and the first path whose prefix sum
 reaches the draw taken.  Both must pick the same paths in the same
 order, on seeded draws and on floats placed at, next to and just off a
-prefix boundary, where the bracket cannot decide and the continued-
-fraction walk has to run."""
+prefix boundary, where the bracket cannot decide and
+Fraction.limit_denominator has to run."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from routerlab import resilience
 from routerlab.graph import Demand, Routing, _key
-from routerlab.resilience import _limit_denominator, integral_round
+from routerlab.resilience import integral_round
 
 MARGIN = Fraction(1, 1 << 41)
 
@@ -115,19 +117,20 @@ def test_crafted_draws_run_the_fallback_and_match(monkeypatch):
     draws = floats_a + floats_b + [0.5, 0.25, 0.0]
 
     calls = []
+    limit = Fraction.limit_denominator
 
-    def counted(n, den, max_den):
-        calls.append((n, den))
-        return _limit_denominator(n, den, max_den)
+    def counted(x, max_den):
+        calls.append(x)
+        return limit(x, max_den)
 
     StubRandom.floats = draws
     monkeypatch.setattr(resilience.random, "Random", StubRandom)
-    monkeypatch.setattr(resilience, "_limit_denominator", counted)
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
     got = flows(integral_round(None, d, base, 1, 1, 0))
     monkeypatch.undo()
 
     assert got == reference_round(d, base, iter(draws).__next__)
-    # the walk ran for the draws next to a boundary and for no other
+    # the limit ran for the draws next to a boundary and for no other
     assert len(calls) == len(draws) - 6 - 3
     # every option of both four-path pairs was picked
     assert {p[1] for p, _pair, _v in got} >= set(range(10, 14)) | set(
@@ -147,7 +150,21 @@ def test_limited_draw_lies_within_the_bracket():
                math.nextafter(1.0, 0)]
     assert len(floats) >= 10 ** 4
     for r in floats:
-        n, den = r.as_integer_ratio()
-        fn, fd = _limit_denominator(n, den, 1 << 40)
-        assert fd <= 1 << 40
-        assert abs(Fraction(fn, fd) - Fraction(n, den)) <= MARGIN, r
+        f = Fraction(r).limit_denominator(1 << 40)
+        assert f.denominator <= 1 << 40
+        assert abs(f - Fraction(r)) <= MARGIN, r
+
+
+@pytest.mark.parametrize("r,want", [
+    (Fraction(1, 1 << 41), (0, 1)),
+    (1 - Fraction(1, 1 << 41), (1, 1)),
+    (Fraction(3, 1 << 41), (1, 733007751851)),
+])
+def test_limit_denominator_tie_rule(r, want):
+    """integral_round's fallback hands ties to the standard library.
+    2^-41 and 1 - 2^-41 lie halfway between two fractions with
+    denominator at most 2^40, and the smaller denominator wins; 3*2^-41
+    lies halfway between 1/2^40 and 2/2^40 but closer still to a
+    fraction with another denominator."""
+    f = Fraction(float(r)).limit_denominator(1 << 40)
+    assert (f.numerator, f.denominator) == want

@@ -224,10 +224,6 @@ def test_sink_memo_never_stale(preset, shape, drains):
                                  Fraction(delta, k ** (4 * k)))
     assert len(d)
 
-    def fresh_sinks(s):
-        paths = routing._u1_to_ui(s, k, 0)
-        return paths, {v: p[-1] for v, p in paths.items()}
-
     s, ref = new_pruned(t, cfg), new_pruned(t, cfg)
     ref_members = [u_set(s, i) for i in range(1, k + 1)]
     changes = 0
@@ -240,7 +236,7 @@ def test_sink_memo_never_stale(preset, shape, drains):
         else:
             ref.delete_edge(*e)
         assert (_outcome(lambda: s.memo("sinks", routing._sinks))
-                == _outcome(lambda: fresh_sinks(s))), step
+                == _outcome(lambda: routing._u1_to_ui(s, k, 0))), step
         assert (_outcome(lambda: _flows(route_demand(s, d)))
                 == _outcome(lambda: _flows(route_demand(ref, d)))), step
     assert changes >= drains

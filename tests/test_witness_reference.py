@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from routerlab.decompose import PipelineConfig, build_decomposition
-from routerlab.graph import MultiGraph
+from routerlab.graph import Demand, MultiGraph, verify_routing
 from routerlab.router_template import build, realize
 from routerlab.witness import (Embedding, RouterWitness, _congestion,
-                               sparsify, validate_witness)
+                               sparsify, validate_witness, witness_route)
 
 from _support import (cprime_edges_ref, edge_loads_ref, path_counts_ref,
                       path_sets_ref, validate_witness_ref)
@@ -85,6 +85,34 @@ def test_grouped_passes_match_per_copy_reference(built):
     # the grouping is tested both ways: some bundle spreads its copies
     # over several paths, and some path carries several copies
     assert split > 0 and shared > 0, (split, shared)
+
+
+def test_path_index_holds_first_positions(built):
+    """Every index entry (key, idx) of v gives v's first position on
+    its path.  K_82's witness has entries strictly inside multi-hop
+    paths among a vertex's first q, and witness_route hands a unit of
+    such a vertex off along the path prefix reversed."""
+    inner = []
+    for name in HOSTS:
+        for wc in built[name]:
+            w = wc.witness
+            for v, entries in w.path_sets.items():
+                for j, (key, idx) in enumerate(entries):
+                    p = w.emb.paths[key]
+                    assert p[idx] == v and v not in p[:idx]
+                    if name == "K82" and j < w.q and 0 < idx < len(p) - 1:
+                        inner.append((w, v, j, p, idx))
+    assert inner
+    w, a, j, p, idx = inner[0]
+    b = max(w.host.vertices)
+    assert a < b
+    r = witness_route(w, Demand([(a, b, 1)]))
+    k, d_star = w.pruned.t.k, w.emb.d_star
+    assert verify_routing(w.host, Demand([(a, b, 1)]), r,
+                          22 * d_star * k * k,
+                          2 * w.alpha * w.beta * k ** (4 * k + 1) * d_star
+                          * w.emb.eta_star)
+    assert r.flow_paths[j][0][:idx + 1] == p[idx::-1]
 
 
 @pytest.mark.parametrize("delta_star", [32, 48])
