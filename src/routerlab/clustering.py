@@ -264,4 +264,8 @@ class ClusteringState:
 
 
 def init_clustering(g, k):
+    """The settled clustering of g for k >= 1.  A smaller k would make
+    every size threshold n^(1/k) trivial or fractional."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return ClusteringState(g, k)

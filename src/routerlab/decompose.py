@@ -49,6 +49,9 @@ SCATTER_EPS = Fraction(1, 2)
 class PipelineConfig:
     def __init__(self, k, delta, delta_star, d_cap=None, template_n=None,
                  batch_bound=None, preset="relaxed"):
+        # checked first: d_cap's default divides by 2*k_hat
+        if k < 2:
+            raise ValueError("k must be at least 2")
         self.k = k
         self.k_hat = k * k
         self.delta = delta
@@ -66,8 +69,6 @@ class PipelineConfig:
         self.drop_frac = Fraction(1, 4 * k ** (16 * k * k) * self.d_cap)
 
     def validate(self):
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
         if self.template_n is not None and self.template_n < 3:
@@ -235,12 +236,15 @@ class _WitnessedCluster:
 
 def _strip_low_degree(g, floor, causes):
     """Iteratively drop vertices under the degree floor; their edges are
-    charged to E^del as low-degree."""
+    charged to E^del as low-degree.  A vertex with at least floor
+    neighbours keeps its degree unsummed: each neighbour adds at least
+    one copy, so its degree is at least floor."""
+    adj = g.adj
     changed = True
     while changed:
         changed = False
         for v in sorted(g.vertices):
-            if 0 < g.degree(v) < floor:
+            if len(adj[v]) < floor and 0 < g.degree(v) < floor:
                 for u in sorted(g.neighbors(v)):
                     causes[_key(u, v)] = "low-degree"
                 g.remove_vertex(v)

@@ -30,7 +30,9 @@ pruning checker scans them directly, one pass per level: it walks the
 leaf tuple and the level-center column for its bundle checks, and
 counts each star's members in U_i by applying its getter to a byte
 string of alive flags; level-1 stars, being id ranges, are counted
-with bytes.count.  The tables store no superedge tuples and no pair
+with bytes.count.  The router's pair routing (routing._route_entries)
+reads one level's star-id, star-center and member columns directly
+too.  The tables store no superedge tuples and no pair
 index: superedges() yields its pairs on the fly, and superedge_level
 tries the k level-center columns.
 """

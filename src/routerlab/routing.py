@@ -56,24 +56,33 @@ def _route_entries(s, i, entries, r0):
     the same units, scaled up by the demand's scale-down factor, so the
     admissibility threshold r_{i-1} is r0 / 32^(i-1).  An integer load
     is at most that iff it is at most its floor.  At level 1 every pair
-    must share a star."""
+    must share a star.
+
+    Level i's star columns are read from the template's tables once
+    per call.  Every caller passes 1 <= i <= k, the range that the
+    template's star_id, star_center and star_members would check again
+    on every pair."""
     t = s.t
+    level = t.tables.levels[i]
+    star_id = level.star_id
+    star_center = level.star_center
+    star_members = level.star_members
     out = {}
     loads = {}          # proxy vertex -> units routed through it
     r_prev = r0.numerator // (r0.denominator * 32 ** (i - 1))
     sub = {}            # child cluster id -> entries
     partial = {}        # key -> (source side walk, target side walk)
     for a, b, val, key in entries:
-        sa, sb = t.star_id(i, a), t.star_id(i, b)
+        sa, sb = star_id[a], star_id[b]
         if sa == sb:
-            out[key] = _star_path(a, b, t.star_center(i, sa))
+            out[key] = _star_path(a, b, star_center[sa])
             continue
         if i == 1:
             raise RoutingError("level-1 pair spans two stars")
-        ca, cb = t.star_center(i, sa), t.star_center(i, sb)
+        ca, cb = star_center[sa], star_center[sb]
         # the j-th member of a level-i star lies in the cluster's j-th
         # child, so candidates pair up by position, in child order
-        for a_c, b_c in zip(t.star_members(i, sa), t.star_members(i, sb)):
+        for a_c, b_c in zip(star_members[sa], star_members[sb]):
             if a_c == ca or b_c == cb:
                 continue                       # proxies must be leaves of their stars
             if not (s.in_u(a_c, i) and s.in_u(b_c, i)):

@@ -65,12 +65,10 @@ class RouterDecomposition:
         return errs
 
 
-def extract_spanner(rd):
-    """H' = deleted edges plus the union of the sparsified clusters,
-    deduplicated to a simple graph on the host's vertex set.  Edges are
-    taken in sorted order, E^del first and then each cluster's C' in
-    cluster order, and the graph is built in one pass
-    (MultiGraph.of)."""
+def _spanner_edges(rd):
+    """The edges of H' as a superedge dict, each of multiplicity 1: the
+    deleted edges and then each cluster's C' in cluster order, each part
+    in sorted order."""
     edges = dict.fromkeys(sorted(rd.e_del), 1)
     for c in rd.clusters:
         edges.update(dict.fromkeys(sorted(c.sparse.cprime.superedges), 1))
@@ -80,47 +78,55 @@ def extract_spanner(rd):
                                    for c in rd.clusters)
     if len(edges) != expected:
         raise AssertionError("spanner size accounting broken")
-    return MultiGraph.of(rd.host.vertices, edges)
+    return edges
 
 
-def _partners(edges):
-    """Sorted edges grouped by their first endpoint, in sorted order."""
-    out = {}
-    for (u, v) in sorted(edges):
-        out.setdefault(u, []).append(v)
-    return out
+def extract_spanner(rd):
+    """H' = deleted edges plus the union of the sparsified clusters,
+    deduplicated to a simple graph on the host's vertex set, built in
+    one pass (MultiGraph.of) from _spanner_edges."""
+    return MultiGraph.of(rd.host.vertices, _spanner_edges(rd))
 
 
-def _partner_dist(h, u, vs):
-    """Hop distance in h from u to each of vs, None where there is no
-    path.  A neighbour of u is 1 hop away; only the other partners need
-    a breadth-first search, run until their distances are final, and
-    none runs when every partner is a neighbour."""
-    near = h.neighbors(u)
-    rest = [v for v in vs if v not in near]
-    dist = hop_dist(h, u, rest) if rest else {}
-    return [1 if v in near else dist.get(v) for v in vs]
+def _far_detours(h, far):
+    """((u, v), hop distance in h or None) for each edge of the sorted
+    list far, in that order.  One search per source u, run until its
+    partners' distances are final, and only once the pairs before them
+    are consumed."""
+    partners = {}
+    for (u, v) in far:
+        partners.setdefault(u, []).append(v)
+    for u, vs in partners.items():
+        dist = hop_dist(h, u, vs)
+        for v in vs:
+            yield (u, v), dist.get(v)
 
 
 def stretch_check(g, h):
-    """Max hop stretch of H over the edges of g, with a witness pair.
+    """Max hop stretch of H over the edges of g, with a witness pair:
+    the least edge (u, v) of g, u < v, that attains it.
 
     Checking edges suffices for subgraph spanners: any g-path expands
     edge by edge into H-paths, so pair stretch never exceeds the worst
     edge stretch.  Disconnected edge pairs report stretch infinity.
-    A partner v of source u ((u, v) in g, u < v) that is adjacent in H
-    has stretch 1 with no search; u is searched only when some partner
-    is not, and only until those partners' distances are final.
+    An edge of g that H holds has stretch 1, read off H's superedge
+    dict with no search; any other edge joins two vertices that are not
+    neighbours in H, so its stretch is at least 2, and only those edges
+    are searched, grouped by source.  With none, the stretch is 1 and
+    the pair is g's least edge.
     """
+    hs = h.superedges
+    far = sorted(e for e in g.superedges if e not in hs)
+    if not far:
+        return (1, min(g.superedges)) if g.superedges else (0, None)
     worst = 0
     pair = None
-    for u, vs in _partners(g.superedges).items():
-        for v, dh in zip(vs, _partner_dist(h, u, vs)):
-            if dh is None:
-                return math.inf, (u, v)
-            if dh > worst:
-                worst = dh
-                pair = (u, v)
+    for e, dh in _far_detours(h, far):
+        if dh is None:
+            return math.inf, e
+        if dh > worst:
+            worst = dh
+            pair = e
     return worst, pair
 
 
@@ -188,31 +194,44 @@ def fd_spanner_check(rd, faults, k, seed=0):
     minus the faults, against the resilient-routing length bound
     FD_LEN_CONST * k * d_t.  faults is an iterable of edges (u, v), such
     as a FaultSet; a faulted edge is removed with all its copies, as H'
-    is simple, from a fresh H' in place.  Over FD_CHECK_CAP surviving
-    edges, that many are checked, sampled by seed.  A checked edge whose
-    endpoints are still adjacent has detour 1 with no search; a source
-    is searched only when some of its checked partners are not adjacent,
-    and only until their distances are final."""
+    is simple.  Over FD_CHECK_CAP surviving edges, that many are
+    checked, sampled by seed.
+
+    A checked edge is no fault, so when the edge dict of H' holds it, it
+    is an edge of H' minus the faults and its detour is 1, found with no
+    search.  Any other checked edge joins two vertices that are not
+    neighbours there, so its detour is at least 2, or it is cut off.
+    Only those edges are searched, grouped by source, and H' minus the
+    faults is built as a graph only when there is one.  The worst pair
+    is the least checked edge of the largest detour: a detour of 1
+    comes from the least checked edge H' holds, which a longer detour
+    replaces."""
     bound = FD_LEN_CONST * k * rd.d_t
     fe = {_key(u, v) for u, v in faults}
-    hf = extract_spanner(rd)
-    for (u, v) in fe:
-        if hf.has_edge(u, v):
-            hf.remove_edge(u, v)
     check = [e for e in sorted(rd.host.superedges) if e not in fe]
     if len(check) > FD_CHECK_CAP:
         rng = random.Random(seed)
         check = sorted(rng.sample(check, FD_CHECK_CAP))
+    edges = _spanner_edges(rd)
     worst = 0
     worst_pair = None
+    for e in check:
+        if e in edges:
+            worst, worst_pair = 1, e
+            break
+    # a detour of 1 breaks the bound only when the bound is below 1
+    far = check if bound < 1 else [e for e in check if e not in edges]
     violations = []
-    for u, vs in _partners(check).items():
-        for v, dh in zip(vs, _partner_dist(hf, u, vs)):
+    if far:
+        for e in fe:
+            edges.pop(e, None)
+        hf = MultiGraph.of(rd.host.vertices, edges)
+        for e, dh in _far_detours(hf, far):
             if dh is None or dh > bound:
-                violations.append(((u, v), dh))
+                violations.append((e, dh))
             if dh is not None and dh > worst:
                 worst = dh
-                worst_pair = (u, v)
+                worst_pair = e
     return {"checked": len(check), "bound": bound, "max_detour": worst,
             "worst_pair": worst_pair, "violations": violations,
             "ok": not violations}

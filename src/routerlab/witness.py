@@ -632,7 +632,12 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     j-th unit of a pair goes from the leaf of its endpoints' j-th
     entries, along the path prefix up to that position, reversed.
     Translation spreads each bundle (level, leaf) a router path uses
-    over its first copies[bundle] copies.
+    over its first copies[bundle] copies: each unit takes the copy
+    least loaded so far, the first on a tie.  A router path is resolved
+    once per call, oriented from its source leaf, into its steps: the
+    bundle's copy-load list and every copy's host segment, sliced once,
+    since neither depends on the unit; per unit only the least-loaded
+    pick and the append remain.
 
     Each pair's value splits into width units of val/width.  Proxy
     demand sums and per-copy loads count these in units of 1/L, L the
@@ -669,13 +674,19 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
         unit_lcm * factor) if proxy else {}
 
     copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
-    steps = {}           # router edge (x, y) -> (bundle, copy loads, x is leaf)
+    steps = {}           # router edge (x, y) -> (copy loads, segment per copy)
+    walks = {}           # (a_leaf, b_leaf) -> steps of its router path
 
-    def translate(wpath, value):
-        """Host path for a router path, one embedding path per edge,
-        least-loaded copy first, without its first vertex (the image
-        of wpath[0])."""
-        host_path = []
+    def resolve(a_leaf, b_leaf):
+        """The steps of the router path between two proxy leaves,
+        oriented from a_leaf.  A step (x, y) holds its bundle's copy
+        loads, one list shared by both orientations, and each copy's
+        host path from the image of x to that of y, without its first
+        vertex."""
+        wpath = mid_paths[_key(a_leaf, b_leaf)]
+        if wpath[0] != a_leaf:
+            wpath = wpath[::-1]
+        walk = []
         for x, y in zip(wpath, wpath[1:]):
             st = steps.get((x, y))
             if st is None:
@@ -684,13 +695,13 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
                 loads = copy_load.get(bundle)
                 if loads is None:
                     loads = copy_load[bundle] = [0] * copies[bundle]
-                st = steps[x, y] = bundle, loads, x == leaf
-            bundle, loads, forward = st
-            c = loads.index(min(loads))
-            loads[c] += value
-            ep = emb.paths[bundle + (c,)]
-            host_path.extend(ep[1:] if forward else ep[-2::-1])
-        return tuple(host_path)
+                eps = [emb.paths[bundle + (c,)]
+                       for c in range(copies[bundle])]
+                st = steps[x, y] = loads, (
+                    [ep[1:] for ep in eps] if x == leaf
+                    else [ep[-2::-1] for ep in eps])
+            walk.append(st)
+        return walk
 
     # every unit is positive and every path a tuple, so entries go
     # straight into the Routing
@@ -698,15 +709,20 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     add = out.flow_paths.append
     for a, b, unit, n, a_leaf, r_a, b_leaf, r_b in plan:
         if a_leaf == b_leaf:
-            full = r_a + r_b[-2::-1]
-        else:
-            wpath = mid_paths[_key(a_leaf, b_leaf)]
-            if wpath[0] != a_leaf:
-                wpath = wpath[::-1]
-            # r_a ends at vm[a_leaf], where the translated path starts;
-            # it ends at vm[b_leaf], r_b's last vertex
-            full = r_a + translate(wpath, n) + r_b[-2::-1]
-        add((full, (a, b), unit))
+            add((r_a + r_b[-2::-1], (a, b), unit))
+            continue
+        walk = walks.get((a_leaf, b_leaf))
+        if walk is None:
+            walk = walks[a_leaf, b_leaf] = resolve(a_leaf, b_leaf)
+        # r_a ends at vm[a_leaf], where the first segment starts; the
+        # last ends at vm[b_leaf], r_b's last vertex
+        full = list(r_a)
+        for loads, segs in walk:
+            c = loads.index(min(loads))
+            loads[c] += n
+            full += segs[c]
+        full += r_b[-2::-1]
+        add((tuple(full), (a, b), unit))
     return out
 
 

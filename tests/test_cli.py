@@ -642,9 +642,11 @@ def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     (["--template-n", "2"], 2, "template_n must be at least 3"),
     (["--batch-bound", "0"], 2, "batch_bound must be at least 1"),
     (["--batch-bound", "-3"], 2, "batch_bound must be at least 1"),
+    (["--k", "0"], 2, "k must be at least 2"),
+    (["--k", "1"], 2, "k must be at least 2"),
 ], ids=["defaults", "delta-star-below-2k2", "d-cap-0", "delta-0",
         "template-n-1", "template-n-2", "batch-bound-0",
-        "batch-bound-negative"])
+        "batch-bound-negative", "k-0", "k-1"])
 def test_decompose_defaults_agree(extra, rc, msg, capsys):
     """Without --d-cap, d_cap is the largest value --delta-star admits,
     so the default flags run; a d_cap, delta or batch bound below 1 and
@@ -654,6 +656,42 @@ def test_decompose_defaults_agree(extra, rc, msg, capsys):
     assert main(argv) == rc
     if msg is not None:
         assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,extra", [
+    ("batch", ["--trace", "batch.txt"]),
+    ("spanner", []),
+    ("lc-embed", []),
+    ("fd-check", ["--faults", "faults.txt"]),
+])
+@pytest.mark.parametrize("k", ["0", "1", "-1"])
+def test_decompose_family_rejects_k_below_two(cmd, extra, k, tmp_path,
+                                              capsys):
+    """A k below 2 is a usage error on the decompose-family commands
+    besides decompose (test_decompose_defaults_agree), named before any
+    default is derived from k: k = 0 used to divide by zero deriving
+    d_cap."""
+    (tmp_path / "batch.txt").write_text("DEL 1 0\n")
+    (tmp_path / "faults.txt").write_text("1 0 1\n")
+    argv = [cmd, "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", k] + [str(tmp_path / w) if w.endswith(".txt") else w
+                         for w in extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: k must be at least 2\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cluster_rejects_k_below_one(k, capsys):
+    """cluster needs k >= 1: at k = 0 every cluster would count as
+    settled (nv^0 <= n), and at k = -1 the lifetime budget would compare
+    fractions.  Both exit 2 naming k, with no report."""
+    argv = ["cluster", "--graph", os.path.join(DATA, "golden_host.graph"),
+            "--k", k]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: k must be at least 1\n"
 
 
 def test_batch_insert_onto_cluster_edge_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from routerlab.graph import MultiGraph, ball
@@ -168,3 +169,16 @@ def test_clustering_valid_on_random_graphs(k, n, seed):
     assert not st_.check_valid()
     total = sum(st_.n_v.values())
     assert total ** k <= 2 ** k * n ** (k + 1)
+
+
+def test_init_clustering_rejects_k_below_one():
+    """k = 0 would settle every cluster (nv^0 <= n) and k = -1 would
+    compare fractions in the lifetime budget; both are refused before
+    any cluster is built.  k = 1 settles the whole graph at once."""
+    g = path_graph(6)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            init_clustering(g, k)
+    st_ = init_clustering(g, 1)
+    assert not st_.check_valid()
+    assert len(st_.active_clusters()) == 1

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 from routerlab.graph import MultiGraph
@@ -400,3 +401,67 @@ def test_witness_validated_once_per_batch(monkeypatch):
     assert calls == []
     rd.clusters[0].witness.beta = Fraction(1, 10 ** 6)
     assert [e[0] for e in rd.check_valid()] == ["bad-witness"]
+
+
+def _strip_reference(g, floor, causes):
+    """_strip_low_degree by brute force: every degree summed from the
+    whole superedge dict, on every pass."""
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(g.vertices):
+            deg = sum(m for e, m in g.superedges.items() if v in e)
+            if 0 < deg < floor:
+                for u in sorted(g.neighbors(v)):
+                    causes[(u, v) if u < v else (v, u)] = "low-degree"
+                g.remove_vertex(v)
+                changed = True
+        for v in [v for v in g.vertices if not g.neighbors(v)]:
+            g.remove_vertex(v)
+
+
+def _strip_cases():
+    """(graph, floor, vertices kept or None) triples: two by hand and
+    200 seeded multigraphs."""
+    lifted = MultiGraph()           # 0 has 2 neighbours and degree 5
+    for a, b, m in [(0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 3, 1), (2, 3, 1),
+                    (3, 4, 1)]:
+        lifted.add_edge(a, b, m)
+    chain = MultiGraph()            # 4 goes, then 3, then 2, a pass each
+    for a, b, m in [(3, 4, 2), (2, 3, 2), (1, 2, 2), (0, 1, 5)]:
+        chain.add_edge(a, b, m)
+    yield lifted, 4, {0, 1, 2}
+    yield chain, 4, {0, 1}
+    rng = random.Random(2026)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        g = MultiGraph()
+        for v in range(n):
+            g.add_vertex(v)
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.sample(range(n), 2)
+            g.add_edge(a, b, rng.randint(1, 3))
+        yield g, rng.randint(1, 7), None
+
+
+def test_strip_low_degree_matches_brute_force():
+    """Same graph, vertex order and charged edges in the same order as
+    the brute-force reference.  The cases cover vertices with fewer
+    than floor neighbours that their multiplicities keep above the
+    floor, and removals that cascade to vertices first above it."""
+    lifted_kept = cascaded = 0
+    for g, floor, kept in _strip_cases():
+        got, want = g.copy(), g.copy()
+        got_causes, want_causes = {}, {}
+        decompose._strip_low_degree(got, floor, got_causes)
+        _strip_reference(want, floor, want_causes)
+        assert list(got.superedges.items()) == list(want.superedges.items())
+        assert list(got.vertices) == list(want.vertices)
+        assert list(got_causes.items()) == list(want_causes.items())
+        if kept is not None:
+            assert set(got.vertices) == kept
+        lifted_kept += sum(len(g.neighbors(v)) < floor <= g.degree(v)
+                           for v in got.vertices)
+        cascaded += sum(g.degree(v) >= floor for v in g.vertices
+                        if v not in got.vertices)
+    assert lifted_kept >= 10 and cascaded >= 10, (lifted_kept, cascaded)

@@ -287,3 +287,57 @@ def test_lower_degrees_bipartite():
         for y in v:
             cnt[y] = cnt.get(y, 0) + 1
     assert max(cnt.values()) <= 32
+
+
+def test_translation_takes_the_least_loaded_copy():
+    """Each bundle of build(3,2,2) has two copies with different host
+    paths: copy 0 the direct edge, copy 1 a detour through a host
+    vertex of its own.  Units of unequal value cross shared bundles, and
+    each takes the copy least loaded so far, the first on a tie.  Copy 0
+    every time, or copies in turn, would differ: after the unit of
+    value 3, the unit of value 1 takes copy 1 and so does the next one,
+    of value 2, since 1 < 3."""
+    t = build(3, 2, 2)
+    s = new_pruned(t, PruningConfig.relaxed(2))
+    host = MultiGraph()
+    paths = {}
+    detour = {}                     # detour vertex -> its bundle
+    for n, (i, leaf) in enumerate(sorted(s.live_bundles())):
+        center = t.level_center(i, leaf)
+        detour[100 + n] = (i, leaf)
+        paths[(i, leaf, 0)] = (leaf, center)
+        paths[(i, leaf, 1)] = (leaf, 100 + n, center)
+        host.add_edge(leaf, center)
+        host.add_edge(leaf, 100 + n)
+        host.add_edge(100 + n, center)
+    emb = Embedding({v: v for v in t.vertices()}, paths, host)
+    # width 1: each demand vertex hands off to itself as a leaf
+    entries = {v: [((1, v, 0), 0)] for v in t.vertices()
+               if not t.is_center(v)}
+    d = Demand([(1, 4, 3), (1, 7, 1), (2, 5, 1), (4, 8, 2)])
+    r = _proxy_route(s, emb, entries, 1, d, 10 ** 6, s.live_bundles())
+
+    def hops(path):
+        """(router edge, copy) per hop of a translated path."""
+        out = []
+        it = iter(path)
+        x = next(it)
+        for y in it:
+            copy = 0
+            if y in detour:
+                copy, mid, y = 1, y, next(it)
+                leaf = y if t.is_center(x) else x
+                assert detour[mid] == (t.superedge_level(x, y), leaf)
+            out.append(((x, y), copy))
+            x = y
+        return out
+
+    got = {pair: (val, hops(p)) for p, pair, val in r.flow_paths}
+    assert got == {
+        (1, 4): (3, [((1, 3), 0), ((3, 8), 0), ((8, 6), 0), ((6, 7), 0),
+                     ((7, 0), 0), ((0, 4), 0)]),
+        (1, 7): (1, [((1, 3), 1), ((3, 8), 1), ((8, 6), 1), ((6, 7), 1)]),
+        (2, 5): (1, [((2, 6), 0), ((6, 5), 0)]),
+        (4, 8): (2, [((4, 0), 1), ((0, 7), 1), ((7, 6), 1), ((6, 8), 1)]),
+    }
+    assert [pair for _p, pair, _v in r.flow_paths] == sorted(got)
