@@ -158,14 +158,18 @@ class ClusteringState:
         self.clusters = {}           # id -> Cluster
         self.n_v = {}
         self._next_id = 0
-        for v in sorted(v for v in g.vertices if not g.neighbors(v)):
+        isolated = sorted(v for v in g.vertices if not g.neighbors(v))
+        for v in isolated:
             sub = MultiGraph()
             sub.add_vertex(v)
             self._add_cluster(Cluster(self._next_id, sub))
             self._next_id += 1
         rest = {v for v in g.vertices if g.neighbors(v)}
         if rest:
-            self._add_cluster(Cluster(self._next_id, _induced(g, rest)))
+            # isolated vertices carry no edges, so every edge lies
+            # inside rest
+            sub = MultiGraph.of(rest, dict(g.superedges))
+            self._add_cluster(Cluster(self._next_id, sub))
             self._next_id += 1
         self.split_log = []
         self._settle_all()

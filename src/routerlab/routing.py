@@ -61,12 +61,20 @@ def _route_entries(s, i, entries, r0):
     Level i's star columns are read from the template's tables once
     per call.  Every caller passes 1 <= i <= k, the range that the
     template's star_id, star_center and star_members would check again
-    on every pair."""
+    on every pair.  U_i membership is read off the router's masks
+    (bit i), as in_u does.  A proxy's child cluster id is
+    a_c // N^(i-1), as cluster_id(i - 1, a_c) gives it: pairs reach
+    that step only at 2 <= i <= k, the range cluster_id checks.  Paths
+    are joined by slicing: the target side walk, reversed without its
+    proxy, is pb[-2::-1]."""
     t = s.t
     level = t.tables.levels[i]
     star_id = level.star_id
     star_center = level.star_center
     star_members = level.star_members
+    mask = s.mask
+    bit = 1 << i
+    child_size = t.N ** (i - 1)
     out = {}
     loads = {}          # proxy vertex -> units routed through it
     r_prev = r0.numerator // (r0.denominator * 32 ** (i - 1))
@@ -85,25 +93,23 @@ def _route_entries(s, i, entries, r0):
         for a_c, b_c in zip(star_members[sa], star_members[sb]):
             if a_c == ca or b_c == cb:
                 continue                       # proxies must be leaves of their stars
-            if not (s.in_u(a_c, i) and s.in_u(b_c, i)):
+            if not (mask[a_c] & bit and mask[b_c] & bit):
                 continue
             if (loads.get(a_c, 0) + val <= r_prev
                     and loads.get(b_c, 0) + val <= r_prev):
                 break
         else:
             raise RoutingError("admissibility violated for pair %r" % (key,))
-        child = t.cluster_id(i - 1, a_c)
         loads[a_c] = loads.get(a_c, 0) + val
         loads[b_c] = loads.get(b_c, 0) + val
         partial[key] = (_star_path(a, a_c, ca), _star_path(b, b_c, cb))
-        sub.setdefault(child, []).append((a_c, b_c, val, key))
+        sub.setdefault(a_c // child_size, []).append((a_c, b_c, val, key))
 
     for child, child_entries in sub.items():
         mids = _route_entries(s, i - 1, child_entries, r0)
         for _a, _b, _val, key in child_entries:
             pa, pb = partial[key]
-            mid = mids[key]
-            out[key] = tuple(pa) + tuple(mid[1:]) + tuple(reversed(pb))[1:]
+            out[key] = pa + mids[key][1:] + pb[-2::-1]
     return out
 
 
@@ -245,7 +251,7 @@ def _route_units(s, entries, lcm):
     if mid_entries:
         via.update(_route_entries(s, k, mid_entries,
                                   _scaled_r0(s, k, mid_entries, lcm)))
-    return {key: paths[a] + via[key][1:] + tuple(reversed(paths[b]))[1:]
+    return {key: paths[a] + via[key][1:] + paths[b][-2::-1]
             for a, b, _u, key in entries}
 
 

@@ -159,7 +159,8 @@ def lc_embed(rd, seed=0):
         edges = sorted(c.graph.superedges)
         if not edges:
             continue
-        dmax = max(c.graph.degree(v) for v in c.graph.vertices)
+        # c.graph is the witness's host, whose max degree it keeps
+        dmax = c.witness.max_degree
         # unit demand per edge is dmax-restricted; scale to delta_star
         d, scaled = Demand(), Demand()
         d.values = dict.fromkeys(edges, one)
@@ -197,32 +198,34 @@ def fd_spanner_check(rd, faults, k, seed=0):
     is simple.  Over FD_CHECK_CAP surviving edges, that many are
     checked, sampled by seed.
 
-    A checked edge is no fault, so when the edge dict of H' holds it, it
-    is an edge of H' minus the faults and its detour is 1, found with no
-    search.  Any other checked edge joins two vertices that are not
+    A checked edge is no fault, so when H' holds it, it is an edge of
+    H' minus the faults and its detour is 1, found with no search.  That
+    membership is read off an unsorted set of H''s edges (E^del and
+    each C').  Any other checked edge joins two vertices that are not
     neighbours there, so its detour is at least 2, or it is cut off.
-    Only those edges are searched, grouped by source, and H' minus the
-    faults is built as a graph only when there is one.  The worst pair
-    is the least checked edge of the largest detour: a detour of 1
-    comes from the least checked edge H' holds, which a longer detour
-    replaces."""
+    Only those far edges are sorted and searched, grouped by source,
+    and H' minus the faults is built as a graph only when there is one.
+    The worst pair is the least checked edge of the largest detour: a
+    detour of 1 comes from the least checked edge H' holds, which a
+    longer detour replaces.  A sample is drawn from the sorted surviving
+    edges, so the seed picks the same edges whatever the set's order."""
     bound = FD_LEN_CONST * k * rd.d_t
     fe = {_key(u, v) for u, v in faults}
-    check = [e for e in sorted(rd.host.superedges) if e not in fe]
+    check = [e for e in rd.host.superedges if e not in fe]
     if len(check) > FD_CHECK_CAP:
         rng = random.Random(seed)
-        check = sorted(rng.sample(check, FD_CHECK_CAP))
-    edges = _spanner_edges(rd)
-    worst = 0
-    worst_pair = None
-    for e in check:
-        if e in edges:
-            worst, worst_pair = 1, e
-            break
+        check = rng.sample(sorted(check), FD_CHECK_CAP)
+    held = set(rd.e_del)
+    for c in rd.clusters:
+        held.update(c.sparse.cprime.superedges)
+    near = [e for e in check if e in held]
+    worst = 1 if near else 0
+    worst_pair = min(near, default=None)
     # a detour of 1 breaks the bound only when the bound is below 1
-    far = check if bound < 1 else [e for e in check if e not in edges]
+    far = sorted(check if bound < 1 else [e for e in check if e not in held])
     violations = []
     if far:
+        edges = _spanner_edges(rd)
         for e in fe:
             edges.pop(e, None)
         hf = MultiGraph.of(rd.host.vertices, edges)

@@ -84,8 +84,9 @@ class RouterWitness:
     mapped leaf; sparsify selects sparsified_route's entries from them,
     and a cluster's rebuild takes its path counts from them.
 
-    alpha = max(max degree / Delta, 1).  beta = max(1, Delta / fewest
-    paths through a host vertex), or 1 when that count is 0.
+    max_degree is the host's largest degree (Delta when the host has no
+    vertex), alpha = max(max_degree / Delta, 1).  beta = max(1, Delta /
+    fewest paths through a host vertex), or 1 when that count is 0.
 
     Construction runs validate_witness once and raises ValueError naming
     the failed checks.  Pruning the router later makes the witness
@@ -102,9 +103,10 @@ class RouterWitness:
                 if v in path_sets and p.index(v) == idx:
                     path_sets[v].append((key, idx))
         delta = pruned.t.delta
-        max_deg = max((host.degree(v) for v in host.vertices), default=delta)
+        self.max_degree = max((host.degree(v) for v in host.vertices),
+                              default=delta)
         fewest = min((len(lst) for lst in path_sets.values()), default=delta)
-        self.alpha = max(Fraction(max_deg, delta), Fraction(1))
+        self.alpha = max(Fraction(self.max_degree, delta), Fraction(1))
         self.beta = (max(Fraction(1), Fraction(delta, fewest)) if fewest
                      else Fraction(1))
         rep = validate_witness(self)
@@ -582,13 +584,14 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     xs = sorted(h)
     if not xs:
         return {}
+    need = z * delta_hat
     ydeg = {}
     for x in xs:
-        if len(h[x]) < z * delta_hat:
+        if len(h[x]) < need:
             raise ValueError("left vertex %r has degree below z*delta_hat" % (x,))
         for y in h[x]:
             ydeg[y] = ydeg.get(y, 0) + 1
-    cap = gamma_p * z * delta_hat
+    cap = gamma_p * need
     for y, dy in ydeg.items():
         if dy > cap:
             raise ValueError("right vertex %r exceeds gamma'*z*delta_hat" % (y,))
@@ -624,47 +627,115 @@ def lower_degrees(h, z, delta_hat, gamma_p, r_hat):
     return out
 
 
+# a copy path from its leaf's image to its center's, or back, without
+# its first vertex
+_FORWARD = slice(1, None)
+_BACKWARD = slice(-2, None, -1)
+
+
+class _Steps(dict):
+    """The router steps of one translation by oriented router edge
+    (x, y), built with the reverse step when a walk first reads either.
+    A step's segment for a copy is the copy's host path from the image
+    of x to that of y without its first vertex: the copy path sliced by
+    _FORWARD when x is the leaf, by _BACKWARD when it is the center.
+    When all copies[bundle] copies of the bundle (level, leaf) take one
+    host path, the step is fixed: (None, segment, None).  Otherwise it
+    is (loads, copy paths, slice), the bundle's per-copy loads one list
+    shared by both orientations; the segment is cut from the copy a
+    unit takes."""
+
+    def __init__(self, t, paths, copies):
+        super().__init__()
+        self.t, self.paths, self.copies = t, paths, copies
+
+    def __missing__(self, xy):
+        x, y = xy
+        t = self.t
+        leaf, center = (y, x) if t.is_center(x) else xy
+        bundle = (t.superedge_level(x, y), leaf)
+        paths = self.paths
+        eps = [paths[bundle + (c,)] for c in range(self.copies[bundle])]
+        if eps.count(eps[0]) == len(eps):
+            self[leaf, center] = None, eps[0][_FORWARD], None
+            self[center, leaf] = None, eps[0][_BACKWARD], None
+        else:
+            loads = [0] * len(eps)
+            self[leaf, center] = loads, eps, _FORWARD
+            self[center, leaf] = loads, eps, _BACKWARD
+        return self[xy]
+
+
+def _walk(steps, wpath):
+    """The steps of router path wpath as (head, rest): head the host
+    vertices of the fixed steps before the first balanced one, and rest
+    one (loads, copy paths, slice, tail) per balanced step, tail the
+    vertices of the fixed steps after it up to the next balanced one."""
+    head = []
+    rest = []
+    run = head
+    for loads, seg, cut in map(steps.__getitem__, zip(wpath, wpath[1:])):
+        if loads is None:
+            run += seg
+        else:
+            run = []
+            rest.append((loads, seg, cut, run))
+    return tuple(head), [(loads, eps, cut, tuple(run))
+                         for loads, eps, cut, run in rest]
+
+
 def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
     """Shared core of witness_route and sparsified_route: positional
     proxy matching, router routing at a scaled-down value, translation
     back through the embedding.  path_sets must give each demand vertex
     width (path key, position) entries of a RouterWitness's index; the
     j-th unit of a pair goes from the leaf of its endpoints' j-th
-    entries, along the path prefix up to that position, reversed.
+    entries, along the path prefix up to that position, reversed.  Each
+    demand vertex's width hand-offs are sliced once per call, as they
+    do not depend on the pair.
+
     Translation spreads each bundle (level, leaf) a router path uses
     over its first copies[bundle] copies: each unit takes the copy
-    least loaded so far, the first on a tie.  A router path is resolved
-    once per call, oriented from its source leaf, into its steps: the
-    bundle's copy-load list and every copy's host segment, sliced once,
-    since neither depends on the unit; per unit only the least-loaded
-    pick and the append remain.
+    least loaded so far, the first on a tie, in plan order.  A router
+    path is resolved once per call, oriented from its source leaf, into
+    its steps (see _Steps).  A step is fixed when every one of those
+    copies takes the same host path; it keeps no loads, since any pick
+    among equal segments gives the same path and a bundle's loads are
+    read only by that bundle's own picks.  A walk's runs of fixed steps
+    are joined once, so a unit whose walk is all fixed costs only the
+    concatenation of its hand-offs with that run, and only the steps
+    of bundles whose copies differ make the least-loaded pick.
 
-    Each pair's value splits into width units of val/width.  Proxy
-    demand sums and per-copy loads count these in units of 1/L, L the
-    lcm of the unit denominators, so they stay integers; a uniform scale
-    keeps every comparison and the first-minimum tie-break.  The router
-    gets the proxy demand in units of 1/(L*factor), scaled down by
-    factor.  Fractions appear only in the returned Routing."""
-    t = pruned.t
+    Each pair's value splits into width units of val/width, computed
+    once per distinct value.  Proxy demand sums and per-copy loads count
+    these in units of 1/L, L the lcm of the unit denominators, so they
+    stay integers; a uniform scale keeps every comparison and the
+    first-minimum tie-break.  The router gets the proxy demand in units
+    of 1/(L*factor), scaled down by factor.  Fractions appear only in
+    the returned Routing."""
     items = sorted(demand.values.items())
+    paths = emb.paths
+    # vertex v -> per entry (leaf, host path from v to the leaf's image,
+    # that path reversed without the image): how a unit leaves v and
+    # how one arrives at it
+    hand = {}
     for v in sorted(demand.support()):
-        if len(path_sets[v]) < width:
+        entries = path_sets[v]
+        if len(entries) < width:
             raise ValueError("vertex %r lies on fewer than %d of the given "
                              "paths" % (v, width))
-    units = [val / width for _pair, val in items]
+        hand[v] = [(key[1], paths[key][idx::-1], paths[key][1:idx + 1])
+                   for key, idx in entries[:width]]
+    distinct = {}        # value -> index of its unit
+    which = [distinct.setdefault(val, len(distinct)) for _pair, val in items]
+    units = [val / width for val in distinct]
     unit_lcm, scaled = flow_units(units)
     proxy = {}           # proxy pair -> summed units * L
-    plan = []            # (a, b, unit, unit * L, a_leaf, r_a, b_leaf, r_b)
-    for ((a, b), _val), unit, n in zip(items, units, scaled):
-        for j in range(width):
-            a_key, a_idx = path_sets[a][j]
-            b_key, b_idx = path_sets[b][j]
-            r_a = emb.paths[a_key][a_idx::-1]
-            r_b = emb.paths[b_key][b_idx::-1]
-            a_leaf, b_leaf = a_key[1], b_key[1]
-            plan.append((a, b, unit, n, a_leaf, r_a, b_leaf, r_b))
-            if a_leaf != b_leaf:
-                key = _key(a_leaf, b_leaf)
+    for ((a, b), _val), i in zip(items, which):
+        n = scaled[i]
+        for (x, _out, _back), (y, _o, _b) in zip(hand[a], hand[b]):
+            if x != y:
+                key = _key(x, y)
                 proxy[key] = proxy.get(key, 0) + n
     # partial-flow congestion along the handoff subpaths stays within
     # d* * eta* * (per-path demand cap); checked by callers' verify.
@@ -673,56 +744,39 @@ def _proxy_route(pruned, emb, path_sets, width, demand, factor, copies):
         pruned, [(x, y, n, (x, y)) for (x, y), n in sorted(proxy.items())],
         unit_lcm * factor) if proxy else {}
 
-    copy_load = {}       # (level, leaf) -> per-copy accumulated flow * L
-    steps = {}           # router edge (x, y) -> (copy loads, segment per copy)
-    walks = {}           # (a_leaf, b_leaf) -> steps of its router path
-
-    def resolve(a_leaf, b_leaf):
-        """The steps of the router path between two proxy leaves,
-        oriented from a_leaf.  A step (x, y) holds its bundle's copy
-        loads, one list shared by both orientations, and each copy's
-        host path from the image of x to that of y, without its first
-        vertex."""
-        wpath = mid_paths[_key(a_leaf, b_leaf)]
-        if wpath[0] != a_leaf:
-            wpath = wpath[::-1]
-        walk = []
-        for x, y in zip(wpath, wpath[1:]):
-            st = steps.get((x, y))
-            if st is None:
-                leaf = x if not t.is_center(x) else y
-                bundle = (t.superedge_level(x, y), leaf)
-                loads = copy_load.get(bundle)
-                if loads is None:
-                    loads = copy_load[bundle] = [0] * copies[bundle]
-                eps = [emb.paths[bundle + (c,)]
-                       for c in range(copies[bundle])]
-                st = steps[x, y] = loads, (
-                    [ep[1:] for ep in eps] if x == leaf
-                    else [ep[-2::-1] for ep in eps])
-            walk.append(st)
-        return walk
-
+    steps = _Steps(pruned.t, paths, copies)
+    walks = {}           # (a_leaf, b_leaf) -> _walk of its router path
     # every unit is positive and every path a tuple, so entries go
     # straight into the Routing
     out = Routing()
     add = out.flow_paths.append
-    for a, b, unit, n, a_leaf, r_a, b_leaf, r_b in plan:
-        if a_leaf == b_leaf:
-            add((r_a + r_b[-2::-1], (a, b), unit))
-            continue
-        walk = walks.get((a_leaf, b_leaf))
-        if walk is None:
-            walk = walks[a_leaf, b_leaf] = resolve(a_leaf, b_leaf)
-        # r_a ends at vm[a_leaf], where the first segment starts; the
-        # last ends at vm[b_leaf], r_b's last vertex
-        full = list(r_a)
-        for loads, segs in walk:
-            c = loads.index(min(loads))
-            loads[c] += n
-            full += segs[c]
-        full += r_b[-2::-1]
-        add((tuple(full), (a, b), unit))
+    for ((a, b), _val), i in zip(items, which):
+        unit, n = units[i], scaled[i]
+        for (a_leaf, out_a, _b), (b_leaf, _o, back_b) in zip(hand[a], hand[b]):
+            if a_leaf == b_leaf:
+                add((out_a + back_b, (a, b), unit))
+                continue
+            walk = walks.get((a_leaf, b_leaf))
+            if walk is None:
+                wpath = mid_paths[_key(a_leaf, b_leaf)]
+                if wpath[0] != a_leaf:
+                    wpath = wpath[::-1]
+                walk = walks[a_leaf, b_leaf] = _walk(steps, wpath)
+            # out_a ends at the image of a_leaf, where the walk starts;
+            # the walk ends at that of b_leaf, where back_b starts
+            head, rest = walk
+            if not rest:
+                add((out_a + head + back_b, (a, b), unit))
+                continue
+            full = list(out_a)
+            full += head
+            for loads, eps, cut, tail in rest:
+                c = loads.index(min(loads))
+                loads[c] += n
+                full += eps[c][cut]
+                full += tail
+            full += back_b
+            add((tuple(full), (a, b), unit))
     return out
 
 

@@ -17,6 +17,10 @@ small accessors the library itself never needs.
   cprime_edges_ref: the witness passes as they walked every edge copy
   before they grouped copies by distinct host path; the reference the
   grouped passes are compared with.
+- proxy_route_ref: witness translation as it ran unit by unit, a
+  least-loaded pick at every router step, with no shared-path or
+  per-vertex shortcut; the reference witness._proxy_route is compared
+  with.
 
 Test modules import these with `from _support import ...`; pytest puts
 this directory on sys.path.
@@ -24,9 +28,10 @@ this directory on sys.path.
 
 from fractions import Fraction
 
-from routerlab.graph import Demand, _key, hop_dist
+from routerlab.graph import Demand, Routing, _key, flow_units, hop_dist
 from routerlab.pruning import CheckReport, PrunedRouter, _ceil_mul
 from routerlab.router_template import build
+from routerlab.routing import _route_units
 from routerlab.witness import (Embedding, RouterWitness, WitnessReport,
                                _congestion)
 
@@ -371,3 +376,55 @@ def cprime_edges_ref(w, sp):
         for c in range(sp.delta_prime):
             add_path(w.emb.paths[(i, leaf, c)])
     return list(edges)
+
+
+def proxy_route_ref(pruned, emb, path_sets, width, demand, factor, copies):
+    """witness._proxy_route unit by unit: each unit slices its hand-offs
+    from its endpoints' path_sets entries, and at every step of its
+    router path takes the copy of the step's bundle least loaded so far,
+    the first on a tie, over copies[bundle] copies, whatever their host
+    paths."""
+    t = pruned.t
+    items = sorted(demand.values.items())
+    for v in sorted(demand.support()):
+        if len(path_sets[v]) < width:
+            raise ValueError("vertex %r lies on fewer than %d of the given "
+                             "paths" % (v, width))
+    units = [val / width for _pair, val in items]
+    unit_lcm, scaled = flow_units(units)
+    proxy = {}
+    plan = []
+    for ((a, b), _val), unit, n in zip(items, units, scaled):
+        for j in range(width):
+            a_key, a_idx = path_sets[a][j]
+            b_key, b_idx = path_sets[b][j]
+            r_a = emb.paths[a_key][a_idx::-1]
+            r_b = emb.paths[b_key][b_idx::-1]
+            plan.append((a, b, unit, n, a_key[1], r_a, b_key[1], r_b))
+            if a_key[1] != b_key[1]:
+                key = _key(a_key[1], b_key[1])
+                proxy[key] = proxy.get(key, 0) + n
+    mid_paths = _route_units(
+        pruned, [(x, y, n, (x, y)) for (x, y), n in sorted(proxy.items())],
+        unit_lcm * factor) if proxy else {}
+    copy_load = {}
+    out = Routing()
+    for a, b, unit, n, a_leaf, r_a, b_leaf, r_b in plan:
+        if a_leaf == b_leaf:
+            out.add(r_a + r_b[-2::-1], (a, b), unit)
+            continue
+        wpath = mid_paths[_key(a_leaf, b_leaf)]
+        if wpath[0] != a_leaf:
+            wpath = wpath[::-1]
+        full = list(r_a)
+        for x, y in zip(wpath, wpath[1:]):
+            leaf = x if not t.is_center(x) else y
+            bundle = (t.superedge_level(x, y), leaf)
+            loads = copy_load.setdefault(bundle, [0] * copies[bundle])
+            c = loads.index(min(loads))
+            loads[c] += n
+            ep = emb.paths[bundle + (c,)]
+            full += ep[1:] if x == leaf else ep[-2::-1]
+        full += r_b[-2::-1]
+        out.add(full, (a, b), unit)
+    return out

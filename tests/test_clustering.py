@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routerlab.graph import MultiGraph, ball
-from routerlab.clustering import (Cluster, LargeBallCert, eligible_index,
+from routerlab.clustering import (Cluster, ClusteringState, LargeBallCert,
+                                  _induced, eligible_index,
                                   init_clustering, is_settled,
                                   process_cluster, pow_le, grow_le)
 
@@ -182,3 +183,30 @@ def test_init_clustering_rejects_k_below_one():
     st_ = init_clustering(g, 1)
     assert not st_.check_valid()
     assert len(st_.active_clusters()) == 1
+
+
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_first_cluster_matches_induced_graph(monkeypatch, isolated):
+    """Before any split, the clustering holds one singleton per isolated
+    vertex and then the graph on the rest.  That graph takes a copy of
+    the host's edge dict, as isolated vertices carry no edges; its
+    vertices and edges, orders included, are those of the subgraph
+    induced on the vertices with a neighbour."""
+    g = MultiGraph()
+    for v in (7, 3, 9, 0, 5):
+        g.add_vertex(v)
+    for a, b, m in [(5, 9, 2), (0, 3, 1), (3, 7, 3), (0, 9, 1), (5, 7, 1)]:
+        g.add_edge(a, b, m)
+    for v in range(100, 100 + isolated):
+        g.add_vertex(v)
+    monkeypatch.setattr(ClusteringState, "_settle_all", lambda self: None)
+    st_ = ClusteringState(g, 2)
+    clusters = [st_.clusters[i] for i in sorted(st_.clusters)]
+    assert [list(c.graph.vertices) for c in clusters[:isolated]] == [
+        [v] for v in range(100, 100 + isolated)]
+    (rest,) = clusters[isolated:]
+    want = _induced(g, {v for v in g.vertices if g.neighbors(v)})
+    assert list(rest.graph.vertices) == list(want.vertices)
+    assert list(rest.graph.superedges.items()) == list(g.superedges.items())
+    assert rest.graph.adj == want.adj
+    assert rest.graph.superedges is not g.superedges

@@ -403,6 +403,21 @@ def test_witness_validated_once_per_batch(monkeypatch):
     assert [e[0] for e in rd.check_valid()] == ["bad-witness"]
 
 
+def test_cluster_graph_is_its_witness_host():
+    """lc_embed takes a cluster's max degree from its witness, which
+    holds only while the cluster's graph is the witness's host: after
+    the build and after every batch that repairs the cluster."""
+    rd = build_decomposition(template_host(), template_cfg())
+    for dels in ([], [(1, 3)], [(0, 10)]):
+        if dels:
+            assert not process_batch(rd, dels).dissolved
+        assert rd.clusters
+        for wc in rd.clusters:
+            assert wc.graph is wc.witness.host
+            assert wc.witness.max_degree == max(
+                wc.graph.degree(v) for v in wc.graph.vertices)
+
+
 def _strip_reference(g, floor, causes):
     """_strip_low_degree by brute force: every degree summed from the
     whole superedge dict, on every pass."""

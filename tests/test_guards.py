@@ -50,7 +50,8 @@ def lc_congestion_over_bound():
     """The rounding puts all 190 edges of a K_20 cluster on one H' edge,
     over the bound max(16*eta_t*dmax/delta_star, 16*log n) = 80."""
     g = _clique(20)
-    entry = SimpleNamespace(id=0, graph=g, witness=None,
+    entry = SimpleNamespace(id=0, graph=g,
+                            witness=SimpleNamespace(max_degree=19),
                             sparse=SimpleNamespace(cprime=g))
     rd = RouterDecomposition(g, [entry], set(), 16, 8, 1, 2)
 
@@ -76,7 +77,8 @@ def lc_path_leaves_cprime():
     cprime = MultiGraph()
     cprime.add_edge(0, 1)
     cprime.add_edge(0, 3)
-    entry = SimpleNamespace(id=0, graph=g, witness=None,
+    entry = SimpleNamespace(id=0, graph=g,
+                            witness=SimpleNamespace(max_degree=3),
                             sparse=SimpleNamespace(cprime=cprime))
     rd = RouterDecomposition(g, [entry], set(), 16, 8, 1, 2)
 

@@ -362,3 +362,28 @@ def test_thinned_router_routes_as_scaled_lcm(preset):
                     restricted += got == (
                         "error", "demand is not Delta/k^4k-restricted")
     assert partial and routed and restricted, (partial, routed, restricted)
+
+
+
+def test_proxy_outside_u_i_is_skipped():
+    """A proxy must lie in U_i, not just in U_(i-1).  Vertex 1 is the
+    first member of its level-2 star, where a pair from that star to
+    another would take its proxy.  With its mask cut to U_1 alone (set
+    by hand: under the small-N budgets a vertex leaving U_2 takes its
+    whole star with it), the pair is handed off further along the star,
+    avoiding vertex 1."""
+    t, s = pruned(4, 2, 4)
+    sa = t.star_id(2, 1)
+    members, ca = t.star_members(2, sa), t.star_center(2, sa)
+    assert members[0] == 1 and ca != 1
+    a = max(v for v in members if v != ca)
+    b = min(v for v in range(t.num_vertices()) if t.star_id(2, v) != sa
+            and not t.is_center(t.star_members(2, t.star_id(2, v))[0]))
+    d = Demand([(a, b, Fraction(t.delta, 32 ** 2))])
+    (path, _pair, _val), = route_level(s, 2, d).flow_paths
+    assert 1 in path
+    s.mask[1] = 1 << 1
+    r = route_level(s, 2, d)
+    (path, _pair, _val), = r.flow_paths
+    assert 1 not in path
+    assert verify_routing(s.current_graph(), d, r, 8, 1).ok

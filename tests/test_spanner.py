@@ -1,5 +1,7 @@
+import random
+
 from routerlab import spanner
-from routerlab.graph import MultiGraph
+from routerlab.graph import MultiGraph, hop_dist
 from routerlab.router_template import build, realize
 from routerlab.decompose import PipelineConfig, build_decomposition
 from routerlab.resilience import FaultSet
@@ -165,3 +167,75 @@ def test_fd_worst_pair_is_least_adjacent_edge_after_a_cut_off_one():
     fr = fd_spanner_check(rd, [(3, 4)], 1)
     assert fr["checked"] == 6
     assert (fr["max_detour"], fr["worst_pair"]) == (3, (2, 4))
+
+
+
+def _fd_reference(host_edges, held, faults, checked, bound):
+    """(max detour, least edge attaining it, violations) of the checked
+    edges in sorted order, each detour a hop search in H' minus the
+    faults."""
+    hf = MultiGraph()
+    for a, b in host_edges:
+        hf.add_vertex(a)
+        hf.add_vertex(b)
+    for e in held:
+        if e not in faults:
+            hf.add_edge(*e)
+    worst, pair, bad = 0, None, []
+    for e in sorted(checked):
+        d = hop_dist(hf, e[0]).get(e[1])
+        if d is None or d > bound:
+            bad.append((e, d))
+        if d is not None and d > worst:
+            worst, pair = d, e
+    return worst, pair, bad
+
+
+def test_fd_check_reads_no_edge_order(monkeypatch):
+    """fd_spanner_check gives the same report whatever order the host's
+    edges were added in, equal to a search of every checked edge: the
+    worst pair at detour 1 is the least checked edge H' holds, and a
+    sample is drawn from the sorted surviving edges.  H''s sorted edge
+    dict is built only when some checked edge is missing from H'."""
+    rng = random.Random(4)
+    edges = [(a, b) for a in range(12) for b in range(a + 1, 12)
+             if (a * 7 + b) % 3]
+    held = [e for e in edges if e not in ((0, 1), (2, 9), (3, 4))]
+    fault = (0, 4)
+    survivors = [e for e in edges if e != fault]
+    calls = []
+    real = spanner._spanner_edges
+
+    def counting(rd):
+        calls.append(rd)
+        return real(rd)
+
+    monkeypatch.setattr(spanner, "_spanner_edges", counting)
+    reports = []
+    for _ in range(4):
+        order = edges[:]
+        rng.shuffle(order)
+        g = MultiGraph()
+        for a, b in order:
+            g.add_edge(a, b)
+        rd = RouterDecomposition(g, [], set(held), 16, 1, 1, 2)
+        full = fd_spanner_check(rd, [fault], 1)
+        monkeypatch.setattr(spanner, "FD_CHECK_CAP", 9)
+        sampled = fd_spanner_check(rd, [fault], 1, seed=9)
+        monkeypatch.setattr(spanner, "FD_CHECK_CAP", 10 ** 4)
+        whole = fd_spanner_check(
+            RouterDecomposition(g, [], set(edges), 16, 1, 1, 2), [], 1)
+        reports.append((full, sampled, whole))
+    assert all(r == reports[0] for r in reports)
+    full, sampled, whole = reports[0]
+    sample = random.Random(9).sample(survivors, 9)
+    for fr, checked in [(full, survivors), (sampled, sample)]:
+        assert fr["checked"] == len(checked)
+        assert (fr["max_detour"], fr["worst_pair"], fr["violations"]) == (
+            _fd_reference(edges, held, {fault}, checked, 32))
+    assert full["max_detour"] >= 2
+    assert (whole["max_detour"], whole["worst_pair"]) == (1, min(edges))
+    # per round, the full and the sampled check each miss an H' edge
+    # and build the dict; with H' = G it is never built
+    assert [e for e in sample if e not in held]
+    assert len(calls) == 4 * 2

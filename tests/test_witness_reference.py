@@ -1,21 +1,29 @@
 """The witness passes that walk each distinct host path once, weighted by
 its copies, against the per-copy references in _support: the same
 checks, loads, d*, eta*, path index, path counts and C' edge order, on
-the ladder's cluster witnesses, on K_82 and on corrupted witnesses."""
+the ladder's cluster witnesses, on K_82 and on corrupted witnesses.
+Proxy routing, which settles steps shared by every copy once per call,
+against the unit-by-unit translation on the same witnesses and on a
+detour embedding."""
 
 import copy
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from routerlab import witness
 from routerlab.decompose import PipelineConfig, build_decomposition
 from routerlab.graph import Demand, MultiGraph, verify_routing
+from routerlab.pruning import PruningConfig, new_pruned
 from routerlab.router_template import build, realize
 from routerlab.witness import (Embedding, RouterWitness, _congestion,
-                               sparsify, validate_witness, witness_route)
+                               sparsified_route, sparsify, validate_witness,
+                               witness_route)
 
 from _support import (cprime_edges_ref, edge_loads_ref, path_counts_ref,
-                      path_sets_ref, validate_witness_ref)
+                      path_sets_ref, proxy_route_ref, validate_witness_ref)
 
 LADDER_CFG = dict(k=2, delta=4, delta_star=16, d_cap=2, template_n=3,
                   batch_bound=6)
@@ -193,3 +201,111 @@ def test_corrupted_witness_matches_per_copy_reference(built, name, how):
         # built as a witness, the corruption is named, not a crash
         with pytest.raises(ValueError, match="invalid witness: .*" + want):
             RouterWitness(host, w.pruned, bad.emb)
+
+
+def _against_reference(monkeypatch, route):
+    """Run route() with every _proxy_route call checked, entry by entry,
+    against proxy_route_ref on the same arguments.  Returns the number
+    of checked calls and a Counter of the walks' steps by kind: fixed
+    (every copy spread over takes one host path) or balanced."""
+    kinds = Counter()
+    walk, proxy_route = witness._walk, witness._proxy_route
+
+    def counted_walk(steps, wpath):
+        for xy in zip(wpath, wpath[1:]):
+            kinds["fixed" if steps[xy][0] is None else "balanced"] += 1
+        return walk(steps, wpath)
+
+    calls = []
+
+    def checked(*args):
+        got = proxy_route(*args)
+        assert got.flow_paths == proxy_route_ref(*args).flow_paths
+        calls.append(len(got.flow_paths))
+        return got
+
+    monkeypatch.setattr(witness, "_walk", counted_walk)
+    monkeypatch.setattr(witness, "_proxy_route", checked)
+    route()
+    assert calls and all(calls)
+    return len(calls), kinds
+
+
+def test_sparsified_route_matches_reference_on_fixed_steps(built,
+                                                           monkeypatch):
+    """lc_embed's demand (a scaled unit on every cluster edge) on the
+    ladder's cluster witnesses: every copy of a bundle takes its direct
+    host edge, so every step is fixed."""
+    clusters = [wc for name in HOSTS[:3] for wc in built[name]]
+
+    def route():
+        for wc in clusters:
+            graph = wc.witness.host
+            d = Demand()
+            d.values = dict.fromkeys(
+                sorted(graph.superedges),
+                min(Fraction(LADDER_CFG["delta_star"],
+                             wc.witness.max_degree), Fraction(1)))
+            sparsified_route(wc.sparse, wc.witness, d)
+
+    calls, kinds = _against_reference(monkeypatch, route)
+    assert calls == len(clusters) == 3
+    assert kinds["fixed"] > 0 and kinds["balanced"] == 0, kinds
+
+
+def test_witness_route_matches_reference_on_balanced_steps(built,
+                                                           monkeypatch):
+    """Ten unit pairs through K_82's witness over all live copies: its
+    copies mostly take host paths of their own, so every step is
+    balanced and units take the least-loaded copy."""
+    w = built["K82"][0].witness
+    rng = random.Random(10)
+    pairs = set()
+    while len(pairs) < 10:
+        a, b = sorted(rng.sample(sorted(w.host.vertices), 2))
+        pairs.add((a, b, 1))
+    d = Demand(sorted(pairs))
+    _calls, kinds = _against_reference(monkeypatch,
+                                       lambda: witness_route(w, d))
+    assert kinds["balanced"] > 0 and kinds["fixed"] == 0, kinds
+
+
+def _detour_router():
+    """build(3,2,2) embedded on its own ids, each bundle's copy 0 along
+    the direct edge and copy 1 through a host vertex of its own (the
+    embedding of test_witness's least-loaded copy test)."""
+    t = build(3, 2, 2)
+    s = new_pruned(t, PruningConfig.relaxed(2))
+    host = MultiGraph()
+    paths = {}
+    for n, (i, leaf) in enumerate(sorted(s.live_bundles())):
+        center = t.level_center(i, leaf)
+        paths[(i, leaf, 0)] = (leaf, center)
+        paths[(i, leaf, 1)] = (leaf, 100 + n, center)
+        host.add_edge(leaf, center)
+        host.add_edge(leaf, 100 + n)
+        host.add_edge(100 + n, center)
+    emb = Embedding({v: v for v in t.vertices()}, paths, host)
+    entries = {v: [((1, v, 0), 0)] for v in t.vertices()
+               if not t.is_center(v)}
+    return s, emb, entries
+
+
+@pytest.mark.parametrize("spread", ["alternate", "all"])
+def test_mixed_steps_match_reference(monkeypatch, spread):
+    """On the detour embedding, bundles spread over one copy give fixed
+    steps and bundles spread over both copies balanced ones; walks mix
+    them, with fixed runs before, between and after balanced steps."""
+    s, emb, entries = _detour_router()
+    live = sorted(s.live_bundles())
+    copies = ({b: 1 + n % 2 for n, b in enumerate(live)}
+              if spread == "alternate" else dict.fromkeys(live, 2))
+    leaves = sorted(entries)
+    d = Demand([(a, b, 1 + (a * b) % 3) for a in leaves for b in leaves
+                if a < b])
+    _calls, kinds = _against_reference(
+        monkeypatch,
+        lambda: witness._proxy_route(s, emb, entries, 1, d, 10 ** 6, copies))
+    assert kinds["balanced"] > 0, kinds
+    if spread == "alternate":
+        assert kinds["fixed"] > 0, kinds
