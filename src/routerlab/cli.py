@@ -37,10 +37,17 @@ class CliError(Exception):
 
 def _lines(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise CliError(str(e))
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The text before the bad byte decodes; its line breaks, counted
+        # as splitlines counts them, place the byte.
+        head = data[:e.start].decode("utf-8") + "."
+        raise CliError("not UTF-8 text", path, len(head.splitlines()))
     for no, line in enumerate(raw.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
@@ -69,6 +76,20 @@ def parse_graph(path):
     return g
 
 
+def _exact(tok):
+    """The rational a demand or routing value spells.  A string `p` or
+    `p/q` in ASCII digits is read as integers; any other value (a sign,
+    a decimal point, an exponent, other digits, a JSON number) is left
+    to Fraction."""
+    if type(tok) is str and tok.isascii():
+        if tok.isdigit():
+            return Fraction(int(tok))
+        p, _, q = tok.partition("/")
+        if p.isdigit() and q.isdigit():
+            return Fraction(int(p), int(q))
+    return Fraction(tok)
+
+
 def parse_demand(path):
     d = Demand()
     for no, tok in _lines(path):
@@ -76,7 +97,7 @@ def parse_demand(path):
             raise CliError("expected 'a b value'", path, no)
         try:
             a, b = int(tok[0]), int(tok[1])
-            val = Fraction(tok[2])
+            val = _exact(tok[2])
         except (ValueError, ZeroDivisionError):
             raise CliError("bad demand line", path, no)
         try:
@@ -158,7 +179,7 @@ def parse_routing(path):
     try:
         for item in data["paths"]:
             r.add(tuple(item["path"]), tuple(item["pair"]),
-                  Fraction(item["value"]))
+                  _exact(item["value"]))
     except KeyError as e:
         raise CliError("bad routing entry: no field %s" % e, path)
     except (TypeError, ValueError, ZeroDivisionError) as e:

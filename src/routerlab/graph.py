@@ -162,8 +162,9 @@ class Demand:
     def add(self, a, b, value):
         if a == b:
             raise ValueError("demand pair endpoints must differ")
-        value = Fraction(value)
-        if value <= 0:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.numerator <= 0:        # the denominator is positive
             raise ValueError("demand values must be positive")
         k = _key(a, b)
         if k in self.values:

@@ -2,10 +2,12 @@ import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from routerlab import router_template
+from routerlab import cli, router_template
 from routerlab.cli import main
 from routerlab.router_template import build, realize
 
@@ -588,7 +590,8 @@ def test_trace_phase_numbers_must_be_sequential(tmp_path, capsys):
 
 
 def strip_timings(path):
-    doc = json.loads(open(path).read())
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
     doc.pop("timings_ms", None)
     return json.dumps(doc, sort_keys=True)
 
@@ -838,3 +841,144 @@ def test_input_files_are_parsed_before_the_build(host_file, tmp_path,
     if text is not None:
         assert str(f) + msg in err
     assert builds == []
+
+
+def _verify_argv(tmp_path, demand_text):
+    """argv for `verify` on a triangle whose demand file holds
+    demand_text, and the demand file's path."""
+    g = tmp_path / "g.graph"
+    g.write_text("0 1\n1 2\n0 2\n")
+    rt = tmp_path / "r.json"
+    rt.write_text(json.dumps(
+        {"paths": [{"path": [0, 2], "pair": [0, 2], "value": "1"}]}))
+    dm = tmp_path / "d.txt"
+    dm.write_bytes(demand_text.encode("utf-8"))      # line ends as given
+    return ["verify", "--graph", str(g), "--routing", str(rt),
+            "--demand", str(dm), "--max-len", "2", "--max-cong", "1"], dm
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("0 1\n", ":1: expected 'a b value'"),
+    ("0 1 x\n", ":1: bad demand line"),
+    ("0 1 1/0\n", ":1: bad demand line"),
+    ("0 1 1/\n", ":1: bad demand line"),
+    ("0 1 /2\n", ":1: bad demand line"),
+    ("0 1 1/2/3\n", ":1: bad demand line"),
+    ("0 1 0\n", ":1: demand values must be positive"),
+    ("0 1 0/3\n", ":1: demand values must be positive"),
+    ("0 1 -1/2\n", ":1: demand values must be positive"),
+    ("1 1 1\n", ":1: demand pair endpoints must differ"),
+    ("0 1 1\n1 0 2\n", ":2: pair (0, 1) listed twice"),
+    ("0 1 1\r\n1 0 2\r\n", ":2: pair (0, 1) listed twice"),
+], ids=["two-fields", "word", "zero-denominator", "no-denominator",
+        "no-numerator", "two-slashes", "zero", "zero-over-three", "negative",
+        "same-endpoints", "listed-twice", "listed-twice-crlf"])
+def test_demand_errors_name_their_line(tmp_path, capsys, text, msg):
+    argv, dm = _verify_argv(tmp_path, text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s%s\n" % (dm, msg)
+
+
+def test_crlf_demand_parses_like_its_lf_twin(tmp_path):
+    text = "# a b value\n0 1 1\n1 2 3/4   # comment\n0 2 0.5\n2 5 007/014\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    d = cli.parse_demand(str(lf))
+    assert d.values == cli.parse_demand(str(crlf)).values
+    assert d.values == {(0, 1): 1, (1, 2): Fraction(3, 4),
+                        (0, 2): Fraction(1, 2), (2, 5): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("kind", ["graph", "demand", "trace", "fault"])
+@pytest.mark.parametrize("text,line", [
+    (b"0 1\n\xff 2\n", 2),
+    (b"0 1\r\n0 2\r\n1 2 # \xe2\x82\n", 3),
+    (b"0 1\r0 2\r\xc3", 3),
+], ids=["lf", "crlf-cut-sequence", "lone-cr-at-end"])
+def test_non_utf8_file_names_its_line(tmp_path, capsys, kind, text, line):
+    """A file that is not UTF-8 exits 2 naming the line of its first bad
+    byte, with lines counted as every text file's lines are counted."""
+    bad = tmp_path / ("bad." + kind)
+    bad.write_bytes(text)
+    if kind == "graph":
+        argv = ["cluster", "--graph", str(bad), "--k", "2"]
+    elif kind == "demand":
+        argv, _ = _verify_argv(tmp_path, "0 2 1\n")
+        argv[argv.index("--demand") + 1] = str(bad)
+    elif kind == "trace":
+        argv = ["cluster", "--graph", os.path.join(DATA, "golden_host.graph"),
+                "--k", "2", "--trace", str(bad)]
+    else:
+        g = tmp_path / "g.graph"
+        g.write_text("0 1\n1 2\n0 2\n")
+        argv = ["cert-check", "--graph", str(g), "--sub", str(g),
+                "--faults", str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: %s:%d: not UTF-8 text\n" % (bad, line))
+
+
+def _fraction_or_error(parse, tok):
+    try:
+        return parse(tok)
+    except Exception as e:              # the class is what is compared
+        return type(e)
+
+
+@given(st.text(alphabet="0123456789/+-.e_\u0663\u00b2", max_size=12))
+@example("12")
+@example("3/4")
+@example("007/010")
+@example("0/5")
+@example("1/0")
+@example("0/0")
+@example("0.5")
+@example("1e-3")
+@example("+2")
+@example("-1/2")
+@example("1_000")
+@example("\u0663")                      # an Arabic-Indic three
+@example("\u00b2")                      # superscript two
+@example("")
+def test_exact_agrees_with_fraction(tok):
+    """_exact reads every token as Fraction(tok) does, or raises the
+    same class of error."""
+    assert (_fraction_or_error(cli._exact, tok)
+            == _fraction_or_error(Fraction, tok))
+
+
+def test_exact_reads_digits_as_integers(monkeypatch):
+    """ASCII digits, with or without one slash, reach Fraction as ints;
+    every other token reaches it as the string."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", spy)
+    for tok in ("12", "3/4", "0.5", "\u0663", "1/2/3"):
+        _fraction_or_error(cli._exact, tok)
+    assert seen == [(12,), (3, 4), ("0.5",), ("\u0663",), ("1/2/3",)]
+
+
+def test_routing_values_parse_like_fraction(tmp_path):
+    rt = tmp_path / "r.json"
+    values = ["1", "3/6", "0.25", "1e-1", 2, 0.5]
+    rt.write_text(json.dumps({"paths": [
+        {"path": [0, 1], "pair": [0, 1], "value": v} for v in values]}))
+    got = [val for _, _, val in cli.parse_routing(str(rt)).flow_paths]
+    assert got == [Fraction(v) for v in values]
+    assert all(type(v) is Fraction for v in got)
+    with pytest.raises(TypeError) as not_a_value:
+        Fraction([1])
+    for entry, msg in [({"value": "1"}, "no field 'path'"),
+                       ({"path": [0, 1], "pair": [0, 1], "value": "1/0"},
+                        "Fraction(1, 0)"),
+                       ({"path": [0, 1], "pair": [0, 1], "value": [1]},
+                        str(not_a_value.value))]:
+        rt.write_text(json.dumps({"paths": [entry]}))
+        with pytest.raises(cli.CliError) as e:
+            cli.parse_routing(str(rt))
+        assert str(e.value) == "%s: bad routing entry: %s" % (rt, msg)

@@ -62,6 +62,33 @@ def test_demand_rejects_bad_pairs():
         d.add(3, 4, 0)
 
 
+class _Frac(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, Fraction(3)), (Fraction(2, 4), Fraction(1, 2)),
+    (_Frac(3, 2), Fraction(3, 2)), (0.5, Fraction(1, 2)),
+    ("5/10", Fraction(1, 2)),
+    (0, None), (-2, None), (Fraction(0), None), (Fraction(-1, 3), None),
+    (_Frac(-1, 2), None), (-0.5, None), (0.0, None),
+], ids=["int", "fraction", "fraction-subclass", "float", "string", "zero",
+        "negative-int", "zero-fraction", "negative-fraction",
+        "negative-subclass", "negative-float", "zero-float"])
+def test_demand_add_stores_a_plain_fraction(value, want):
+    """Every value is stored as a plain Fraction (a subclass is
+    converted); a value of at most 0 is rejected."""
+    d = Demand()
+    if want is None:
+        with pytest.raises(ValueError, match="demand values must be positive"):
+            d.add(0, 1, value)
+        assert len(d) == 0
+    else:
+        d.add(0, 1, value)
+        assert d.values[(0, 1)] == want
+        assert type(d.values[(0, 1)]) is Fraction
+
+
 def test_demand_normalizes_pairs():
     d = Demand([(5, 2, 1)])
     assert d.value(2, 5) == 1
