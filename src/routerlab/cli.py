@@ -35,19 +35,31 @@ class CliError(Exception):
         super().__init__(msg)
 
 
-def _lines(path):
+def _text(path):
+    """The file at path decoded as UTF-8.  A file that is not raises
+    CliError naming the line of its first bad byte; a file that cannot
+    be read raises OSError."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        raise CliError(str(e))
-    try:
-        raw = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         # The text before the bad byte decodes; its line breaks, counted
         # as splitlines counts them, place the byte.
         head = data[:e.start].decode("utf-8") + "."
         raise CliError("not UTF-8 text", path, len(head.splitlines()))
+
+
+def _json(path):
+    # text mode's line breaks, so that a syntax error names its line
+    return json.loads(_text(path).replace("\r\n", "\n").replace("\r", "\n"))
+
+
+def _lines(path):
+    try:
+        raw = _text(path)
+    except OSError as e:
+        raise CliError(str(e))
     for no, line in enumerate(raw.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
@@ -80,13 +92,19 @@ def _exact(tok):
     """The rational a demand or routing value spells.  A string `p` or
     `p/q` in ASCII digits is read as integers; any other value (a sign,
     a decimal point, an exponent, other digits, a JSON number) is left
-    to Fraction."""
+    to Fraction, except a float that is not finite and an exponent of
+    more than 4 digits, which Fraction would spell out in full."""
     if type(tok) is str and tok.isascii():
         if tok.isdigit():
             return Fraction(int(tok))
         p, _, q = tok.partition("/")
         if p.isdigit() and q.isdigit():
             return Fraction(int(p), int(q))
+    if type(tok) is float and not math.isfinite(tok):
+        raise ValueError("value %r is not finite" % tok)
+    exp = tok.strip().lower().partition("e")[2] if type(tok) is str else ""
+    if len(exp.lstrip("+-").replace("_", "")) > 4:
+        raise ValueError("value %r has an exponent of over 4 digits" % tok)
     return Fraction(tok)
 
 
@@ -170,8 +188,7 @@ def parse_trace(path, ops=PRUNE_OPS, max_phases=None):
 
 def parse_routing(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        data = _json(path)
     except (OSError, ValueError) as e:          # JSONDecodeError included
         raise CliError("bad routing file: %s" % e, path,
                        getattr(e, "lineno", None))
@@ -189,8 +206,7 @@ def parse_routing(path):
 
 def load_template(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        data = _json(path)
         return build(int(data["N"]), int(data["k"]), int(data["delta"]))
     except KeyError as e:
         raise CliError("bad template file: no field %s" % e, path)
@@ -202,8 +218,6 @@ def load_template(path):
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -214,9 +228,15 @@ def _jsonable(x):
 
 
 class Report:
-    def __init__(self, command, params):
-        self.command = command
-        self.params = params
+    """A command's report.  Its params are the options in args as
+    parsed, less the command (already top level), its handler and
+    --json (the report's own destination)."""
+
+    def __init__(self, args):
+        self.command = args.command
+        self.params = {k: v for k, v in vars(args).items()
+                       if k not in ("command", "fn", "json")}
+        self.out_path = args.json
         self.assertions = []
         self.extra = {}
         self._t0 = time.perf_counter()
@@ -230,7 +250,7 @@ class Report:
     def ok(self):
         return all(a["ok"] for a in self.assertions)
 
-    def emit(self, out_path=None):
+    def emit(self):
         doc = {"command": self.command,
                "params": _jsonable(self.params),
                "assertions": self.assertions,
@@ -238,8 +258,8 @@ class Report:
                                    3)}
         doc.update(_jsonable(self.extra))
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as f:
+        if self.out_path:
+            with open(self.out_path, "w", encoding="utf-8") as f:
                 f.write(text + "\n")
         else:
             print(text)
@@ -294,9 +314,8 @@ def _apply_prune_trace(s, phases, rep=None):
 
 
 def cmd_build_router(args):
-    rep = Report("build-router", {"N": args.N, "k": args.k,
-                                  "delta": args.delta, "seed": args.seed})
-    t = build(args.N, args.k, args.delta, strict=args.strict)
+    rep = Report(args)
+    t = build(args.N, args.k, args.delta)
     nv = t.num_vertices()
     centers = args.N ** (args.k - 1)      # ids with lowest base-N digit 0
     edges = t.num_edges()
@@ -321,26 +340,23 @@ def cmd_build_router(args):
             json.dump({"N": args.N, "k": args.k, "delta": args.delta,
                        "vertices": nv, "edges": edges}, f, sort_keys=True)
             f.write("\n")
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_prune(args):
     t = load_template(args.template)
-    rep = Report("prune", {"template": args.template, "trace": args.trace,
-                           "preset": args.preset, "seed": args.seed})
+    rep = Report(args)
     s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
     phases = _prune_trace(args.trace, s) if args.trace else [[]]
     _apply_prune_trace(s, phases, rep)
     final = s.is_properly_pruned()
     rep.check("properly-pruned-final", True, bool(final), bool(final))
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_route(args):
     t = load_template(args.template)
-    rep = Report("route", {"template": args.template, "demand": args.demand,
-                           "trace": args.trace, "preset": args.preset,
-                           "seed": args.seed})
+    rep = Report(args)
     s = new_pruned(t, PruningConfig.preset(args.preset, t.k))
     if args.trace:
         _apply_prune_trace(s, _prune_trace(args.trace, s))
@@ -352,7 +368,7 @@ def cmd_route(args):
     _check_verify(rep, vr, max_len, "1")
     if d.is_integral():
         rep.check("integral-flow", True, r.is_integral(), r.is_integral())
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def _check_cluster_phase(cs, ops, path):
@@ -380,8 +396,7 @@ def _check_cluster_phase(cs, ops, path):
 
 def cmd_cluster(args):
     g = parse_graph(args.graph)
-    rep = Report("cluster", {"graph": args.graph, "k": args.k,
-                             "trace": args.trace, "seed": args.seed})
+    rep = Report(args)
     cs = init_clustering(g, args.k)
     phases = parse_trace(args.trace, CLUSTER_OPS) if args.trace else [[]]
     bad = []
@@ -397,7 +412,7 @@ def cmd_cluster(args):
     ok = total ** k <= (2 ** k) * n ** (k + 1)
     rep.check("lifetime-counter-budget", "2*n^(1+1/k)", total, ok)
     rep.extra["clusters"] = len(cs.active_clusters())
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def _pipeline_cfg(args):
@@ -418,15 +433,15 @@ def _build_rd(args, rep, g):
 
 
 def cmd_decompose(args):
-    rep = Report("decompose", _decomp_params(args))
+    rep = Report(args)
     rd = _build_rd(args, rep, parse_graph(args.graph))
     rep.extra["cluster_sizes"] = [len(c.graph.vertices)
                                   for c in rd.clusters]
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_batch(args):
-    rep = Report("batch", _decomp_params(args, trace=args.trace))
+    rep = Report(args)
     g = parse_graph(args.graph)
     phases = parse_trace(args.trace, BATCH_OPS)
     rd = _build_rd(args, rep, g)
@@ -438,24 +453,24 @@ def cmd_batch(args):
         except AssertionError as e:
             # the decomposition is broken; later phases would build on it
             rep.check("valid-after-every-batch", 0, str(e), False)
-            return rep.emit(args.json)
+            return rep.emit()
     rep.check("valid-after-every-batch", 0, 0, True)
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_spanner(args):
-    rep = Report("spanner", _decomp_params(args))
+    rep = Report(args)
     rd = _build_rd(args, rep, parse_graph(args.graph))
     h = extract_spanner(rd)
     st, pair = stretch_check(rd.host, h)
     rep.extra["spanner_edges"] = h.num_edges()
     rep.check("stretch", rd.d_t, st, st <= rd.d_t)
     rep.extra["worst_pair"] = pair
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_lc_embed(args):
-    rep = Report("lc-embed", _decomp_params(args))
+    rep = Report(args)
     rd = _build_rd(args, rep, parse_graph(args.graph))
     try:
         emb = lc_embed(rd, seed=args.seed)
@@ -464,23 +479,22 @@ def cmd_lc_embed(args):
         # a cluster that cannot route its demand fails the embedding,
         # on input that parsed and built: not a usage error
         rep.check("embed-bounds", rd.d_t, str(e), False)
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_fd_check(args):
-    rep = Report("fd-check", _decomp_params(args, faults=args.faults))
+    rep = Report(args)
     g = parse_graph(args.graph)
     faults = _parse_faults(args.faults, g)
     rd = _build_rd(args, rep, g)
     out = fd_spanner_check(rd, faults, args.k, seed=args.seed)
     rep.check("fd-detour", out["bound"], out["max_detour"], out["ok"])
     rep.extra["checked"] = out["checked"]
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_cert_check(args):
-    rep = Report("cert-check", {"graph": args.graph, "sub": args.sub,
-                                "faults": args.faults, "seed": args.seed})
+    rep = Report(args)
     g = parse_graph(args.graph)
     parse_graph(args.sub)                   # the sub's format, line by line
     h = MultiGraph.of(g.vertices, _copies_taken(args.sub, g, "subgraph edge",
@@ -488,20 +502,18 @@ def cmd_cert_check(args):
     faults = _parse_faults(args.faults, g) if args.faults else FaultSet(g, [])
     ok = connectivity_certificate_check(g, h, faults)
     rep.check("components-agree", True, ok, ok)
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def cmd_verify(args):
-    rep = Report("verify", {"graph": args.graph, "routing": args.routing,
-                            "demand": args.demand, "max_len": args.max_len,
-                            "max_cong": args.max_cong, "seed": args.seed})
+    rep = Report(args)
     g = parse_graph(args.graph)
     d = parse_demand(args.demand)
     r = parse_routing(args.routing)
     vr = verify_routing(g, d, r, args.max_len, Fraction(args.max_cong))
     _check_verify(rep, vr, args.max_len, args.max_cong)
     rep.extra["violations"] = [v[:2] for v in vr.violations[:10]]
-    return rep.emit(args.json)
+    return rep.emit()
 
 
 def _copies_taken(path, g, what, usage):
@@ -538,14 +550,6 @@ def _parse_faults(path, g):
                         _copies_taken(path, g, "fault", "u v [count]").items()])
 
 
-def _decomp_params(args, **more):
-    out = {"graph": args.graph, "k": args.k, "delta": args.delta,
-           "delta_star": args.delta_star, "preset": args.preset,
-           "seed": args.seed, "strict": args.strict}
-    out.update(more)
-    return out
-
-
 def _add_decomp_opts(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
@@ -560,11 +564,12 @@ def _add_decomp_opts(p):
 def make_parser():
     ap = argparse.ArgumentParser(prog="routerlab")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--preset", choices=["paper", "relaxed"],
-                    default="relaxed")
-    ap.add_argument("--strict", action="store_true")
     ap.add_argument("--json", default=None, help="write the report here")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the commands that prune a router read its budgets from --preset
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=["paper", "relaxed"],
+                        default="relaxed")
 
     p = sub.add_parser("build-router")
     p.add_argument("--N", type=int, required=True)
@@ -573,12 +578,12 @@ def make_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_build_router)
 
-    p = sub.add_parser("prune")
+    p = sub.add_parser("prune", parents=[preset])
     p.add_argument("--template", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_prune)
 
-    p = sub.add_parser("route")
+    p = sub.add_parser("route", parents=[preset])
     p.add_argument("--template", required=True)
     p.add_argument("--demand", required=True)
     p.add_argument("--trace", default=None)
@@ -590,24 +595,24 @@ def make_parser():
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_cluster)
 
-    p = sub.add_parser("decompose")
+    p = sub.add_parser("decompose", parents=[preset])
     _add_decomp_opts(p)
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("batch")
+    p = sub.add_parser("batch", parents=[preset])
     _add_decomp_opts(p)
     p.add_argument("--trace", required=True)
     p.set_defaults(fn=cmd_batch)
 
-    p = sub.add_parser("spanner")
+    p = sub.add_parser("spanner", parents=[preset])
     _add_decomp_opts(p)
     p.set_defaults(fn=cmd_spanner)
 
-    p = sub.add_parser("lc-embed")
+    p = sub.add_parser("lc-embed", parents=[preset])
     _add_decomp_opts(p)
     p.set_defaults(fn=cmd_lc_embed)
 
-    p = sub.add_parser("fd-check")
+    p = sub.add_parser("fd-check", parents=[preset])
     _add_decomp_opts(p)
     p.add_argument("--faults", required=True)
     p.set_defaults(fn=cmd_fd_check)
@@ -636,10 +641,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
+    except (CliError, ValueError, KeyError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -132,8 +132,8 @@ class BatchReport:
         self.dissolved = []
         self.recourse = 0           # C' edge-set churn across clusters
 
-    def charge(self, cause, count=1):
-        self.to_e_del[cause] = self.to_e_del.get(cause, 0) + count
+    def charge(self, cause):
+        self.to_e_del[cause] = self.to_e_del.get(cause, 0) + 1
 
     def charged(self):
         return sum(self.to_e_del.values())

@@ -200,12 +200,9 @@ class RouterTemplate:
         return self.delta * self.k
 
 
-def build(N, k, delta, strict=False):
+def build(N, k, delta):
     if N < 2 or k < 1 or delta < 1:
         raise ValueError("need N >= 2, k >= 1, delta >= 1")
-    if strict:
-        if k < 256 or N < k ** (3 * k) or delta < 4 * k * k:
-            raise ValueError("parameters outside the strict regime")
     return RouterTemplate(N, k, delta)
 
 

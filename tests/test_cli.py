@@ -3,6 +3,8 @@ import math
 import os
 import random
 import re
+import shlex
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from routerlab import cli, router_template
 from routerlab.cli import main
+from routerlab.pruning import PruningConfig
 from routerlab.router_template import build, realize
 
 
@@ -48,6 +51,8 @@ def test_build_router_manifest(tmp_path, capsys):
                                 "--delta", "3", "--out", str(man)])
     assert rc == 0
     assert doc["command"] == "build-router"
+    assert doc["params"] == {"N": 4, "k": 2, "delta": 3, "out": str(man),
+                             "seed": 0}
     assert all(a["ok"] for a in doc["assertions"])
     saved = json.loads(man.read_text())
     assert saved == {"N": 4, "k": 2, "delta": 3, "vertices": 16, "edges": 72}
@@ -83,12 +88,6 @@ def test_build_router_degrees_come_from_the_bundles(monkeypatch, capsys):
     failed = {a["name"]: a["observed"] for a in doc["assertions"]
               if not a["ok"]}
     assert failed == {"center-degree": [15, 18, 21]}
-
-
-def test_build_router_strict_rejects(capsys):
-    rc = main(["--strict", "build-router", "--N", "4", "--k", "2",
-               "--delta", "3"])
-    assert rc == 2
 
 
 def test_prune_with_trace(tmp_path, capsys):
@@ -322,12 +321,15 @@ def test_fd_check_fault_off_the_host_names_its_line(host_file, tmp_path,
     ('{"N": 4, "k": 2}', "", "bad template file: no field 'delta'"),
     ('{"N": 4,\n "k": 2,\n "delta": }', ":3", "bad template file: "
      "Expecting value"),
+    ('{"N": 4,\r "k": 2,\r "delta": }', ":3", "bad template file: "
+     "Expecting value"),
     ('[4, 2, 8]', "", "bad template file: list indices must be integers"),
     ('{"N": 1, "k": 2, "delta": 8}', "", "bad template file: "),
-], ids=["missing-key", "decode", "not-an-object", "bad-shape"])
+], ids=["missing-key", "decode", "decode-lone-cr", "not-an-object",
+        "bad-shape"])
 def test_bad_template_names_the_file(tmp_path, capsys, text, where, msg):
     man = tmp_path / "router.json"
-    man.write_text(text)
+    man.write_bytes(text.encode("utf-8"))           # line ends as given
     tr = tmp_path / "trace.txt"
     tr.write_text("DEL 1 0\n")
     assert main(["prune", "--template", str(man), "--trace", str(tr)]) == 2
@@ -341,7 +343,17 @@ def test_bad_template_names_the_file(tmp_path, capsys, text, where, msg):
     ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": "1/0"}]}', "",
      "bad routing entry: "),
     ('{"paths":\n [,]}', ":2", "bad routing file: Expecting value"),
-], ids=["missing-key", "zero-denominator", "decode"])
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": 1e999}]}', "",
+     "bad routing entry: value inf is not finite"),
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": -Infinity}]}',
+     "", "bad routing entry: value -inf is not finite"),
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": NaN}]}', "",
+     "bad routing entry: value nan is not finite"),
+    ('{"paths": [{"path": [0, 1], "pair": [0, 1], "value": "1e99999"}]}',
+     "", "bad routing entry: value '1e99999' has an exponent of over 4 "
+     "digits"),
+], ids=["missing-key", "zero-denominator", "decode", "overflowing-number",
+        "infinity", "nan", "long-exponent"])
 def test_bad_routing_names_the_file(tmp_path, capsys, text, where, msg):
     g = tmp_path / "g.graph"
     g.write_text("0 1\n")
@@ -609,30 +621,110 @@ def test_reports_deterministic(host_file, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+COMMANDS = ["build-router", "prune", "route", "cluster", "decompose", "batch",
+            "spanner", "lc-embed", "fd-check", "cert-check", "verify"]
+PRUNING = ["prune", "route", "decompose", "batch", "spanner", "lc-embed",
+           "fd-check"]
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def readme_commands():
+    """Every routerlab command in README.md's sh blocks, `\\` line
+    continuations joined, as an argv without the program name."""
+    with open(README, encoding="utf-8") as f:
+        blocks = re.findall(r"```sh\n(.*?)```", f.read(), re.S)
+    out = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            for prog in ("routerlab", "routerlab.cli"):     # or python -m
+                if prog in words:
+                    out.append(words[words.index(prog) + 1:])
+    return out
+
+
 def readme_command(cmd):
-    """The README's example line for one CLI command, as an argv."""
-    with open(README) as f:
-        for line in f:
-            words = line.split()
-            if words[:2] == ["routerlab", cmd]:
-                return words[1:]
+    """The README's first example of one CLI command, as an argv."""
+    for argv in readme_commands():
+        if argv[0] == cmd:
+            return argv
     raise AssertionError("README shows no %s example" % cmd)
+
+
+def test_readme_commands_parse():
+    """Every documented command line parses, so the README cannot keep
+    an option the parser has dropped; and every command is shown."""
+    ap = cli.make_parser()
+    shown = set()
+    for argv in readme_commands():
+        try:
+            shown.add(ap.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail("README line does not parse: routerlab %s"
+                        % " ".join(argv))
+    assert shown == set(COMMANDS)
+
+
+def _readme_argv(cmd, tmp_path):
+    """The README's example of cmd, its file names mapped onto files
+    it runs on: the golden host and faults, a one-deletion trace, an
+    empty demand and the README's build-router template."""
+    (tmp_path / "trace.txt").write_text("DEL 1 0\n")
+    (tmp_path / "d.txt").write_text("# nothing to route\n")
+    files = {"g.txt": os.path.join(DATA, "golden_host.graph"),
+             "f.txt": os.path.join(DATA, "golden_faults.txt"),
+             "batch.txt": str(tmp_path / "trace.txt"),
+             "trace.txt": str(tmp_path / "trace.txt"),
+             "d.txt": str(tmp_path / "d.txt"),
+             "t.json": str(tmp_path / "t.json")}
+    if cmd in ("prune", "route"):
+        assert main([files.get(w, w)
+                     for w in readme_command("build-router")]) == 0
+    return [files.get(w, w) for w in readme_command(cmd)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--strict", "build-router", "--N", "4", "--k", "2", "--delta", "3"],
+    ["build-router", "--N", "4", "--k", "2", "--delta", "3", "--strict"],
+    ["--preset", "paper", "decompose", "--graph", "g.txt"],
+], ids=["strict-global", "strict-build-router", "preset-global"])
+def test_dropped_global_options_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("cmd", sorted(set(COMMANDS) - set(PRUNING)))
+def test_preset_is_a_usage_error_where_nothing_prunes(cmd, capsys):
+    assert main(readme_command(cmd) + ["--preset", "paper"]) == 2
+    assert "unrecognized arguments: --preset paper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", PRUNING)
+def test_preset_sets_the_budgets_of_every_pruned_router(cmd, tmp_path,
+                                                        monkeypatch, capsys):
+    """--preset is an option of the seven commands that prune a router,
+    and every router they prune takes that preset's budgets."""
+    argv = _readme_argv(cmd, tmp_path) + ["--preset", "paper"]
+    capsys.readouterr()
+    names = []
+    real = PruningConfig.preset.__func__
+
+    def spy(cls, name, k):
+        names.append(name)
+        return real(cls, name, k)
+
+    monkeypatch.setattr(PruningConfig, "preset", classmethod(spy))
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    assert doc["params"]["preset"] == "paper"
+    assert names and set(names) == {"paper"}
 
 
 @pytest.mark.parametrize("cmd", ["decompose", "batch", "spanner", "lc-embed",
                                  "fd-check"])
 def test_readme_decompose_examples_run(cmd, tmp_path, capsys):
     """The documented decompose-family lines exit 0 on the golden host."""
-    (tmp_path / "batch.txt").write_text("DEL 1 0\n")
-    files = {"g.txt": os.path.join(DATA, "golden_host.graph"),
-             "f.txt": os.path.join(DATA, "golden_faults.txt"),
-             "batch.txt": str(tmp_path / "batch.txt")}
-    argv = [files.get(w, w) for w in readme_command(cmd)]
-    assert main(argv) == 0
+    assert main(_readme_argv(cmd, tmp_path)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == cmd
 
@@ -880,6 +972,23 @@ def test_demand_errors_name_their_line(tmp_path, capsys, text, msg):
     assert capsys.readouterr().err == "error: %s%s\n" % (dm, msg)
 
 
+@pytest.mark.parametrize("value", ["1e99999999", "1e-9_999_999",
+                                   "0.5E+000099999"])
+def test_long_exponent_is_a_bad_demand_line(tmp_path, capsys, value):
+    """Fraction would spell such a value out digit by digit; it is
+    rejected before that, at once."""
+    argv, dm = _verify_argv(tmp_path, "0 2 %s\n" % value)
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == "error: %s:1: bad demand line\n" % dm
+
+
+def test_exact_reads_four_digit_exponents():
+    for tok in ("1e9999", "1e-9999", "2.5E+9_999", "1e0009"):
+        assert cli._exact(tok) == Fraction(tok)
+
+
 def test_crlf_demand_parses_like_its_lf_twin(tmp_path):
     text = "# a b value\n0 1 1\n1 2 3/4   # comment\n0 2 0.5\n2 5 007/014\n"
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
@@ -891,7 +1000,8 @@ def test_crlf_demand_parses_like_its_lf_twin(tmp_path):
                         (0, 2): Fraction(1, 2), (2, 5): Fraction(1, 2)}
 
 
-@pytest.mark.parametrize("kind", ["graph", "demand", "trace", "fault"])
+@pytest.mark.parametrize("kind", ["graph", "demand", "trace", "fault",
+                                  "template", "routing"])
 @pytest.mark.parametrize("text,line", [
     (b"0 1\n\xff 2\n", 2),
     (b"0 1\r\n0 2\r\n1 2 # \xe2\x82\n", 3),
@@ -907,9 +1017,14 @@ def test_non_utf8_file_names_its_line(tmp_path, capsys, kind, text, line):
     elif kind == "demand":
         argv, _ = _verify_argv(tmp_path, "0 2 1\n")
         argv[argv.index("--demand") + 1] = str(bad)
+    elif kind == "routing":
+        argv, _ = _verify_argv(tmp_path, "0 2 1\n")
+        argv[argv.index("--routing") + 1] = str(bad)
     elif kind == "trace":
         argv = ["cluster", "--graph", os.path.join(DATA, "golden_host.graph"),
                 "--k", "2", "--trace", str(bad)]
+    elif kind == "template":
+        argv = ["prune", "--template", str(bad)]
     else:
         g = tmp_path / "g.graph"
         g.write_text("0 1\n1 2\n0 2\n")

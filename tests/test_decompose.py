@@ -480,3 +480,109 @@ def test_strip_low_degree_matches_brute_force():
         cascaded += sum(g.degree(v) >= floor for v in g.vertices
                         if v not in got.vertices)
     assert lifted_kept >= 10 and cascaded >= 10, (lifted_kept, cascaded)
+
+
+# The exits of _try_witness, build_decomposition and _repair that no
+# other test reaches, pinned as they behave today.  Each test fails if
+# its branch is deleted.
+
+def _moved_to_fakes(real, seed):
+    """real (greedy_embed), but one copy of its embedding, picked by
+    seed, is moved into its fake set F."""
+    def embed(*args):
+        emb, fakes = real(*args)
+        pick = random.Random(seed).sample(sorted(emb.paths), 1)
+        return emb, set(fakes) | set(pick)
+    return embed
+
+
+def test_fake_copies_are_deleted_before_the_witness(monkeypatch):
+    """Each fake copy is deleted from the router before the witness is
+    built.  With budgets of 0 one deletion drains a whole bundle, and in
+    seeds 1 and 2 the drain empties the router: the rebuild finds no
+    path, the attempt fails and the cluster is scattered.  In the other
+    seeds the cluster is kept and the drained bundles' edges are charged
+    as fake-trim."""
+    got = []
+    real = decompose.greedy_embed
+    for seed in range(10):
+        monkeypatch.setattr(decompose, "greedy_embed",
+                            _moved_to_fakes(real, seed))
+        rd = build_decomposition(template_host(), template_cfg())
+        assert not rd.check_valid()
+        got.append((len(rd.clusters), rd.report.cause_counts()))
+    drained = (0, {"scatter": 216})
+    assert got == [(1, {"fake-trim": 26}), drained, drained,
+                   (1, {"fake-trim": 26}), (1, {"fake-trim": 26}),
+                   (1, {"fake-trim": 8}), (1, {"fake-trim": 2}),
+                   (1, {"fake-trim": 26}), (1, {"fake-trim": 26}),
+                   (1, {"fake-trim": 8})]
+
+
+def test_trim_deletes_the_copies_through_under_covered_vertices(
+        monkeypatch):
+    """At delta_star = 72 the path floor, 2 * (72 // 8) = 18, is above the
+    16 paths through every level-4 leaf, so the trim deletes all 864
+    copies at once.  The router drains, and the rebuild finds no path."""
+    removed = []
+    real = decompose._WitnessedCluster.delete_copies_through
+
+    def spy(self, pred):
+        removed.append(real(self, pred))
+        return removed[-1]
+
+    monkeypatch.setattr(decompose._WitnessedCluster, "delete_copies_through",
+                        spy)
+    rd = build_decomposition(template_host(), template_cfg(delta_star=72))
+    assert removed == [864]
+    assert len(rd.clusters) == 0
+    assert rd.report.cause_counts() == {"scatter": 216}
+
+
+def test_cluster_smaller_than_delta_is_charged_small():
+    """A triangle of double edges keeps degree 4 = delta, so the strip
+    leaves it; as a cluster of 3 < delta vertices it is charged whole."""
+    g = MultiGraph()
+    for a, b in [(0, 1), (1, 2), (0, 2)]:
+        g.add_edge(a, b, 2)
+    rd = build_decomposition(g, template_cfg())
+    assert not rd.check_valid()
+    assert len(rd.clusters) == 0
+    assert dict(rd.report.causes) == {(0, 1): "small", (0, 2): "small",
+                                      (1, 2): "small"}
+
+
+def test_edges_left_at_the_round_cap_are_charged_cap(monkeypatch):
+    """Edges still unplaced when the rounds run out are charged as cap,
+    and the build says it degraded.  No host here keeps a ball for a
+    later round, so the cap is lowered to 0 rounds to reach the exit."""
+    monkeypatch.setattr(decompose, "ITER_CAP", 0)
+    rd = build_decomposition(template_host(), template_cfg())
+    assert not rd.check_valid()
+    assert rd.report.degraded
+    assert len(rd.clusters) == 0
+    assert rd.report.cause_counts() == {"cap": 216}
+
+
+@pytest.mark.parametrize("seed,charged", [
+    (7, [25, 7, 1, 1, 177]),
+    (12, [7, 1, 23, 1, 179]),
+    (16, [25, 25, 3, 5, 153]),
+])
+def test_fifth_batch_on_a_cluster_dissolves_it(seed, charged):
+    """The router has k_hat + 1 = 5 phases, and each batch that touches
+    the cluster opens one: four one-edge batches are absorbed, and the
+    fifth finds the phases exhausted and dissolves the cluster, however
+    little it deletes."""
+    rd = build_decomposition(realize(build(3, 6, 4)), template_cfg())
+    assert len(rd.clusters) == 1
+    rng = random.Random(seed)
+    got = []
+    for _ in range(5):
+        edge = rng.choice(sorted(rd.clusters[0].graph.superedges))
+        rep = process_batch(rd, [edge])
+        got.append(rep.charged())
+        assert not rd.check_valid()
+    assert got == charged
+    assert rep.dissolved == [0] and rep.to_e_del == {"dissolve": got[-1]}
+    assert rd.clusters == []

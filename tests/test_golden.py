@@ -8,6 +8,9 @@ The golden files in tests/data were written by
         [--faults golden_faults.txt]
 
 run inside tests/data, so the file names in the reports are relative.
+A report's params are the options its command parsed, defaults
+included, less --json: so they show --d-cap 2 and --template-n 3, and
+"batch_bound": null for the bound these commands leave unset.
 """
 
 import os

@@ -60,11 +60,6 @@ def test_realize_matches_template():
             assert g.multiplicity(leaf, c) == 3
 
 
-def test_strict_mode_rejects_small_parameters():
-    with pytest.raises(ValueError):
-        build(4, 2, 3, strict=True)
-
-
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_degree_formulas(N, k, delta):
