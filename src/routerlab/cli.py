@@ -136,9 +136,9 @@ def parse_trace(path, ops=PRUNE_OPS, max_phases=None):
     """List of phases; each phase is a list of ops
     ('del', u, v, count, line) / ('deact', cid, line) /
     ('ins', u, v, mult, line), of the kinds in ops, each ending with its
-    line number.  An INS line's len is checked like a graph line's and
-    then dropped.  With max_phases, a PHASE line that opens phase
-    max_phases + 1 or later is an error."""
+    line number.  An INS line's ids, mult and len are checked like a
+    graph line's, and its len is then dropped.  With max_phases, a
+    PHASE line that opens phase max_phases + 1 or later is an error."""
     phases = [[]]
     for no, tok in _lines(path):
         op = tok[0].upper()
@@ -177,6 +177,11 @@ def parse_trace(path, ops=PRUNE_OPS, max_phases=None):
                 u, v = int(tok[1]), int(tok[2])
                 mult = int(tok[3]) if len(tok) > 3 else 1
                 length = int(tok[4]) if len(tok) > 4 else 1
+                if u < 0 or v < 0:
+                    raise CliError("insertion endpoints must be non-negative",
+                                   path, no)
+                if u == v:
+                    raise CliError("self loops are not allowed", path, no)
                 if mult < 1 or length < 1:
                     raise CliError("insertion mult and len must be at least 1",
                                    path, no)

@@ -200,6 +200,19 @@ class _WitnessedCluster:
         self._sync_pruning()
         return removed
 
+    def shed(self, low_of):
+        """Delete every embedding path through the vertices low_of(counts)
+        names, counts being path_counts(), and repeat on the new counts
+        until it names no vertex not named before.  Returns the set of
+        vertices named."""
+        named = set()
+        while True:
+            low = low_of(self.path_counts()) - named
+            if not low:
+                return named
+            named |= low
+            self.delete_copies_through(lambda p: any(v in low for v in p))
+
     def rebuild(self, source_graph):
         """Recompute graph, witness and sparsifier from the surviving
         paths, and take lam from their path counts.  source_graph
@@ -274,7 +287,12 @@ def _scatter_shed(sub, causes):
 def _try_witness(cid, cfg, sub):
     """Attempt the template embedding on one cluster.  Returns the
     rebuilt _WitnessedCluster with the cluster edges its rebuild
-    dropped, or None."""
+    dropped, or None.  The exits that return None, in order: a template
+    size N under 3, a template with more vertices than the cluster,
+    greedy_embed finding no embedding within the fake budget, a router
+    drained of every bundle once the fake copies are deleted, and a
+    rebuild that raises (among the rest when the trim leaves no path,
+    or the witness fails its validation)."""
     nv = len(sub.vertices)
     n_c = cfg.template_size(nv)
     if n_c < 3:
@@ -295,12 +313,13 @@ def _try_witness(cid, cfg, sub):
     s = new_pruned(t, cfg.pruning_cfg(n_c))
     for (i, leaf, _c) in sorted(fakes):
         s.delete_edge(leaf, t.level_center(i, leaf))
-    if not s.is_properly_pruned():
-        return None
+    live = s.live_bundles()
+    if not live:
+        return None                 # drained
     bundles = {}
     # a live bundle holds delta copies less one per fake, so its
     # surviving paths are exactly its non-fake copies
-    for (i, leaf) in sorted(s.live_bundles()):
+    for (i, leaf) in sorted(live):
         bundles[(i, leaf)] = [emb.paths[(i, leaf, c)] for c in range(t.delta)
                               if (i, leaf, c) not in fakes]
     wc = _WitnessedCluster(cid, cfg, s, emb.vertex_map, bundles)
@@ -309,14 +328,7 @@ def _try_witness(cid, cfg, sub):
     d_star = max(max((len(p) - 1 for p in wc.distinct_paths()), default=1), 1)
     dprime = cfg.delta_star // (2 * cfg.k_hat * d_star)
     floor = max(cfg.path_floor_at(nv), 2 * dprime)
-    while True:
-        low = {v for v, c in wc.path_counts().items() if c < floor}
-        if not low:
-            break
-        if wc.delete_copies_through(lambda p: any(v in low for v in p)) == 0:
-            break
-        if not wc.s.is_properly_pruned():
-            return None
+    wc.shed(lambda counts: {v for v, c in counts.items() if c < floor})
     try:
         return wc, wc.rebuild(sub)
     except ValueError:
@@ -427,25 +439,15 @@ def _repair(rd, wc, edges, report):
     dead = set(edges)
     wc.delete_copies_through(
         lambda p: any(_key(a, b) in dead for a, b in zip(p, p[1:])))
-    # cascade: vertices whose surviving path count fell too far.  Every
-    # path through a shed edge passes through its low endpoint, so one
-    # deletion by vertex per round also clears the shed edges' paths.
-    while True:
-        counts = wc.path_counts()
-        low = {v for v, lam in wc.lam.items()
-               if counts.get(v, 0) < lam * cfg.drop_frac}
-        if not low:
-            break
-        shed = [e for e in sorted(wc.graph.superedges)
-                if e[0] in low or e[1] in low]
-        removed = wc.delete_copies_through(lambda p: any(v in low for v in p))
-        if not shed and not removed:
-            break
-        for e in shed:
+    # cascade: vertices whose surviving path count fell too far leave
+    # with every path through them, and their edges are charged
+    low = wc.shed(lambda counts: {
+        v for v, lam in wc.lam.items()
+        if counts.get(v, 0) < lam * cfg.drop_frac})
+    for e in sorted(wc.graph.superedges):
+        if e[0] in low or e[1] in low:
             wc.graph.remove_edge(*e)
             _charge(rd, report, e, "cascade")
-        for v in low:
-            wc.lam.pop(v, None)
     try:
         dropped = wc.rebuild(wc.graph)
     except ValueError:

@@ -12,7 +12,10 @@ affected object is retired through a worklist with three entry kinds:
   type 3 (i, C):  too few vertices of cluster C remain in U_i; the whole
                   cluster is flushed out of U_1..U_{i-1} and destroyed.
 
-Entries are processed lowest level first, ties broken 1 < 2 < 3.  All
+Entries are processed lowest level first, ties broken 1 < 2 < 3, then
+in queue order.  A vertex may be queued to leave U_i more than once: the
+first entry pops first and records its tag, and every later one finds
+v already out of U_i and is skipped by that membership test.  All
 budget comparisons are exact and strict ("exceeds") and run on ints:
 for an integer count n, n > f*x iff n > floor(f*x), and n < f*x iff
 n < ceil(f*x).  The edge and star budgets are computed once per router;
@@ -26,8 +29,8 @@ between operations it is always a prefix.
 PrunedRouter owns this state: other modules read the surviving bundles
 through live_bundles(), never through its internal fields.  It also
 owns the memo of values derived from the membership sets (memo(name,
-compute), used for routing's sink paths): mask changes only in _drain,
-which clears the memo first, so a memoized value is computed once per
+compute), used for routing's sink paths): mask changes only in _leave,
+called from _drain, which clears the memo first, so a memoized value is computed once per
 membership change.
 """
 
@@ -270,15 +273,13 @@ class PrunedRouter:
         self.n_edge[key] = self.n_edge.get(key, 0) + 1
         if self.n_edge[key] > self.edge_budget:
             st["J"][level] += 1
-            heap, pending = [], set()
-            self._push1(heap, pending, level, leaf, DIRECT)
-            self._drain(heap, pending, rpt)
+            heap = []
+            self._push1(heap, level, leaf, DIRECT)
+            self._drain(heap, rpt)
         return rpt
 
-    def _push1(self, heap, pending, i, v, tag):
-        if (i, v) in pending:
-            return
-        pending.add((i, v))
+    def _push1(self, heap, i, v, tag):
+        """Queue v to leave U_i (typ 1), tagged with the cause."""
         self._seq += 1
         heapq.heappush(heap, (i, 1, self._seq, v, tag))
 
@@ -302,14 +303,18 @@ class PrunedRouter:
         else:
             self._remove_bundle(i, v)
 
-    def _record_removal(self, i, v, tag, rpt):
+    def _leave(self, i, v, tag, rpt):
+        """Take v out of U_i: clear its mask bit, record the removal and
+        drop its level-i bundles from W."""
+        self.mask[v] &= ~(1 << i)
         st = self.phase_log[-1]
         st["removed"][i] += 1
         bucket = {DIRECT: "R", INDIRECT: "Rp", CASCADE: "Rpp"}[tag]
         st[bucket][i] += 1
         rpt.removed.setdefault(i, []).append((v, tag))
+        self._remove_incident(i, v)
 
-    def _drain(self, heap, pending, rpt):
+    def _drain(self, heap, rpt):
         self._memo.clear()
         t, cfg = self.t, self.cfg
         N, k = t.N, t.k
@@ -317,14 +322,11 @@ class PrunedRouter:
             i, typ, _seq, obj, tag = heapq.heappop(heap)
             if typ == 1:
                 v = obj
-                pending.discard((i, v))
                 if not self.in_u(v, i):
                     continue
-                self.mask[v] &= ~(1 << i)
-                self._record_removal(i, v, tag, rpt)
-                self._remove_incident(i, v)
+                self._leave(i, v, tag, rpt)
                 if i < k:
-                    self._push1(heap, pending, i + 1, v, DIRECT)
+                    self._push1(heap, i + 1, v, DIRECT)
                 s = t.star_id(i, v)
                 if (i, s) not in self.star_destroyed:
                     if v == t.star_center(i, s):
@@ -350,7 +352,7 @@ class PrunedRouter:
                     continue
                 for m in t.star_members(i, s):
                     if self.in_u(m, i):
-                        self._push1(heap, pending, i, m, INDIRECT)
+                        self._push1(heap, i, m, INDIRECT)
                 self.star_destroyed.add((i, s))
             else:
                 c = obj
@@ -362,11 +364,9 @@ class PrunedRouter:
                         continue
                     for j in range(1, i):
                         if self.in_u(x, j):
-                            self.mask[x] &= ~(1 << j)
-                            self._record_removal(j, x, CASCADE, rpt)
-                            self._remove_incident(j, x)
+                            self._leave(j, x, CASCADE, rpt)
                     if self.in_u(x, i):
-                        self._push1(heap, pending, i, x, INDIRECT)
+                        self._push1(heap, i, x, INDIRECT)
                 self.cluster_destroyed.add(cl)
         for v in rpt.removed_levels_vertices():
             if not self._is_prefix(self.mask[v]):

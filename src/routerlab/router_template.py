@@ -18,13 +18,14 @@ I_j = [j*N^(i-2), (j+1)*N^(i-2)), and its leaves in ascending order on
 the remaining positions.  The star at position z then has exactly one
 center member, taken from block z // N^(i-2).
 
-That arithmetic (_ordering, its inverse _position, and _star_id and
-_star_members on top of them) runs once per (N, k): _tables turns it
-into lookup tables, shared by every template with those N and k
-whatever its Delta.  Per level they hold the star id and the level
-center of every vertex, and the center and the member tuple of every
-star, and one operator.itemgetter per star above level 1 (its getter);
-one leaf tuple serves all levels.  star_id, star_center, star_members,
+That arithmetic (_ordering and _star_members on top of it) runs once
+per (N, k): _tables turns it into lookup tables, shared by every
+template with those N and k whatever its Delta.  Per level they hold
+the center and the member tuple of every star, the star id and the
+level center of every vertex, and one operator.itemgetter per star
+above level 1 (its getter); one leaf tuple serves all levels.  A
+level's stars partition the vertices, so each vertex's star id is read
+off the member tuples.  star_id, star_center, star_members,
 level_center, superedges and superedge_level read the tables.  The
 pruning checker scans them directly, one pass per level: it walks the
 leaf tuple and the level-center column for its bundle checks, and
@@ -52,25 +53,6 @@ def _ordering(N, level, j, p):
     l = p if p < j * B else p - B  # leaf rank among ascending leaf locals
     q, s = divmod(l, N - 1)
     return q * N + s + 1
-
-
-def _position(N, level, j, y):
-    """Inverse of _ordering: position of block-local vertex y in block j."""
-    B = N ** (level - 2)
-    if y % N == 0:
-        return j * B + y // N
-    l = (y // N) * (N - 1) + (y % N) - 1
-    return l if l < j * B else l + B
-
-
-def _star_id(N, level, v):
-    """The level-`level` star containing v."""
-    if level == 1:
-        return v // N
-    M = N ** (level - 1)
-    c, x = divmod(v, N * M)
-    j, y = divmod(x, M)
-    return c * M + _position(N, level, j, y)
 
 
 def _star_members(N, level, s):
@@ -104,7 +86,7 @@ def _tables(N, k):
     ids = tuple(range(N ** k))
     levels = [None]
     for level in range(1, k + 1):
-        star_id = tuple(ids[_star_id(N, level, v)] for v in ids)
+        star_id = [None] * len(ids)
         star_members = []
         star_center = []
         for s in range(N ** (k - 1)):
@@ -112,8 +94,10 @@ def _tables(N, k):
             members = tuple(ids[m] for m in members)
             star_members.append(members)
             star_center.append(members[center])
+            for m in members:
+                star_id[m] = ids[s]
         levels.append(LevelTables(
-            star_id, tuple(star_center[s] for s in star_id),
+            tuple(star_id), tuple(star_center[s] for s in star_id),
             tuple(star_center), tuple(star_members)))
     getters = (None, None) + tuple(
         tuple(operator.itemgetter(*m) for m in levels[i].star_members)

@@ -376,6 +376,9 @@ def test_bad_routing_names_the_file(tmp_path, capsys, text, where, msg):
     ("batch", "INS 0 9 0", "insertion mult and len must be at least 1"),
     ("batch", "INS 0 9 1 0", "insertion mult and len must be at least 1"),
     ("batch", "INS 0 9 -2 1", "insertion mult and len must be at least 1"),
+    ("batch", "INS -1 2", "insertion endpoints must be non-negative"),
+    ("batch", "INS 3 -2 1", "insertion endpoints must be non-negative"),
+    ("batch", "INS 3 3", "self loops are not allowed"),
 ])
 def test_trace_count_below_one_is_usage_error(host_file, tmp_path, capsys,
                                               cmd, line, msg):

@@ -105,6 +105,30 @@ def test_process_cluster_piece_and_core_bounds():
             assert len(u) ** (k ** 3) * n >= p.num_vertices() ** (k ** 3)
 
 
+def test_process_cluster_removes_ring_edges_from_the_residue():
+    """A piece is B(v, i) and its core B(v, i-1).  The core's vertices
+    leave the residue with their edges, and so must a piece edge between
+    two outer-ring vertices, which touches no core vertex: on the strip
+    v-v+1, v-v+2 the first piece is B(0, 3) = {0..6} with core {0..4},
+    and its ring edge (5, 6) stays with the piece alone.  Reaching this
+    through init_clustering at k = 2 takes a host of about 17,000
+    vertices, so the split is called directly."""
+    strip = MultiGraph()
+    for v in range(200):
+        for d in (1, 2):
+            if v + d < 200:
+                strip.add_edge(v, v + d)
+    res, pieces, cores, _nid = process_cluster(Cluster(0, strip), 2)
+    assert len(pieces) == 29
+    assert sorted(pieces[0].vertices()) == list(range(7))
+    assert cores[0] == set(range(5))
+    assert pieces[0].graph.has_edge(5, 6)
+    assert not res.graph.has_edge(5, 6)
+    parts = [p.graph.superedges for p in pieces] + [res.graph.superedges]
+    assert sum(len(e) for e in parts) == len(strip.superedges)
+    assert set().union(*parts) == set(strip.superedges)
+
+
 def test_full_clustering_with_phases():
     for seed in range(25):
         rng0 = random.Random(seed)

@@ -499,18 +499,28 @@ def _moved_to_fakes(real, seed):
 def test_fake_copies_are_deleted_before_the_witness(monkeypatch):
     """Each fake copy is deleted from the router before the witness is
     built.  With budgets of 0 one deletion drains a whole bundle, and in
-    seeds 1 and 2 the drain empties the router: the rebuild finds no
-    path, the attempt fails and the cluster is scattered.  In the other
-    seeds the cluster is kept and the drained bundles' edges are charged
-    as fake-trim."""
+    seeds 1 and 2 the drain empties the router: the attempt fails at its
+    drained exit, before any _WitnessedCluster is built, and the cluster
+    is scattered.  In the other seeds the cluster is kept and the
+    drained bundles' edges are charged as fake-trim."""
     got = []
+    built = []
     real = decompose.greedy_embed
+    real_init = decompose._WitnessedCluster.__init__
+
+    def init(self, *args):
+        built[-1] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(decompose._WitnessedCluster, "__init__", init)
     for seed in range(10):
         monkeypatch.setattr(decompose, "greedy_embed",
                             _moved_to_fakes(real, seed))
+        built.append(0)
         rd = build_decomposition(template_host(), template_cfg())
         assert not rd.check_valid()
         got.append((len(rd.clusters), rd.report.cause_counts()))
+    assert built == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1]
     drained = (0, {"scatter": 216})
     assert got == [(1, {"fake-trim": 26}), drained, drained,
                    (1, {"fake-trim": 26}), (1, {"fake-trim": 26}),

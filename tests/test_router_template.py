@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routerlab.router_template import _ordering, _position, build, realize
+from routerlab.router_template import _ordering, build, realize
 
 from _support import num_stars
 
@@ -89,6 +89,15 @@ def test_star_membership_consistent(N, k):
 
 TABLE_SHAPES = [(N, k) for N in range(2, 6) for k in range(1, 5)
                 if N ** k <= 1024] + [(3, 5), (3, 6)]
+
+
+def _position(N, level, j, y):
+    """Inverse of _ordering: position of block-local vertex y in block j."""
+    B = N ** (level - 2)
+    if y % N == 0:
+        return j * B + y // N
+    l = (y // N) * (N - 1) + (y % N) - 1
+    return l if l < j * B else l + B
 
 
 def _ref_star_id(N, level, v):

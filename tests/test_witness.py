@@ -214,6 +214,27 @@ def test_greedy_embed_clique_host():
     assert res is not None and res[0].d_star <= 2
 
 
+def test_greedy_embed_maps_unreached_vertices_in_sorted_order():
+    """The vertex map follows breadth-first order from the highest-degree
+    host vertex.  Here its component, a K_5, is smaller than the
+    9-vertex template, so the vertices the search cannot reach (a
+    disjoint 6-cycle, added to the host in descending order) follow in
+    ascending order.  Every copy that joins the two components is
+    fake, and the budget admits them all."""
+    g = MultiGraph()
+    cyc = [15, 14, 13, 12, 11, 10]
+    for i, v in enumerate(cyc):
+        g.add_edge(v, cyc[i - 1])
+    for a in range(5):
+        for b in range(a + 1, 5):
+            g.add_edge(a, b, 4)
+    t = build(3, 2, 2)
+    emb, fakes = greedy_embed(g, t, 2, 4, t.num_edges())
+    assert emb.vertex_map == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4,
+                              5: 10, 6: 11, 7: 12, 8: 13}
+    assert len(fakes) == 8
+
+
 def test_greedy_embed_path_host_fails():
     pth = MultiGraph()
     for i in range(30):
