@@ -30,8 +30,8 @@ PrunedRouter owns this state: other modules read the surviving bundles
 through live_bundles(), never through its internal fields.  It also
 owns the memo of values derived from the membership sets (memo(name,
 compute), used for routing's sink paths): mask changes only in _leave,
-called from _drain, which clears the memo first, so a memoized value is computed once per
-membership change.
+called from _drain, which clears the memo first, so a memoized value
+is computed once per membership change.
 """
 
 import heapq
